@@ -17,7 +17,6 @@ from .errors import (
     NoConvergence,
     NotInLambdaZero,
     NotInterior,
-    NotMorse,
     OutsideDomain,
     ParamOutOfRange,
     PositiveDimensionalInitialLocus,
@@ -90,7 +89,6 @@ __all__ = [
     "NoConvergence",
     "NotInLambdaZero",
     "NotInterior",
-    "NotMorse",
     "NovikovScalar",
     "OutsideDomain",
     "ParamOutOfRange",

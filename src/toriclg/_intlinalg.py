@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals and over the integers.
 
-Everything here runs on small dense matrices (dimension at most ~20), so the
-implementations favour clarity over asymptotics: fraction Gaussian
-elimination, and a transform-tracking Smith normal form used to compute
-saturated sublattices and to extend a partial lattice basis to a full one.
+This is the package's one exact linear-algebra module.  Everything here
+runs on small dense matrices (dimension at most ~20), so the
+implementations favour clarity over asymptotics: one fraction
+Gauss-Jordan reduction (``row_reduce``) behind the rank, determinant,
+solve and canonical-span routines, and a transform-tracking Smith normal
+form used to compute saturated sublattices and to extend a partial
+lattice basis to a full one.
 """
 
 from __future__ import annotations
@@ -18,28 +21,52 @@ def frac_matrix(rows: Sequence[Sequence]) -> list[Row]:
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def row_reduce(m: list[Row], ncols: int) -> tuple[list[int], int, Fraction]:
+    """Bring ``m`` to reduced row echelon form in place.
+
+    Pivots are taken in the first ``ncols`` columns only; any further
+    columns (a right-hand side) are carried along.  Returns
+    ``(pivots, sign, pivot_product)``: the pivot column of each leading
+    row, the sign of the row permutation, and the product of the pivots
+    before normalisation, so that a square full-rank matrix has
+    determinant ``sign * pivot_product``.  Rows past ``len(pivots)`` are
+    zero in the pivoting columns.
+    """
+    nrows = len(m)
+    pivots: list[int] = []
+    sign = 1
+    product = Fraction(1)
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            sign = -sign
+        pv = m[row][col]
+        product *= pv
+        # entries left of col are zero in every row not yet used as a
+        # pivot; zero entries are skipped, which keeps Fraction work small
+        prow = m[row]
+        if pv != 1:
+            prow = m[row] = prow[:col] + [x / pv if x else x for x in prow[col:]]
+        for r in range(nrows):
+            f = m[r][col]
+            if r != row and f:
+                m[r] = m[r][:col] + [
+                    x - f * y if y else x for x, y in zip(m[r][col:], prow[col:])
+                ]
+        pivots.append(col)
+        row += 1
+    return pivots, sign, product
+
+
 def frac_rank(rows: Sequence[Sequence]) -> int:
     m = frac_matrix(rows)
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(row_reduce(m, len(m[0]) if m else 0)[0])
 
 
 def frac_solve(
@@ -48,41 +75,23 @@ def frac_solve(
     """Solve a x = b over the rationals.
 
     Returns ``(particular, nullspace_basis)``, or ``None`` when inconsistent.
-    The nullspace basis is empty exactly when the solution is unique.
+    The particular solution is zero in every free coordinate, and the
+    nullspace basis is read off the reduced echelon form, so both depend
+    only on the row space of ``[a | b]``.  The basis is empty exactly when
+    the solution is unique.
     """
-    m = frac_matrix(a)
-    rhs = [Fraction(x) for x in b]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        rhs[row], rhs[piv] = rhs[piv], rhs[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        rhs[row] *= inv
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-                rhs[r] -= f * rhs[row]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if rhs[r] != 0:
-            return None
+    ncols = len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    pivots, _, _ = row_reduce(m, ncols)
+    if any(m[r][ncols] != 0 for r in range(len(pivots), len(m))):
+        return None
     particular = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
-        particular[col] = rhs[r]
-    free_cols = [c for c in range(ncols) if c not in pivots]
+        particular[col] = m[r][ncols]
     nullspace: list[Row] = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for r, col in enumerate(pivots):
@@ -91,24 +100,31 @@ def frac_solve(
     return particular, nullspace
 
 
+def canonical_affine(
+    point: Sequence, directions: Sequence[Sequence]
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
+    """A normal form of the affine space ``point + span(directions)``:
+    the nonzero rows of the reduced echelon form of the directions, and
+    the point moved to zero in their pivot coordinates.  Two descriptions
+    of the same affine space give the same pair."""
+    basis = frac_matrix(directions)
+    pivots, _, _ = row_reduce(basis, len(point))
+    del basis[len(pivots):]
+    p = [Fraction(x) for x in point]
+    for row, col in zip(basis, pivots):
+        f = p[col]
+        p = [a - f * b for a, b in zip(p, row)]
+    return tuple(tuple(r) for r in basis), tuple(p)
+
+
 def det_int(a: Sequence[Sequence[int]]) -> int:
     """Determinant of a small integer matrix, exact."""
     m = frac_matrix(a)
     n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    pivots, sign, product = row_reduce(m, n)
+    if len(pivots) < n:
+        return 0
+    det = sign * product
     assert det.denominator == 1
     return det.numerator
 

@@ -34,14 +34,12 @@ from .errors import (
     NoConvergence,
     NotInLambdaZero,
     NotInterior,
-    NotMorse,
     OutsideDomain,
     ParamOutOfRange,
     PositiveDimensionalInitialLocus,
     SingularHessian,
     SingularInitialJacobian,
     UnknownName,
-    UnresolvedMultiplicities,
     ZeroLeadingCoefficient,
 )
 from .jacres import residue_report, z_exactness
@@ -76,8 +74,6 @@ _NUMERICAL_ERRORS = (
     PositiveDimensionalInitialLocus,
     LevelUnderdetermined,
     IntegralityFailure,
-    NotMorse,
-    UnresolvedMultiplicities,
     ZeroLeadingCoefficient,
 )
 
@@ -109,8 +105,6 @@ def _load_env_config() -> None:
     for key in ("eps_coeff", "eps_sol", "eps_degenerate", "tol_zero"):
         if key in data:
             updates[key] = float(data[key])
-    if "jobs" in data:
-        updates["jobs"] = int(data["jobs"])
     if updates:
         update_config(**updates)
 
@@ -249,7 +243,7 @@ def cmd_lte(args) -> int:
                 "  witness ybar=(" + ", ".join(_fmt_z(z) for z in w) + ")"
             )
         return _emit(args, res.to_json_dict(), "\n".join(lines))
-    rows = balanced_positions(pot, args.grid, jobs=get_config().jobs)
+    rows = balanced_positions(pot, args.grid)
     doc = {
         "grid": args.grid,
         "verdicts": [
@@ -298,9 +292,10 @@ def cmd_residue_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    p, _ = _resolve_polytope(args)
-    validation = p.validate()
     pot = _build_potential(args)
+    p = pot.polytope
+    validation = p.validate()
+    fano_type = p.fano_type()
     report = find_critical_points(pot, order=get_config().truncation_order)
     res = residue_report(pot, report)
     doc = {
@@ -309,7 +304,7 @@ def cmd_analyze(args) -> int:
             "issues": validation.issues,
             "vertices": validation.vertex_count,
         },
-        "fano_type": p.fano_type(),
+        "fano_type": fano_type,
         "betti": p.total_betti(),
         "potential": _poly_json(pot.poly),
         "critical": report.to_json_dict(),
@@ -317,7 +312,7 @@ def cmd_analyze(args) -> int:
     }
     lines = [
         f"polytope: dim {p.dim}, {p.nfacets} facets, "
-        f"{validation.vertex_count} vertices, fano type: {p.fano_type()}",
+        f"{validation.vertex_count} vertices, fano type: {fano_type}",
         f"PO = {render_poly(pot.poly)}",
         _critical_text(report),
         f"exactness: {res.exactness}",
@@ -359,9 +354,6 @@ def _make_parser() -> argparse.ArgumentParser:
         type=parse_rational,
         default=None,
         help="working order E for series arithmetic (rational)",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=None, help="parallel workers for grid scans"
     )
 
     parser = argparse.ArgumentParser(
@@ -407,10 +399,6 @@ def main(argv=None) -> int:
         _load_env_config()
         if args.truncation is not None:
             update_config(truncation_order=args.truncation)
-        if args.jobs is not None:
-            if args.jobs < 1:
-                raise InvalidPolytope("--jobs must be at least 1")
-            update_config(jobs=args.jobs)
         return args.fn(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -25,8 +25,6 @@ class RunConfig:
     eps_degenerate: float = 1e-8
     # relative factor for accepting a series as zero in identity checks
     tol_zero: float = 1e-9
-    # worker count for embarrassingly parallel scans (1 = sequential)
-    jobs: int = 1
 
 
 _ACTIVE = RunConfig()

@@ -76,15 +76,5 @@ class LevelUnderdetermined(ToricLGError):
     monomial units; the cascade cannot continue."""
 
 
-class NotMorse(ToricLGError):
-    """An operation requiring nondegenerate critical points met a degenerate
-    one."""
-
-
 class SingularHessian(ToricLGError):
     """Hessian determinant is zero to working precision."""
-
-
-class UnresolvedMultiplicities(ToricLGError):
-    """Critical point counting had leftover cells or unresolved multiplicity
-    labels; only an inequality check is meaningful."""

@@ -151,22 +151,13 @@ def _int_inverse(rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     n = len(rows)
     cols = []
     for i in range(n):
-        rhs = [Fraction(1 if k == i else 0) for k in range(n)]
-        sol = frac_solve([list(map(Fraction, r)) for r in rows], rhs)
+        sol = frac_solve(rows, [int(k == i) for k in range(n)])
         if sol is None:
             raise IntegralityFailure("adapted basis is singular")
-        part, _ = sol
-        cols.append(part)
-    out = []
-    for k in range(n):
-        row = []
-        for i in range(n):
-            x = cols[i][k]
-            if x.denominator != 1:
-                raise IntegralityFailure("adapted basis inverse is not integral")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
+        if any(x.denominator != 1 for x in sol[0]):
+            raise IntegralityFailure("adapted basis inverse is not integral")
+        cols.append([int(x) for x in sol[0]])
+    return tuple(zip(*cols))
 
 
 def leading_term_system(
@@ -371,7 +362,6 @@ def balanced_positions(
     potential: Potential,
     grid: int,
     extra: list | None = None,
-    jobs: int = 1,
 ) -> list[tuple[FracVec, str]]:
     """Scan an interior grid (plus optional extra points) and classify each
     point as balanced, unbalanced, or unknown."""
@@ -398,9 +388,4 @@ def balanced_positions(
         except LevelUnderdetermined:
             return u, "unknown"
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(classify, points))
     return [classify(u) for u in points]

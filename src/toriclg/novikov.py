@@ -292,11 +292,6 @@ class NovikovScalar:
     def __hash__(self) -> int:
         return hash((self._terms, self._trunc))
 
-    def is_close(self, other, tol: float = 1e-9) -> bool:
-        o = self._coerce(other)
-        diff = self - o
-        return diff.max_abs_coeff() <= tol
-
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:

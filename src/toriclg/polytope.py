@@ -66,6 +66,8 @@ class MomentPolytope:
             if len(f.normal) != self.dim:
                 raise InvalidPolytope(f"normal {f.normal} has wrong length")
         self._vertices: tuple[Vertex, ...] | None = None
+        self._report: ValidationReport | None = None
+        self._fano_type: str | None = None
 
     # -- construction ----------------------------------------------------------
 
@@ -133,6 +135,11 @@ class MomentPolytope:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        if self._report is None:
+            self._report = self._validation_report()
+        return self._report
+
+    def _validation_report(self) -> ValidationReport:
         issues: list[str] = []
         n = self.dim
         normals = [list(f.normal) for f in self.facets]
@@ -236,6 +243,11 @@ class MomentPolytope:
         projective spaces and one-point blow-ups are fano, the second
         Hirzebruch surface is nef-only.
         """
+        if self._fano_type is None:
+            self._fano_type = self._fano_type_of_fan()
+        return self._fano_type
+
+    def _fano_type_of_fan(self) -> str:
         self.require_valid()
         verts = self.vertices()
         n = self.dim

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._intlinalg import frac_solve
+from ._intlinalg import canonical_affine, frac_solve
 from .config import get_config
 from .errors import (
     NoConvergence,
@@ -130,43 +130,6 @@ class TropicalCell:
         return d
 
 
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    rows = [r[:] for r in rows]
-    cols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(cols):
-        sel = None
-        for i in range(pivot_row, len(rows)):
-            if rows[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
-        for i in range(len(rows)):
-            if i != pivot_row and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return [r for r in rows if any(x != 0 for x in r)]
-
-
-def _canonical_affine(
-    particular: FracVec, nullspace: list[FracVec]
-) -> tuple[tuple[FracVec, ...], FracVec]:
-    basis = _rref([list(v) for v in nullspace])
-    p = list(particular)
-    for row in basis:
-        col = next(i for i, x in enumerate(row) if x != 0)
-        f = p[col]
-        p = [a - f * b for a, b in zip(p, row)]
-    return tuple(tuple(r) for r in basis), tuple(p)
-
-
 def _line_interval(
     potential: Potential, p: FracVec, d: FracVec
 ) -> tuple[Fraction, Fraction] | None:
@@ -229,7 +192,7 @@ def tropical_candidates(
         if not nullspace:
             points[tuple(particular)] = None
         else:
-            key = _canonical_affine(tuple(particular), [tuple(v) for v in nullspace])
+            key = canonical_affine(particular, nullspace)
             subspaces.setdefault(key, (key[1], [tuple(v) for v in key[0]]))
 
     def ok(u: FracVec) -> bool:

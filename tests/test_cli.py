@@ -114,6 +114,46 @@ class TestJsonContract:
         assert y.trunc == Fraction(5)
 
 
+class TestExactWorkRunsOnce:
+    def test_analyze_validates_once(self, capsys, monkeypatch):
+        from toriclg.polytope import MomentPolytope
+
+        calls = {"_validation_report": 0, "_fano_type_of_fan": 0}
+        for name in calls:
+            body = getattr(MomentPolytope, name)
+
+            def counting(self, _body=body, _name=name):
+                calls[_name] += 1
+                return _body(self)
+
+            monkeypatch.setattr(MomentPolytope, name, counting)
+        code, out, _ = run(
+            capsys, "analyze", "--catalog", "blowup1:1/3", "--format", "json"
+        )
+        assert code == 0
+        assert calls == {"_validation_report": 1, "_fano_type_of_fan": 1}
+        doc = json.loads(out)
+        assert doc["validation"] == {"ok": True, "issues": [], "vertices": 4}
+        assert doc["fano_type"] == "fano"
+
+    def test_invalid_polytope_reports_its_issues(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "dim": 2,
+            "facets": [
+                {"normal": [1, 0], "constant": "0"},
+                {"normal": [0, 1], "constant": "0"},
+                {"normal": [-2, -1], "constant": "2"},
+            ],
+        }))
+        code, _, err = run(capsys, "analyze", "--polytope", str(path))
+        assert code == 2
+        assert err == (
+            "invalid input: vertex (Fraction(1, 1), Fraction(0, 1)): "
+            "normal determinant 2 (not unimodular)\n"
+        )
+
+
 class TestFileInputs:
     def test_polytope_file(self, capsys, tmp_path):
         path = tmp_path / "p.json"
@@ -195,13 +235,6 @@ class TestConfiguration:
         doc = json.loads(out)
         assert doc["points"][0]["y_local"][0]["trunc"] == "4"
 
-    def test_jobs_flag(self, capsys):
-        code, out, _ = run(
-            capsys, "lte", "--catalog", "simplex:2", "--grid", "6", "--jobs", "2"
-        )
-        assert code == 0
-        assert "balanced at u=(1/3, 1/3)" in out
-
 
 class TestExitCodes:
     def test_unknown_catalog_name(self, capsys):
@@ -243,12 +276,6 @@ class TestExitCodes:
     def test_exterior_u_rejected(self, capsys):
         code, _, err = run(
             capsys, "lte", "--catalog", "simplex:2", "--u", "2/3,2/3"
-        )
-        assert code == 2
-
-    def test_bad_jobs_value(self, capsys):
-        code, _, err = run(
-            capsys, "lte", "--catalog", "simplex:2", "--grid", "4", "--jobs", "0"
         )
         assert code == 2
 

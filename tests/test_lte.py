@@ -176,7 +176,3 @@ class TestGridScan:
         us = [u for u, _ in rows]
         assert us.count((F(1, 3), F(1, 3))) == 1
         assert (F(1, 5), F(1, 5)) in us
-
-    def test_jobs_do_not_change_the_answer(self):
-        pot = potential_of("blowup1", F(1, 3))
-        assert balanced_positions(pot, 5) == balanced_positions(pot, 5, jobs=3)

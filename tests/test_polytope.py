@@ -64,6 +64,52 @@ class TestValidation:
         with pytest.raises(InvalidPolytope):
             p.require_valid()
 
+    @pytest.mark.parametrize(
+        "rows, issues",
+        [
+            (
+                [((1, 0), 0), ((0, 1), 0), ((-2, -1), 2)],
+                [
+                    "vertex (Fraction(1, 1), Fraction(0, 1)): "
+                    "normal determinant 2 (not unimodular)",
+                ],
+            ),
+            (
+                [((2, 0), 0), ((0, 1), 0), ((-1, -1), 1)],
+                [
+                    "facet 0: normal (2, 0) not primitive",
+                    "vertex (Fraction(0, 1), Fraction(0, 1)): "
+                    "normal determinant 2 (not unimodular)",
+                    "vertex (Fraction(0, 1), Fraction(1, 1)): "
+                    "normal determinant -2 (not unimodular)",
+                ],
+            ),
+            (
+                [((1, 0), 0), ((0, 1), 0)],
+                [
+                    "unbounded: recession direction "
+                    "(Fraction(0, 1), Fraction(1, 1))",
+                    "polytope is not full-dimensional (empty interior)",
+                    "facet 0: tight set has dimension < 1 (redundant)",
+                    "facet 1: tight set has dimension < 1 (redundant)",
+                ],
+            ),
+            (
+                [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)],
+                ["no vertices; polytope empty or unbounded"],
+            ),
+        ],
+    )
+    def test_cached_report_keeps_issues_and_message(self, rows, issues):
+        p = MomentPolytope.from_inequalities(rows)
+        rep = p.validate()
+        assert not rep.ok and list(rep.issues) == issues
+        assert p.validate() is rep
+        for _ in range(2):
+            with pytest.raises(InvalidPolytope) as exc:
+                p.require_valid()
+            assert str(exc.value) == "; ".join(issues)
+
     def test_random_chops_stay_valid(self):
         rng = random.Random(21)
         for _ in range(25):
