@@ -31,6 +31,7 @@ def hessian_matrix(
     n = potential.polytope.dim
     base = potential.poly
     rows = []
+    powers: dict[tuple[int, int], NovikovScalar] = {}
     for i in range(n):
         row = []
         gi = base.log_derivative(i)
@@ -38,7 +39,7 @@ def hessian_matrix(
             hij = gi.log_derivative(j).change_frame(
                 tuple(Fraction(x) for x in u)
             )
-            row.append(hij.evaluate(ys_local))
+            row.append(hij.evaluate(ys_local, powers))
         rows.append(row)
     return rows
 

@@ -4,9 +4,19 @@ A scalar is a finite sum  sum_i  c_i * T^{e_i}  with complex coefficients
 c_i and rational exponents e_i, together with a truncation order: exponents
 at or above the truncation order are unknown and silently dropped.  A
 truncation order of ``None`` means the scalar is exact (all of its terms are
-known).  Exponent arithmetic is exact (``fractions.Fraction``); coefficient
-arithmetic is complex floating point, with magnitudes below the configured
-``eps_coeff`` pruned on construction.
+known).  Coefficient arithmetic is complex floating point, with magnitudes
+below the configured ``eps_coeff`` pruned from every result.
+
+Exponents are exact and sit on an integer lattice: a scalar stores one
+denominator ``_den`` (the least that makes every exponent and the
+truncation order integral), the sorted exponent numerators ``_e``, the
+coefficients ``_c`` and the truncation numerator ``_t``.  Operations rescale
+their operands to the lcm of the denominators, work on Python ints and
+reduce the result by one gcd, so equal scalars have equal fields.
+``Fraction`` appears only at the boundary: the constructor and exponent
+arguments, ``terms``, ``valuation``, ``leading``, ``trunc`` and JSON.  Every
+result stores ``0j + c``, so no stored coefficient has a negative-zero part
+(the JSON output prints the sign of zero).
 
 The valuation of a scalar is the least exponent carrying a nonzero
 coefficient, and ``math.inf`` for the zero scalar.  Scalars with
@@ -18,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from numbers import Number
 from typing import Iterable, Union
@@ -39,53 +50,86 @@ def _as_fraction(e: ExponentLike) -> Fraction:
     raise TypeError(f"exponent must be rational, got {type(e).__name__}: {e!r}")
 
 
-def _min_trunc(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _fill(s: "NovikovScalar", den: int, es, cs, t: int | None) -> "NovikovScalar":
+    """Store sorted distinct exponent numerators ``es`` over ``den`` with
+    their coefficients: drops exponents at or above ``t`` and coefficients
+    within ``eps_coeff`` of zero, clears negative zeros and reduces ``den``."""
+    if t is not None and es and es[-1] >= t:
+        k = bisect_left(es, t)
+        es, cs = es[:k], cs[:k]
+    eps = get_config().eps_coeff
+    es = [e for e, c in zip(es, cs) if abs(c) > eps]
+    cs = [0j + c for c in cs if abs(c) > eps]
+    if den != 1:
+        g = math.gcd(den, *es) if t is None else math.gcd(den, t, *es)
+        if g != 1:
+            den //= g
+            es = [e // g for e in es]
+            t = None if t is None else t // g
+    s._den, s._e, s._c, s._t = den, tuple(es), tuple(cs), t
+    return s
+
+
+def _make(den: int, es, cs, t: int | None) -> "NovikovScalar":
+    return _fill(object.__new__(NovikovScalar), den, es, cs, t)
+
+
+def _rescaled(s: "NovikovScalar", den: int):
+    """Exponent and truncation numerators of ``s`` over a multiple ``den``
+    of its denominator."""
+    f = den // s._den
+    if f == 1:
+        return s._e, s._t
+    return [e * f for e in s._e], None if s._t is None else s._t * f
+
+
+def _common(a: "NovikovScalar", b: "NovikovScalar"):
+    """(den, a's exponents, a's order, b's exponents, b's order) over the
+    lcm of the two denominators."""
+    if a._den == b._den:
+        return a._den, a._e, a._t, b._e, b._t
+    den = math.lcm(a._den, b._den)
+    return (den, *_rescaled(a, den), *_rescaled(b, den))
+
+
+def _precedes(a: "NovikovScalar", b: "NovikovScalar") -> bool:
+    """A total order on the stored values; coefficients are compared only
+    between scalars with the same exponents."""
+    ka, kb = (len(a._e), a._den, a._e), (len(b._e), b._den, b._e)
+    if ka != kb:
+        return ka < kb
+    return [(c.real, c.imag) for c in a._c] < [(c.real, c.imag) for c in b._c]
+
+
+def _min_order(a: int | None, b: int | None) -> int | None:
+    return b if a is None else a if b is None else min(a, b)
 
 
 class NovikovScalar:
     """Immutable truncated series  sum c_i T^{e_i}."""
 
-    __slots__ = ("_terms", "_trunc")
+    __slots__ = ("_den", "_e", "_c", "_t")
 
     def __init__(
         self,
         terms: Iterable[tuple[ExponentLike, complex]] = (),
         trunc: Fraction | int | str | None = None,
     ):
-        if trunc is not None:
-            trunc = _as_fraction(trunc)
-        eps = get_config().eps_coeff
-        acc: dict[Fraction, complex] = {}
-        for e, c in terms:
-            e = _as_fraction(e)
-            if trunc is not None and e >= trunc:
-                continue
-            acc[e] = acc.get(e, 0j) + complex(c)
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple(sorted((e, c) for e, c in acc.items() if abs(c) > eps)),
+        tr = None if trunc is None else _as_fraction(trunc)
+        pairs = [(_as_fraction(e), complex(c)) for e, c in terms]
+        den = math.lcm(
+            1 if tr is None else tr.denominator,
+            *(e.denominator for e, _ in pairs),
         )
-        object.__setattr__(self, "_trunc", trunc)
+        acc: dict[int, complex] = {}
+        for e, c in pairs:
+            k = e.numerator * (den // e.denominator)
+            acc[k] = acc.get(k, 0j) + c
+        es = sorted(acc)
+        t = None if tr is None else tr.numerator * (den // tr.denominator)
+        _fill(self, den, es, [acc[e] for e in es], t)
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def _raw(
-        cls,
-        sorted_terms: tuple[tuple[Fraction, complex], ...],
-        trunc: Fraction | None,
-    ) -> "NovikovScalar":
-        """Wrap terms already sorted, merged, pruned, and under the order."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "_terms", sorted_terms)
-        object.__setattr__(s, "_trunc", trunc)
-        return s
 
     @classmethod
     def zero(cls, trunc: Fraction | None = None) -> "NovikovScalar":
@@ -93,11 +137,11 @@ class NovikovScalar:
 
     @classmethod
     def one(cls) -> "NovikovScalar":
-        return cls(((Fraction(0), 1.0),))
+        return _make(1, (0,), (1.0,), None)
 
     @classmethod
     def from_number(cls, c: complex) -> "NovikovScalar":
-        return cls(((Fraction(0), complex(c)),))
+        return _make(1, (0,), (complex(c),), None)
 
     @classmethod
     def monomial(
@@ -109,43 +153,48 @@ class NovikovScalar:
 
     @property
     def terms(self) -> tuple[tuple[Fraction, complex], ...]:
-        return self._terms
+        d = self._den
+        return tuple((Fraction(e, d), c) for e, c in zip(self._e, self._c))
+
+    def lattice(self) -> tuple[int, tuple[int, ...], tuple[complex, ...]]:
+        """The terms without Fractions: (denominator, exponent numerators,
+        coefficients)."""
+        return self._den, self._e, self._c
 
     @property
     def trunc(self) -> Fraction | None:
-        return self._trunc
+        return None if self._t is None else Fraction(self._t, self._den)
 
     def is_zero(self) -> bool:
         """True when no terms are known; with a finite truncation order this
         means zero modulo that order."""
-        return not self._terms
+        return not self._e
 
     def valuation(self) -> Fraction | float:
         """Least exponent with nonzero coefficient; ``inf`` for zero."""
-        return self._terms[0][0] if self._terms else INF
+        return Fraction(self._e[0], self._den) if self._e else INF
 
     def leading(self) -> tuple[Fraction, complex]:
-        if not self._terms:
+        if not self._e:
             raise ZeroLeadingCoefficient("zero scalar has no leading term")
-        return self._terms[0]
+        return Fraction(self._e[0], self._den), self._c[0]
 
     def coeff_at(self, exp: ExponentLike) -> complex:
         e = _as_fraction(exp)
-        for te, tc in self._terms:
-            if te == e:
-                return tc
-            if te > e:
-                break
-        return 0j
+        k, r = divmod(e.numerator * self._den, e.denominator)
+        i = bisect_left(self._e, k)
+        if r or i == len(self._e) or self._e[i] != k:
+            return 0j
+        return self._c[i]
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for _, c in self._terms), default=0.0)
+        return max(map(abs, self._c), default=0.0)
 
     def in_lambda_zero(self) -> bool:
-        return self.is_zero() or self._terms[0][0] >= 0
+        return self.is_zero() or self._e[0] >= 0
 
     def in_lambda_plus(self) -> bool:
-        return self.is_zero() or self._terms[0][0] > 0
+        return self.is_zero() or self._e[0] > 0
 
     # -- ring operations -------------------------------------------------------
 
@@ -156,58 +205,67 @@ class NovikovScalar:
             return NovikovScalar.from_number(other)
         return None
 
+    def _plus(self, o: "NovikovScalar", negate: bool) -> "NovikovScalar":
+        den, ea, ta, eb, tb = _common(self, o)
+        acc = dict(zip(ea, self._c))
+        for e, c in zip(eb, [0j - c for c in o._c] if negate else o._c):
+            acc[e] = acc[e] + c if e in acc else c
+        es = sorted(acc)
+        return _make(den, es, [acc[e] for e in es], _min_order(ta, tb))
+
     def __add__(self, other) -> "NovikovScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NovikovScalar(
-            self._terms + o._terms, _min_trunc(self._trunc, o._trunc)
-        )
+        return self._plus(o, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NovikovScalar":
-        return NovikovScalar(((e, -c) for e, c in self._terms), self._trunc)
+        return _make(self._den, self._e, [0j - c for c in self._c], self._t)
 
     def __sub__(self, other) -> "NovikovScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, True)
 
     def __rsub__(self, other) -> "NovikovScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._plus(self, True)
 
     def __mul__(self, other) -> "NovikovScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = self, o
+        # sums of products round by the order they are added in, so fix an
+        # order of the operands that makes a * b == b * a bit for bit
+        if len(a._e) > 1 and len(b._e) > 1 and _precedes(b, a):
+            a, b = b, a
+        den, ea, ta, eb, tb = _common(a, b)
         # knowing a mod T^s and b mod T^t gives ab mod T^min(s + val b, t + val a),
         # where a scalar that is zero mod T^t still has valuation >= t
-        def lowest_possible(s: "NovikovScalar"):
-            if s._terms:
-                return s._terms[0][0]
-            return s._trunc if s._trunc is not None else INF
-
-        bounds = []
-        if self._trunc is not None and lowest_possible(o) != INF:
-            bounds.append(self._trunc + lowest_possible(o))
-        if o._trunc is not None and lowest_possible(self) != INF:
-            bounds.append(o._trunc + lowest_possible(self))
-        tr = min(bounds) if bounds else None
-        if len(self._terms) * len(o._terms) > 64:
-            return _lattice_multiply(self, o, tr)
-        out: dict[Fraction, complex] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in o._terms:
+        low_a = ea[0] if ea else ta
+        low_b = eb[0] if eb else tb
+        tr = _min_order(
+            None if ta is None or low_b is None else ta + low_b,
+            None if tb is None or low_a is None else tb + low_a,
+        )
+        ca, cb = a._c, b._c
+        if len(ca) * len(cb) > 64:
+            return _lattice_multiply(den, ea, ca, eb, cb, tr)
+        out: dict[int, complex] = {}
+        for e1, c1 in zip(ea, ca):
+            for e2, c2 in zip(eb, cb):
                 e = e1 + e2
                 if tr is not None and e >= tr:
-                    continue
+                    break  # eb is increasing
                 out[e] = out.get(e, 0j) + c1 * c2
-        return NovikovScalar(out.items(), tr)
+        es = sorted(out)
+        return _make(den, es, [out[e] for e in es], tr)
 
     __rmul__ = __mul__
 
@@ -228,13 +286,26 @@ class NovikovScalar:
     def shift(self, exp: ExponentLike) -> "NovikovScalar":
         """Multiply by the exact monomial T^exp."""
         d = _as_fraction(exp)
-        return NovikovScalar(
-            ((e + d, c) for e, c in self._terms),
-            None if self._trunc is None else self._trunc + d,
+        den = math.lcm(self._den, d.denominator)
+        es, t = _rescaled(self, den)
+        k = d.numerator * (den // d.denominator)
+        return _make(
+            den, [e + k for e in es], self._c, None if t is None else t + k
         )
 
     def truncate(self, order: ExponentLike) -> "NovikovScalar":
-        return NovikovScalar(self._terms, _min_trunc(self._trunc, _as_fraction(order)))
+        """Forget everything at or above T^order."""
+        o = _as_fraction(order)
+        return self.with_order(o if self._t is None else min(o, self.trunc))
+
+    def with_order(self, order: ExponentLike) -> "NovikovScalar":
+        """The same terms taken as known modulo T^order: the truncation
+        order is replaced, also when that raises it, and terms at or above
+        it are dropped."""
+        o = _as_fraction(order)
+        den = math.lcm(self._den, o.denominator)
+        t = o.numerator * (den // o.denominator)
+        return _make(den, _rescaled(self, den)[0], self._c, t)
 
     def invert(self) -> "NovikovScalar":
         """Multiplicative inverse.
@@ -245,29 +316,31 @@ class NovikovScalar:
         """
         if self.is_zero():
             raise ZeroLeadingCoefficient("cannot invert zero scalar")
-        v, c0 = self._terms[0]
-        if len(self._terms) == 1:
-            return NovikovScalar(
-                (((-v), 1.0 / c0),),
-                None if self._trunc is None else self._trunc - 2 * v,
+        den, v, c0 = self._den, self._e[0], self._c[0]
+        if len(self._e) == 1:
+            return _make(
+                den, (-v,), (1.0 / c0,), None if self._t is None else self._t - 2 * v
             )
+        s = self
+        if s._t is None:
+            order = get_config().truncation_order
+            if order is None:
+                raise ValueError(
+                    "inverting a multi-term scalar needs a finite truncation order"
+                )
+            s = s.truncate(s.valuation() + order)
+            den, v = s._den, s._e[0]
         # s = c0 T^v (1 + r), r strictly higher order
-        window = (
-            self._trunc - v if self._trunc is not None
-            else get_config().truncation_order
-        )
-        if window is None:
-            raise ValueError(
-                "inverting a multi-term scalar needs a finite truncation order"
-            )
-        unit = NovikovScalar(((e - v, c / c0) for e, c in self._terms), window)
-        two = NovikovScalar.monomial(0, 2.0)
-        inv = NovikovScalar.one().truncate(window)
-        known = unit._terms[1][0]  # g <- g(2 - sg) doubles the correct order
-        while known < window:
+        unit = _make(den, [e - v for e in s._e], [c / c0 for c in s._c], s._t - v)
+        two = NovikovScalar.from_number(2.0)
+        inv = _make(unit._den, (0,), (1.0,), unit._t)
+        # g <- g(2 - sg) doubles the correct order; a unit whose higher
+        # terms all fell below eps_coeff is 1 to its whole window
+        known = unit._e[1] if len(unit._e) > 1 else unit._t
+        while known < unit._t:
             inv = inv * (two - unit * inv)
             known *= 2
-        return inv.shift(-v) * (1.0 / c0)
+        return inv.shift(Fraction(-v, den)) * (1.0 / c0)
 
     def __truediv__(self, other) -> "NovikovScalar":
         o = self._coerce(other)
@@ -287,10 +360,10 @@ class NovikovScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms and self._trunc == o._trunc
+        return (self._den, self._e, self._c, self._t) == (o._den, o._e, o._c, o._t)
 
     def __hash__(self) -> int:
-        return hash((self._terms, self._trunc))
+        return hash((self._den, self._e, self._c, self._t))
 
     # -- serialization ---------------------------------------------------------
 
@@ -298,9 +371,9 @@ class NovikovScalar:
         return {
             "terms": [
                 {"exp": str(e), "re": c.real, "im": c.imag}
-                for e, c in self._terms
+                for e, c in self.terms
             ],
-            "trunc": "inf" if self._trunc is None else str(self._trunc),
+            "trunc": "inf" if self._t is None else str(self.trunc),
         }
 
     @classmethod
@@ -315,54 +388,31 @@ class NovikovScalar:
         return render_scalar(self)
 
 
-def _lattice_multiply(
-    a: NovikovScalar, b: NovikovScalar, tr: Fraction | None
-) -> NovikovScalar:
-    """Large products: put the exponents on a common integer lattice and let
-    numpy accumulate the convolution."""
-    lcm = 1
-    for e, _ in a._terms:
-        lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-    for e, _ in b._terms:
-        lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-    ea = np.array(
-        [e.numerator * (lcm // e.denominator) for e, _ in a._terms], dtype=np.int64
-    )
-    eb = np.array(
-        [e.numerator * (lcm // e.denominator) for e, _ in b._terms], dtype=np.int64
-    )
-    ca = np.array([c for _, c in a._terms], dtype=complex)
-    cb = np.array([c for _, c in b._terms], dtype=complex)
-    exps = (ea[:, None] + eb[None, :]).ravel()
-    coeffs = (ca[:, None] * cb[None, :]).ravel()
+def _lattice_multiply(den, ea, ca, eb, cb, tr: int | None) -> NovikovScalar:
+    """Large products: let numpy accumulate the convolution of the exponent
+    numerators (all over ``den``)."""
+    exps = (np.array(ea, dtype=np.int64)[:, None] + np.array(eb, dtype=np.int64)).ravel()
+    coeffs = (np.array(ca, dtype=complex)[:, None] * np.array(cb, dtype=complex)).ravel()
     if tr is not None:
-        keep = exps * tr.denominator < tr.numerator * lcm
+        keep = exps < tr
         exps = exps[keep]
         coeffs = coeffs[keep]
-    eps = get_config().eps_coeff
     if len(exps) == 0:
-        return NovikovScalar._raw((), tr)
+        return _make(den, (), (), tr)
     lo = int(exps.min())
     width = int(exps.max()) - lo + 1
     if width <= 4 * len(exps):
         shifted = exps - lo
-        acc = np.bincount(shifted, weights=coeffs.real, minlength=width) + 1j * (
-            np.bincount(shifted, weights=coeffs.imag, minlength=width)
+        acc = np.bincount(shifted, weights=coeffs.real) + 1j * (
+            np.bincount(shifted, weights=coeffs.imag)
         )
-        nz = np.nonzero(np.abs(acc) > eps)[0]
-        terms = tuple(
-            (Fraction(int(k) + lo, lcm), complex(acc[k])) for k in nz
-        )
+        es = np.arange(lo, lo + width)
     else:
-        uniq, inv = np.unique(exps, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=complex)
+        es, inv = np.unique(exps, return_inverse=True)
+        acc = np.zeros(len(es), dtype=complex)
         np.add.at(acc, inv, coeffs)
-        keep = np.abs(acc) > eps
-        terms = tuple(
-            (Fraction(int(e), lcm), complex(c))
-            for e, c in zip(uniq[keep], acc[keep])
-        )
-    return NovikovScalar._raw(terms, tr)
+    keep = np.abs(acc) > get_config().eps_coeff
+    return _make(den, es[keep].tolist(), acc[keep].tolist(), tr)
 
 
 def novikov_exp(x: NovikovScalar) -> NovikovScalar:
@@ -371,12 +421,11 @@ def novikov_exp(x: NovikovScalar) -> NovikovScalar:
     if not x.in_lambda_zero():
         raise NotInLambdaZero(f"exp needs valuation >= 0, got {x.valuation()}")
     x0 = x.coeff_at(0)
-    xplus = NovikovScalar(
-        ((e, c) for e, c in x.terms if e > 0), x.trunc
-    )
+    k = bisect_right(x._e, 0)
+    xplus = _make(x._den, x._e[k:], x._c[k:], x._t)
     head = cmath.exp(x0)
     if xplus.is_zero():
-        return NovikovScalar.monomial(0, head, x.trunc)
+        return _make(x._den, (0,), (head,), x._t)
     window = x.trunc if x.trunc is not None else get_config().truncation_order
     out = NovikovScalar.one().truncate(window)
     power = NovikovScalar.one().truncate(window)
@@ -395,11 +444,11 @@ def novikov_log(y: NovikovScalar) -> NovikovScalar:
     coefficient: log(c0) + log(1 + r) as a Taylor series."""
     if y.is_zero() or y.valuation() != 0:
         raise ZeroLeadingCoefficient("log needs valuation exactly 0")
-    c0 = y.coeff_at(0)
-    if len(y.terms) == 1:
-        return NovikovScalar.monomial(0, cmath.log(c0), y.trunc)
+    c0 = y._c[0]
+    if len(y._e) == 1:
+        return _make(y._den, (0,), (cmath.log(c0),), y._t)
     window = y.trunc if y.trunc is not None else get_config().truncation_order
-    r = NovikovScalar(((e, c / c0) for e, c in y.terms if e > 0), window)
+    r = NovikovScalar(((e, c / c0) for e, c in y.terms[1:]), window)
     out = NovikovScalar.monomial(0, cmath.log(c0), window)
     power = NovikovScalar.one().truncate(window)
     k = 0

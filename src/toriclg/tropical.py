@@ -357,8 +357,13 @@ def newton_lift(
     rel = max(10 * cfg.eps_coeff, 1e-11)
 
     def noise_floor(point):
-        merged = sorted((e, abs(c)) for y in point for e, c in y.terms)
-        keys: list[Fraction] = []
+        # exponents as numerators over the common denominator den
+        lattices = [y.lattice() for y in point]
+        den = math.lcm(*(d for d, _, _ in lattices))
+        merged = sorted(
+            (e * (den // d), abs(c)) for d, es, cs in lattices for e, c in zip(es, cs)
+        )
+        keys: list[int] = []
         envs: list[float] = []
         best = 1.0
         for e, m in merged:
@@ -370,17 +375,19 @@ def newton_lift(
                 keys.append(e)
                 envs.append(best)
 
-        def floor(e) -> float:
-            i = bisect.bisect_right(keys, e) - 1
+        def floor(e: int, d: int) -> float:
+            """Noise floor at the exponent e/d."""
+            i = bisect.bisect_right(keys, e * den // d) - 1
             b = envs[i] if i >= 0 else 1.0
             return rel * b * b
 
         return floor
 
     def res_valuation(r: NovikovScalar, floor) -> Fraction | float:
-        for e, c in r.terms:
-            if abs(c) > floor(e):
-                return e
+        d, es, cs = r.lattice()
+        for e, c in zip(es, cs):
+            if abs(c) > floor(e, d):
+                return Fraction(e, d)
         return INF
 
     def residuals(point):
@@ -420,7 +427,7 @@ def newton_lift(
         except SingularInitialJacobian as exc:
             raise NoConvergence(f"Jacobian became singular while lifting: {exc}")
         ys = tuple(
-            y * (NovikovScalar(e.terms, e_order) + 1.0) for y, e in zip(ys, eps)
+            y * (e.with_order(e_order) + 1.0) for y, e in zip(ys, eps)
         )
         res = residuals(ys)
         floor = noise_floor(ys)

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from toriclg import MomentPolytope, NovikovScalar
+from toriclg import MomentPolytope, NovikovScalar, get_config
 
 _SIDES = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
 _CUTS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
@@ -76,3 +76,43 @@ def assert_scalar_close(x: NovikovScalar, y: NovikovScalar, tol: float = 1e-9):
     d = x - y
     bad = [(e, c) for e, c in d.terms if abs(c) > tol]
     assert not bad, f"series differ by {bad}"
+
+
+def _prune(acc: dict[Fraction, complex]) -> dict[Fraction, complex]:
+    eps = get_config().eps_coeff
+    return {e: c for e, c in sorted(acc.items()) if abs(c) > eps}
+
+
+def reference_sum(a: NovikovScalar, b: NovikovScalar):
+    """a + b as (exponent -> coefficient, truncation order), on Fraction
+    keys and without the kernel's integer lattice."""
+    orders = [t for t in (a.trunc, b.trunc) if t is not None]
+    trunc = min(orders) if orders else None
+    acc: dict[Fraction, complex] = {}
+    for e, c in a.terms + b.terms:
+        if trunc is None or e < trunc:
+            acc[e] = acc.get(e, 0j) + c
+    return _prune(acc), trunc
+
+
+def reference_product(a: NovikovScalar, b: NovikovScalar):
+    """a * b as (exponent -> coefficient, truncation order) by the
+    schoolbook rule on Fraction keys: knowing a mod T^s and b mod T^t gives
+    ab mod T^min(s + v(b), t + v(a)), where v of a scalar with no known term
+    is its truncation order."""
+
+    def low(s):
+        return s.terms[0][0] if s.terms else s.trunc
+
+    orders = [
+        s.trunc + low(o)
+        for s, o in ((a, b), (b, a))
+        if s.trunc is not None and low(o) is not None
+    ]
+    trunc = min(orders) if orders else None
+    acc: dict[Fraction, complex] = {}
+    for ea, ca in a.terms:
+        for eb, cb in b.terms:
+            if trunc is None or ea + eb < trunc:
+                acc[ea + eb] = acc.get(ea + eb, 0j) + ca * cb
+    return _prune(acc), trunc

@@ -5,8 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import assert_scalar_close, random_scalar
+from helpers import (
+    assert_scalar_close,
+    random_scalar,
+    reference_product,
+    reference_sum,
+)
 from toriclg import (
     INF,
     NovikovScalar,
@@ -123,6 +130,113 @@ class TestArithmetic:
         assert t.terms == ((Fraction(0), 1 + 0j), (Fraction(1), 1 + 0j))
         assert t.trunc == Fraction(3, 2)
 
+    def test_large_products_commute_bit_for_bit(self):
+        rng = random.Random(5)
+        a = random_scalar(rng, nterms=15, den=8)
+        b = random_scalar(rng, nterms=15, den=8)
+        assert len(a.terms) * len(b.terms) > 64
+        assert a * b == b * a
+
+
+# mixed denominators, so operands sit on different lattices
+_mixed_exponents = st.fractions(min_value=-3, max_value=6, max_denominator=12)
+
+
+def _mixed_scalars(min_size: int, max_size: int, exponents=_mixed_exponents):
+    return st.builds(
+        NovikovScalar,
+        st.lists(
+            st.tuples(
+                exponents,
+                st.complex_numbers(
+                    min_magnitude=0.1, max_magnitude=10.0,
+                    allow_nan=False, allow_infinity=False,
+                ),
+            ),
+            min_size=min_size,
+            max_size=max_size,
+        ),
+        st.one_of(st.none(), _mixed_exponents),
+    )
+
+
+_mixed = _mixed_scalars(0, 6)
+# products of two long scalars are mostly past the size gate of the numpy
+# path: sparse on a fine lattice, or dense on the lattice (1/4)Z
+_long = st.one_of(
+    _mixed_scalars(9, 16),
+    _mixed_scalars(9, 16, st.integers(-4, 24).map(lambda k: Fraction(k, 4))),
+)
+
+
+def _assert_matches(s: NovikovScalar, reference):
+    terms, trunc = reference
+    assert s.trunc == trunc
+    assert [e for e, _ in s.terms] == list(terms)
+    scale = max((abs(c) for c in terms.values()), default=1.0)
+    for (_, c), r in zip(s.terms, terms.values()):
+        assert abs(c - r) <= 1e-12 * scale
+
+
+class TestAgainstFractionReference:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(_mixed, _long), st.one_of(_mixed, _long))
+    def test_product(self, a, b):
+        _assert_matches(a * b, reference_product(a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed, _mixed)
+    def test_sum(self, a, b):
+        _assert_matches(a + b, reference_sum(a, b))
+
+
+class TestCanonicalForm:
+    """Equal scalars built by different routes compare and hash equal."""
+
+    def _same(self, x, y):
+        assert x == y
+        assert hash(x) == hash(y)
+
+    def test_product_of_half_powers(self):
+        self._same(T(Fraction(1, 2)) * T(Fraction(1, 2)), T(1))
+
+    def test_shift_there_and_back(self):
+        s = NovikovScalar(
+            [(Fraction(1, 4), 2.0), (Fraction(2, 3), -1j)], trunc=Fraction(7, 2)
+        )
+        self._same(s.shift(Fraction(1, 3)).shift(Fraction(-1, 3)), s)
+
+    def test_shifted_sum_equals_direct_construction(self):
+        built = (T(Fraction(1, 3)) + T(Fraction(1, 2))).shift(Fraction(1, 6))
+        self._same(built, NovikovScalar([(Fraction(1, 2), 1.0), (Fraction(2, 3), 1.0)]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed, _mixed_exponents)
+    def test_shift_round_trip(self, s, e):
+        self._same(s.shift(e).shift(-e), s)
+
+
+class TestSignedZero:
+    """Results never store a negative zero; the JSON output prints its sign."""
+
+    @staticmethod
+    def _imag_parts(s):
+        return [t["im"] for t in s.to_json_dict()["terms"]]
+
+    def test_operations_keep_positive_zero(self):
+        s = NovikovScalar([(0, 1.0), (Fraction(1, 2), -2.5), (2, 3.0)], trunc=4)
+        results = [
+            -s,
+            s.shift(Fraction(2, 3)),
+            s.truncate(Fraction(3, 2)),
+            T(Fraction(1, 3), 2.0).invert(),
+            T(Fraction(1, 3), -2.0).invert(),
+        ]
+        for r in results:
+            ims = self._imag_parts(r)
+            assert ims
+            assert all(math.copysign(1.0, im) == 1.0 for im in ims), (r, ims)
+
 
 class TestInvert:
     def test_single_term_inverts_exactly(self):
@@ -159,6 +273,12 @@ class TestInvert:
         prod = s * s.invert()
         assert prod.coeff_at(0) == pytest.approx(1.0)
         assert all(abs(c) < 1e-10 for e, c in prod.terms if e > 0)
+
+    def test_unit_part_pruned_to_one_term(self):
+        # the T^1 coefficient of the unit part, 1e-15, is below eps_coeff
+        inv = NovikovScalar([(0, 1e6), (1, 1e-9)], trunc=5).invert()
+        assert inv.terms == ((Fraction(0), 1e-6 + 0j),)
+        assert inv.trunc == Fraction(5)
 
     def test_zero_is_not_invertible(self):
         with pytest.raises(ZeroDivisionError):

@@ -6,7 +6,7 @@ hypothesis block below them shakes the scalar arithmetic harder.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import suites
@@ -50,6 +50,13 @@ _scalars = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(_scalars, _scalars, _scalars)
+@example(
+    # the T^4 coefficient of this product once rounded differently by the
+    # order of the operands
+    NovikovScalar([(0, 1), (0, 1.7531087610488676), (3, 1), (4, 3)]),
+    NovikovScalar([(0, 1), (0, 2), (0, 8), (1, 0.99999), (4, 1)]),
+    NovikovScalar(),
+)
 def test_ring_laws(a, b, c):
     d = (a + b) - b - a
     assert d.max_abs_coeff() <= 1e-12 * max(a.max_abs_coeff(), b.max_abs_coeff(), 1.0)
