@@ -226,7 +226,7 @@ def cmd_critical_points(args) -> int:
 
 def cmd_lte(args) -> int:
     pot = _build_potential(args)
-    if args.u is None and not args.grid:
+    if args.u is None and args.grid is None:
         raise InvalidPolytope("lte needs --u or --grid")
     if args.u is not None:
         res = solve_lte(pot, args.u)
@@ -251,7 +251,8 @@ def cmd_lte(args) -> int:
         ],
     }
     balanced = [u for u, s in rows if s == "balanced"]
-    lines = [f"grid {args.grid}x{args.grid}: {len(rows)} interior points"]
+    shape = "x".join([str(args.grid)] * pot.polytope.dim)
+    lines = [f"grid {shape}: {len(rows)} interior points"]
     lines += [f"  balanced at u={_fmt_u(u)}" for u in balanced]
     unknown = sum(1 for _, s in rows if s == "unknown")
     if unknown:

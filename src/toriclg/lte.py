@@ -16,6 +16,7 @@ coordinate nonzero.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -102,16 +103,21 @@ class AdaptedFrame:
         }
 
 
+def _group_levels(values) -> list:
+    """Distinct values in increasing order, each with the ascending indices
+    of the entries that hold it."""
+    groups: dict = {}
+    for j, v in enumerate(values):
+        groups.setdefault(v, []).append(j)
+    return sorted(groups.items())
+
+
 def order_levels(potential: Potential, u) -> list[tuple[Fraction, list[int]]]:
     """Distinct support values at u in increasing order with facet indices."""
-    p = potential.polytope
-    uf = tuple(Fraction(x) for x in u)
-    if not p.interior_contains(uf):
+    values = potential.polytope.support_values(tuple(Fraction(x) for x in u))
+    if any(v <= 0 for v in values):
         raise NotInterior(f"{u} is not an interior point")
-    groups: dict[Fraction, list[int]] = {}
-    for j, f in enumerate(p.facets):
-        groups.setdefault(f.ell(uf), []).append(j)
-    return sorted(groups.items())
+    return _group_levels(values)
 
 
 def adapted_frame(potential: Potential, u) -> AdaptedFrame:
@@ -124,14 +130,18 @@ def adapted_frame(potential: Potential, u) -> AdaptedFrame:
     cumulative: list[tuple[int, ...]] = []
     depth = 0
     for value, idxs in grouped:
+        if depth:
+            # the basis is full: later levels gain no rank
+            levels.append(Level(value, tuple(idxs), 0))
+            continue
         cumulative.extend(p.facets[j].normal for j in idxs)
         sat = saturation_basis(cumulative, n)
         gained = len(sat) - len(basis)
         levels.append(Level(value, tuple(idxs), gained))
         if gained > 0:
             basis = basis + extend_basis_in_lattice(basis, sat)
-        if len(basis) == n and depth == 0:
-            depth = len(levels)
+            if len(basis) == n:
+                depth = len(levels)
     if depth == 0:
         raise IntegralityFailure("facet normals do not span the lattice")
     d = det_int(basis)
@@ -187,19 +197,35 @@ def leading_term_system(
                 )
             poly[c] = poly.get(c, 0j) + leading[j]
         polys.append(poly)
-    s_top = frame.levels[frame.depth - 1].value
+    if potential.corrections:
+        _warn_reaching_corrections(
+            potential,
+            p.support_values(frame.u),
+            frame.levels[frame.depth - 1].value,
+        )
+    return frame, polys
+
+
+def _warn_reaching_corrections(
+    potential: Potential, support, s_top, scale: int = 1
+) -> None:
+    """Warn once per correction term whose valuation at a point reaches
+    the top leading level ``s_top``; the warning names the caller of the
+    function that runs the test.
+
+    ``support`` holds the point's support values; it and ``s_top`` may
+    both be multiplied by one positive integer ``scale``.
+    """
     for corr in potential.corrections:
-        val = corr.extra_t + sum(
-            k * p.facets[j].ell(frame.u)
-            for j, k in enumerate(corr.z_exponents)
+        val = corr.extra_t * scale + sum(
+            k * support[j] for j, k in enumerate(corr.z_exponents)
         )
         if val <= s_top:
             warnings.warn(
                 "correction term reaches the leading levels at this point "
                 "and is ignored by the leading term system",
-                stacklevel=2,
+                stacklevel=3,
             )
-    return frame, polys
 
 
 @dataclass
@@ -358,34 +384,79 @@ def is_strongly_balanced(potential: Potential, u) -> bool:
     return res.status == "solvable"
 
 
+_VERDICTS = {
+    "solvable": "balanced",
+    "unsolvable": "unbalanced",
+    "underdetermined": "unknown",
+}
+
+
 def balanced_positions(
     potential: Potential,
     grid: int,
     extra: list | None = None,
 ) -> list[tuple[FracVec, str]]:
     """Scan an interior grid (plus optional extra points) and classify each
-    point as balanced, unbalanced, or unknown."""
+    point as balanced, unbalanced, or unknown.
+
+    The verdict at u depends only on its level pattern: the facet indices
+    grouped by support value, groups in increasing order of value.  The
+    adapted frame, the level polynomials and the cascade read the groups
+    and never the values or u, and the bulk coefficients enter only
+    through their leading parts.  So the cascade runs once per pattern, on
+    the first point in scan order that has it, and later points with that
+    pattern take its verdict.  Support values are computed once per point,
+    as integers over one common denominator.  The correction-term warning
+    of ``leading_term_system`` depends on u itself and is tested at every
+    point.
+    """
+    if grid < 1:
+        raise ValueError(f"grid must be a positive integer, got {grid}")
     p = potential.polytope
     box = p.bounding_box()
-    points: list[FracVec] = []
+    steps = [(hi - lo) / grid for lo, hi in box]
+    extras = [tuple(Fraction(x) for x in u) for u in extra or []]
+    den = math.lcm(
+        *(lo.denominator for lo, _ in box),
+        *(step.denominator for step in steps),
+        *(f.constant.denominator for f in p.facets),
+        *(x.denominator for u in extras for x in u),
+    )
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (den // x.denominator)
+
+    facets = [(f.normal, scaled(f.constant)) for f in p.facets]
     axes = [
-        [lo + Fraction(k, grid) * (hi - lo) for k in range(1, grid)]
-        for lo, hi in box
+        [scaled(lo) + k * scaled(step) for k in range(1, grid)]
+        for (lo, _), step in zip(box, steps)
     ]
-    for u in itertools.product(*axes):
-        if p.interior_contains(u):
-            points.append(tuple(u))
-    for u in extra or []:
-        uf = tuple(Fraction(x) for x in u)
-        if p.interior_contains(uf) and uf not in points:
-            points.append(uf)
-    points.sort()
+    # numerators of the interior points -> their support values times den
+    support: dict[tuple[int, ...], list[int]] = {}
+    for num in itertools.chain(
+        itertools.product(*axes), (tuple(map(scaled, u)) for u in extras)
+    ):
+        if num not in support:
+            values = [sum(a * b for a, b in zip(v, num)) + c for v, c in facets]
+            if all(x > 0 for x in values):
+                support[num] = values
 
-    def classify(u: FracVec) -> tuple[FracVec, str]:
-        try:
-            ok = is_strongly_balanced(potential, u)
-            return u, "balanced" if ok else "unbalanced"
-        except LevelUnderdetermined:
-            return u, "unknown"
-
-    return [classify(u) for u in points]
+    known: dict[tuple[tuple[int, ...], ...], tuple[str, int]] = {}
+    out: list[tuple[FracVec, str]] = []
+    for num in sorted(support):
+        u = tuple(Fraction(x, den) for x in num)
+        levels = _group_levels(support[num])
+        pattern = tuple(tuple(idxs) for _, idxs in levels)
+        if pattern in known:
+            verdict, depth = known[pattern]
+            _warn_reaching_corrections(
+                potential, support[num], levels[depth - 1][0], den
+            )
+        else:
+            res = solve_lte(potential, u)
+            verdict, depth = known[pattern] = (
+                _VERDICTS[res.status],
+                res.frame.depth,
+            )
+        out.append((u, verdict))
+    return out

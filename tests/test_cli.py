@@ -63,6 +63,15 @@ class TestBasicCommands:
         assert code == 0
         assert "balanced at u=(1/3, 1/3)" in out
 
+    def test_lte_grid_header_has_one_factor_per_dimension(self, capsys):
+        code, out, _ = run(capsys, "lte", "--catalog", "simplex:3", "--grid", "4")
+        assert code == 0
+        assert out.startswith("grid 4x4x4: 1 interior points\n")
+        code, out, _ = run(
+            capsys, "lte", "--catalog", "simplex:3", "--grid", "4", "--format", "json"
+        )
+        assert json.loads(out)["grid"] == 4
+
     def test_residue_check(self, capsys):
         code, out, _ = run(capsys, "residue-check", "--catalog", "simplex:2")
         assert code == 0
@@ -272,6 +281,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "lte", "--catalog", "simplex:2")
         assert code == 2
         assert "--u or --grid" in err
+
+    def test_grid_below_one_rejected(self, capsys):
+        for grid in ("--grid=-3", "--grid=0"):
+            code, out, err = run(capsys, "lte", "--catalog", "simplex:2", grid)
+            assert code == 2
+            assert "invalid input: grid must be a positive integer" in err
+            assert out == ""
+
+    def test_grid_one_scans_no_point(self, capsys):
+        code, out, _ = run(capsys, "lte", "--catalog", "simplex:2", "--grid", "1")
+        assert code == 0
+        assert out.startswith("grid 1x1: 0 interior points")
 
     def test_exterior_u_rejected(self, capsys):
         code, _, err = run(
