@@ -62,10 +62,6 @@ class AdaptedFrame:
     basis: tuple[tuple[int, ...], ...]  # rows e_1..e_n, det +-1
     inverse: tuple[tuple[int, ...], ...]  # matrix inverse of the basis rows
 
-    @property
-    def block_sizes(self) -> list[int]:
-        return [lv.new_rank for lv in self.levels[: self.depth]]
-
     def blocks(self) -> list[range]:
         out = []
         start = 0
@@ -234,7 +230,6 @@ class LTEBranch:
     variable that stayed free."""
 
     values: list
-    note: str = ""
 
 
 @dataclass

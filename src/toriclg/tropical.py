@@ -14,7 +14,6 @@ iteration with exact exponent bookkeeping.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -280,7 +279,9 @@ def lambda_solve(
     n = len(rhs)
     m = [row[:] for row in mat]
     b = rhs[:]
-    perm = list(range(n))
+    # a pivot row is final once its column is eliminated, so back
+    # substitution reuses the inverses taken here
+    invs: list[NovikovScalar] = []
     for col in range(n):
         best = None
         best_val = INF
@@ -295,6 +296,7 @@ def lambda_solve(
         m[col], m[best] = m[best], m[col]
         b[col], b[best] = b[best], b[col]
         inv = m[col][col].invert()
+        invs.append(inv)
         for r in range(col + 1, n):
             if m[r][col].is_zero():
                 continue
@@ -306,7 +308,7 @@ def lambda_solve(
         acc = b[row]
         for col in range(row + 1, n):
             acc = acc - m[row][col] * xs[col]
-        xs[row] = acc * m[row][row].invert()
+        xs[row] = acc * invs[row]
     return xs
 
 
@@ -331,6 +333,43 @@ def _scaled_system(
     return out
 
 
+def _residual_valuation(
+    point: tuple[NovikovScalar, ...], residuals: list[NovikovScalar]
+) -> Fraction | float:
+    """Least exponent at which a residual has a coefficient above rounding
+    noise; ``inf`` when none has.
+
+    Float error in a residual coefficient at T^e scales with the products
+    cancelled there, so its noise level is a small multiple of eps_coeff
+    times the largest b(e1)*b(e2) with e1 + e2 = e, where b is the running
+    max of |coefficient| over the solution series, floored at 1.  The
+    exponents are read as numerators over one common denominator; a lift
+    from a nondegenerate root has none below 0, and a residual term there
+    never counts as noise.
+    """
+    rel = max(10 * get_config().eps_coeff, 1e-11)
+    lattices = [s.lattice() for s in point]
+    res_lattices = [r.lattice() for r in residuals]
+    den = math.lcm(*(d for d, _, _ in lattices + res_lattices))
+    res = sorted(
+        ((e * (den // d), c) for d, es, cs in res_lattices for e, c in zip(es, cs)),
+        key=lambda term: term[0],
+    )
+    if not res:
+        return INF
+    b = np.ones(max(res[-1][0], 0) + 1)
+    for d, es, cs in lattices:
+        for e, c in zip(es, cs):
+            k = max(e * (den // d), 0)
+            if k < len(b):
+                b[k] = max(b[k], abs(c))
+    np.maximum.accumulate(b, out=b)
+    for k, c in res:
+        if k < 0 or abs(c) > rel * (b[: k + 1] * b[k::-1]).max():
+            return Fraction(k, den)
+    return INF
+
+
 def newton_lift(
     potential: Potential,
     u,
@@ -339,7 +378,16 @@ def newton_lift(
 ) -> tuple[tuple[NovikovScalar, ...], Fraction | float]:
     """Lift an initial torus root at candidate u to a series solution of the
     critical system, accurate modulo T^order.  Returns the solution in the
-    frame centered at u along with the final residual valuation."""
+    frame centered at u along with the final residual valuation.
+
+    When the leading Jacobian at y0 is invertible, Hensel's lemma makes
+    each Newton step at least double the residual valuation.  So the
+    valuation v of the residual at y0 is measured once, and the steps then
+    solve on the fixed windows 2v, 4v, ... up to the order.  The residual
+    valuation of the final series is measured once at the end; it is
+    returned only as a certificate that it reaches the order, and
+    NoConvergence is raised otherwise, as it is for v <= 0.
+    """
     cfg = get_config()
     e_order = Fraction(order) if order is not None else cfg.truncation_order
     if e_order is None or e_order <= 0:
@@ -349,74 +397,22 @@ def newton_lift(
     n = potential.polytope.dim
     theta = [[h.log_derivative(j) for j in range(n)] for h in hs]
     ys = tuple(NovikovScalar.monomial(0, c, trunc=e_order) for c in y0)
-    # Solution series may have geometrically growing coefficients (small
-    # T-adic radius), and float error in the residual scales with the size
-    # of the products being cancelled.  A residual term only counts as
-    # unresolved content when it clears a noise floor graded by the running
-    # coefficient envelope of the approximants.
-    rel = max(10 * cfg.eps_coeff, 1e-11)
-
-    def noise_floor(point):
-        # exponents as numerators over the common denominator den
-        lattices = [y.lattice() for y in point]
-        den = math.lcm(*(d for d, _, _ in lattices))
-        merged = sorted(
-            (e * (den // d), abs(c)) for d, es, cs in lattices for e, c in zip(es, cs)
-        )
-        keys: list[int] = []
-        envs: list[float] = []
-        best = 1.0
-        for e, m in merged:
-            if m > best:
-                best = m
-            if keys and keys[-1] == e:
-                envs[-1] = best
-            else:
-                keys.append(e)
-                envs.append(best)
-
-        def floor(e: int, d: int) -> float:
-            """Noise floor at the exponent e/d."""
-            i = bisect.bisect_right(keys, e * den // d) - 1
-            b = envs[i] if i >= 0 else 1.0
-            return rel * b * b
-
-        return floor
-
-    def res_valuation(r: NovikovScalar, floor) -> Fraction | float:
-        d, es, cs = r.lattice()
-        for e, c in zip(es, cs):
-            if abs(c) > floor(e, d):
-                return Fraction(e, d)
-        return INF
 
     def residuals(point):
         cache: dict[tuple[int, int], NovikovScalar] = {}
         return [h.evaluate(point, cache) for h in hs]
 
     res = residuals(ys)
-    floor = noise_floor(ys)
-    v0 = min((res_valuation(r, floor) for r in res), default=INF)
-    if v0 == INF:
-        return ys, INF
-    if v0 <= 0:
+    w = _residual_valuation(ys, res)
+    if w <= 0:
         raise NoConvergence(
-            f"initial root has residual of valuation {v0}; not a root"
+            f"initial root has residual of valuation {w}; not a root"
         )
-    budget = 8
-    if e_order > v0:
-        budget += 2 * math.ceil(math.log2(float(e_order / v0)))
-    steps = 0
-    vcur = v0
-    stagnant = 0
-    while vcur < e_order:
-        if steps >= budget:
-            raise NoConvergence(
-                f"residual valuation stalled below {e_order} after {budget} steps"
-            )
-        # a step corrects nothing beyond twice the residual valuation, and
-        # solving past that window only injects junk into the tail of ys
-        w = min(2 * vcur, e_order)
+    while w < e_order:
+        # the residual has valuation at least w (Hensel), so this step is
+        # exact modulo T^(2w); solving past that window only injects junk
+        # into the tail of ys
+        w = min(2 * w, e_order)
         yw = tuple(y.truncate(w) for y in ys)
         cache: dict[tuple[int, int], NovikovScalar] = {}
         jac = [
@@ -430,16 +426,12 @@ def newton_lift(
             y * (e.with_order(e_order) + 1.0) for y, e in zip(ys, eps)
         )
         res = residuals(ys)
-        floor = noise_floor(ys)
-        steps += 1
-        vnew = min((res_valuation(r, floor) for r in res), default=INF)
-        stagnant = stagnant + 1 if vnew <= vcur else 0
-        if stagnant >= 2:
-            raise NoConvergence(
-                f"residual valuation stuck at {vnew} after {steps} steps"
-            )
-        vcur = vnew
-    final = min((res_valuation(r, floor) for r in res), default=INF)
+    final = _residual_valuation(ys, res)
+    if final < e_order:
+        raise NoConvergence(
+            f"residual valuation {final} is below the order {e_order} "
+            f"after the Newton steps"
+        )
     return ys, final
 
 
@@ -501,13 +493,6 @@ class CriticalReport:
     points: list[CriticalPoint]
     cells: list[TropicalCell]
     eliminants: list[EliminantRecord] = field(default_factory=list)
-
-    @property
-    def candidate_points(self) -> list[FracVec]:
-        seen: dict[FracVec, None] = {}
-        for p in self.points:
-            seen.setdefault(p.u)
-        return list(seen)
 
     def multiplicity_total(self) -> int | None:
         total = 0

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import assert_scalar_close
+from toriclg import tropical
 from toriclg import (
     BulkCoefficients,
     NoConvergence,
@@ -16,6 +17,7 @@ from toriclg import (
     find_critical_points,
     initial_system,
     newton_lift,
+    residue_report,
     tropical_candidates,
 )
 
@@ -84,6 +86,24 @@ class TestInitialSystem:
         assert sum(1 for v in vals if v == low) >= 2
 
 
+def blowup_root_series(n: int) -> list[Fraction]:
+    """Coefficients of s^0..s^(n-1) of the root a = -1 - s + ... of
+    a^3 (a + 1) = s, exactly: x = a + 1 solves x = -s (1 - x)^-3."""
+
+    def mul(p, q):
+        return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(n)]
+
+    x = [F(0)] * n
+    for _ in range(n):
+        one_minus_x = [F(1) - x[0]] + [-c for c in x[1:]]
+        cube = mul(mul(one_minus_x, one_minus_x), one_minus_x)
+        inv = [F(1)] + [F(0)] * (n - 1)
+        for k in range(1, n):
+            inv[k] = -sum(cube[j] * inv[k - j] for j in range(1, k + 1))
+        x = [F(0)] + [-c for c in inv[: n - 1]]
+    return [F(-1) + x[0]] + x[1:]
+
+
 class TestNewtonLift:
     def test_cp1_is_exact_at_first_shot(self):
         pot = potential_of("simplex", 1)
@@ -117,6 +137,83 @@ class TestNewtonLift:
         pot = potential_of("simplex", 2)
         with pytest.raises(NoConvergence):
             newton_lift(pot, (F(1, 3), F(1, 3)), (0.5, 0.7))
+
+    def test_geometric_series_is_lifted_exactly(self):
+        # coefficients grow about 8.7 times per step of T^(1/4); a noise
+        # floor graded by the square of their size took the T^4 coefficient
+        # -1752962953121 as converged where the series has +5815796869995
+        pot = potential_of("blowup1", F(1, 4))
+        rep = find_critical_points(pot)
+        (pt,) = [p for p in rep.points if p.u == (F(1, 4), F(1, 2))]
+        exact = blowup_root_series(20)
+        assert exact[16] == 5815796869995
+        assert exact[19] == -3824609516638444
+        scale = max(abs(c) for c in exact)
+        for k, c in enumerate(exact):
+            assert abs(pt.y_local[0].coeff_at(F(k, 4)) - c) <= 1e-9 * scale, k
+        res = residue_report(pot, rep)
+        assert res.trace_ok is True
+        assert res.trace_residual <= 1e-9
+
+    @pytest.mark.parametrize(
+        "name, params, u, y0, k, size",
+        [
+            # at T^4 the coefficients are ~1e13: a perturbation of 1e6 is far
+            # above rounding noise there, far below a floor graded by their
+            # square (~1e15)
+            ("blowup1", (F(1, 4),), (F(1, 4), F(1, 2)), (-1.0, 1.0), 16, 1e6),
+            ("blowup1", (F(2, 5),), (F(7, 20), F(3, 10)), (1.0, 1.0), 9, 1e-6),
+        ],
+    )
+    def test_perturbed_coefficient_is_reported(self, name, params, u, y0, k, size):
+        pot = potential_of(name, *params)
+        order = F(5)
+        ys, resval = newton_lift(pot, u, y0, order)
+        assert resval == math.inf
+        hs = tropical._scaled_system(pot, u, order)
+        res = [h.evaluate(ys) for h in hs]
+        assert tropical._residual_valuation(ys, res) == math.inf
+        d, es, _ = ys[0].lattice()
+        e = F(es[k], d)
+        bumped = (ys[0] + NovikovScalar.monomial(e, size, trunc=order), *ys[1:])
+        res = [h.evaluate(bumped) for h in hs]
+        assert tropical._residual_valuation(bumped, res) == e
+
+    def test_steps_follow_the_doubling_schedule(self, monkeypatch):
+        pot = potential_of("blowup1", F(2, 5))
+        u, y0, order = (F(7, 20), F(3, 10)), (1.0, 1.0), F(3)
+        ys0 = tuple(NovikovScalar.monomial(0, c, trunc=order) for c in y0)
+        hs = tropical._scaled_system(pot, u, order)
+        v = tropical._residual_valuation(ys0, [h.evaluate(ys0) for h in hs])
+        assert 0 < v < order
+        calls = []
+        solve = tropical.lambda_solve
+
+        def counted(mat, rhs):
+            calls.append(max(r.trunc for r in rhs))
+            return solve(mat, rhs)
+
+        monkeypatch.setattr(tropical, "lambda_solve", counted)
+        newton_lift(pot, u, y0, order)
+        windows = []
+        w = v
+        while w < order:
+            w = min(2 * w, order)
+            windows.append(w)
+        assert calls == windows
+
+    def test_final_residual_below_order_raises(self, monkeypatch):
+        # a solve that never corrects past T^1 leaves residual content below
+        # the order, which the final measurement must refuse
+        solve = tropical.lambda_solve
+        monkeypatch.setattr(
+            tropical,
+            "lambda_solve",
+            lambda mat, rhs: [e.truncate(1) for e in solve(mat, rhs)],
+        )
+        pot = potential_of("blowup1", F(2, 5))
+        with pytest.raises(NoConvergence, match="below the order"):
+            newton_lift(pot, (F(7, 20), F(3, 10)), (1.0, 1.0), order=F(3))
 
 
 class TestCriticalPoints:
