@@ -9,7 +9,6 @@ cohomology of the ambient space.
 
 from .config import RunConfig, configured, get_config, set_config, update_config
 from .errors import (
-    DimensionUnsupported,
     EliminationFailed,
     IntegralityFailure,
     InvalidPolytope,
@@ -75,7 +74,6 @@ __all__ = [
     "Correction",
     "CriticalPoint",
     "CriticalReport",
-    "DimensionUnsupported",
     "DualityReport",
     "EliminationFailed",
     "Facet",

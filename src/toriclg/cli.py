@@ -26,7 +26,6 @@ from fractions import Fraction
 from .config import get_config, update_config
 from .errors import (
     CorrectionNotPositive,
-    DimensionUnsupported,
     EliminationFailed,
     IntegralityFailure,
     InvalidPolytope,
@@ -61,7 +60,6 @@ _VALIDATION_ERRORS = (
     CorrectionNotPositive,
     OutsideDomain,
     NotInterior,
-    DimensionUnsupported,
     NotInLambdaZero,
     json.JSONDecodeError,
     OSError,

@@ -39,10 +39,6 @@ class OutsideDomain(ToricLGError, ValueError):
     """Evaluation point whose valuation vector does not lie in the polytope."""
 
 
-class DimensionUnsupported(ToricLGError, ValueError):
-    """Problem dimension beyond what the solvers handle."""
-
-
 class PositiveDimensionalInitialLocus(ToricLGError):
     """The leading-coefficient system has a positive-dimensional solution set;
     isolated-root machinery does not apply."""

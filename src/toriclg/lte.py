@@ -31,7 +31,7 @@ from .errors import (
 )
 from .laurent import Potential
 from .novikov import format_fraction
-from .polysolve import CPoly, normalize, solve_torus_system, univariate_roots
+from .polysolve import CPoly, solve_torus_system, univariate_roots
 
 FracVec = tuple[Fraction, ...]
 
@@ -315,7 +315,6 @@ def solve_lte(potential: Potential, u) -> LTEResult:
                 if free:
                     hit_free = True
                     break
-                rq = normalize(rq)
                 if rq:
                     reduced.append(rq)
             if hit_free:
@@ -326,17 +325,8 @@ def solve_lte(potential: Potential, u) -> LTEResult:
                 continue
             if any(len(q) == 1 for q in reduced):
                 continue  # a surviving monomial equation kills the branch
-            if len(block) == 1:
-                roots = univariate_roots({a[0]: c for a, c in reduced[0].items()})
-                roots = [
-                    r
-                    for r in roots
-                    if all(
-                        abs(sum(c * r ** a[0] for a, c in q.items())) <= 1e-8
-                        for q in reduced[1:]
-                    )
-                ]
-                for r in roots:
+            if len(block) == 1:  # one equation per block variable
+                for r in univariate_roots({a[0]: c for a, c in reduced[0].items()}):
                     vals = br.values[:]
                     vals[block[0]] = r
                     next_branches.append(LTEBranch(values=vals))

@@ -3,53 +3,51 @@
 Systems arrive as dictionaries mapping integer exponent vectors (possibly
 negative) to complex coefficients.  Solutions are sought in the algebraic
 torus, i.e. every coordinate nonzero, so each polynomial may be multiplied
-by a monomial: clearing denominators and stripping monomial content are
-exact symmetries of the problem.
+by a monomial: stripping monomial content is an exact symmetry.
 
-Strategy: eliminate the last variable with resultants of the pivot
-equation against the others (Sylvester determinants interpolated from
-tensor grids of roots of unity), recurse, back-substitute through
-companion-matrix root finding, then polish every candidate with a
-multivariate Newton step on the original square system and discard
-candidates whose residual stays large.  Identically vanishing resultants
-signal a positive-dimensional solution set and abort the search.
+Input contract: every coefficient is read as the exact rational it is, a
+float as a dyadic and a complex number as a Gaussian rational.  One power
+of two scales each equation into Z[i][x], so the elimination below runs
+without rounding and no tolerance decides what is zero.  A coefficient
+meant as 1/3 that arrives as the nearest double is solved as that double.
+
+Strategy: eliminate the last variable with Sylvester resultants of a pivot
+equation against the others (fraction-free Bareiss determinants over
+Z[i][x]) down to one eliminant in the first variable.  Its square-free
+decomposition (Yun) gives factors with exponents; an exponent is the
+multiplicity shared by the solutions over each root of its factor.  The
+equations of every level are reduced modulo each factor, after splitting
+the factor by gcds, so that a term vanishing on a fibre is dropped by an
+exact test.  Only roots are numeric: those of the square-free factors and
+of the reduced fibre equations, found from companion matrices and polished
+by Newton's method on the original system.  A vanishing resultant signals
+a positive-dimensional solution set and aborts the search.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .config import get_config
-from .errors import (
-    DimensionUnsupported,
-    EliminationFailed,
-    PositiveDimensionalInitialLocus,
-)
+from .errors import EliminationFailed, PositiveDimensionalInitialLocus
 
 CPoly = dict[tuple[int, ...], complex]
+Gauss = tuple[int, int]  # a + b i
+ZPoly = dict[tuple[int, ...], Gauss]
 
-_ZERO_REL = 1e-8  # relative floor under which a polynomial counts as zero
-_EVAL_REL = 1e-6  # relative residual for accepting a root during filtering
+_ZERO: Gauss = (0, 0)
 
-
-def normalize(p: CPoly) -> CPoly:
-    """Strip monomial content (valid over the torus) and scale the largest
-    coefficient to 1."""
-    if not p:
-        return {}
-    scale = max(abs(c) for c in p.values())
-    if scale == 0.0:
-        return {}
-    nvars = len(next(iter(p)))
-    mins = [min(a[i] for a in p) for i in range(nvars)]
-    return {
-        tuple(x - m for x, m in zip(a, mins)): c / scale for a, c in p.items()
-    }
+# relative residual under which a numeric root counts as a root of a fibre
+# equation (back substitution) and of the original system (after polishing)
+_EVAL_REL = 1e-6
 
 
-def degree_in(p: CPoly, i: int) -> int:
+def degree_in(p, i: int) -> int:
     return max((a[i] for a in p), default=0)
 
 
@@ -99,123 +97,220 @@ def substitute_last(p: CPoly, values: tuple[complex, ...]) -> dict[int, complex]
     return out
 
 
-def drop_last_var(p: CPoly) -> CPoly:
-    return {a[:-1]: c for a, c in p.items()}
-
-
-# -- univariate layer --------------------------------------------------------
-
-
 def univariate_roots(p: dict[int, complex]) -> list[complex]:
-    """Nonzero roots via the companion matrix, monomial content removed."""
+    """Torus roots via the companion matrix.  Exact zero coefficients are
+    dropped and the monomial content removed; no other cut is made."""
+    p = {e: c for e, c in p.items() if c != 0}
     if not p:
         raise PositiveDimensionalInitialLocus("zero univariate polynomial")
     lo = min(p)
     hi = max(p)
+    if hi == lo:
+        return []
     coeffs = np.zeros(hi - lo + 1, dtype=complex)
     for e, c in p.items():
         coeffs[hi - e] = c  # highest degree first for np.roots
-    scale = np.abs(coeffs).max()
-    coeffs = coeffs / scale
-    nz = np.nonzero(np.abs(coeffs) > _ZERO_REL)[0]
-    if len(nz) == 0:
-        raise PositiveDimensionalInitialLocus("univariate polynomial is ~0")
-    coeffs = coeffs[nz[0]: nz[-1] + 1]
-    if len(coeffs) == 1:
-        return []
-    roots = np.roots(coeffs)
-    return [complex(r) for r in roots if abs(r) > 1e-10]
+    return [complex(r) for r in np.roots(coeffs / np.abs(coeffs).max())]
 
 
-def cluster_roots(roots: list[complex], tol: float = 1e-3) -> list[tuple[complex, int]]:
-    """Greedy clustering of numerically coincident roots; returns
-    (centroid, multiplicity) pairs."""
-    remaining = list(roots)
-    clusters: list[tuple[complex, int]] = []
-    while remaining:
-        seed = remaining.pop()
-        group = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for r in remaining[:]:
-                if any(abs(r - g) <= tol * max(1.0, abs(g)) for g in group):
-                    group.append(r)
-                    remaining.remove(r)
-                    changed = True
-        centroid = sum(group) / len(group)
-        clusters.append((centroid, len(group)))
-    clusters.sort(key=lambda rc: (round(rc[0].real, 9), round(rc[0].imag, 9)))
-    return clusters
+# -- exact polynomials over Z[i] -----------------------------------------------
 
 
-# -- resultants ----------------------------------------------------------------
+def _gdiv(a: Gauss, b: Gauss) -> Gauss:
+    """Exact quotient a / b in Z[i]."""
+    n = b[0] * b[0] + b[1] * b[1]
+    re, r1 = divmod(a[0] * b[0] + a[1] * b[1], n)
+    im, r2 = divmod(a[1] * b[0] - a[0] * b[1], n)
+    assert not (r1 or r2), "inexact division in Z[i]"
+    return (re, im)
 
 
-def _sylvester_det(pc: list[complex], qc: list[complex]) -> complex:
-    """Determinant of the Sylvester matrix for coefficient lists given from
-    degree 0 upward with nominal degrees len-1."""
-    dp = len(pc) - 1
-    dq = len(qc) - 1
-    size = dp + dq
-    if size == 0:
-        return 1.0 + 0j
-    m = np.zeros((size, size), dtype=complex)
-    for r in range(dq):
-        for k, c in enumerate(pc):
-            m[r, r + dp - k] = c
-    for r in range(dp):
-        for k, c in enumerate(qc):
-            m[dq + r, r + dq - k] = c
-    return complex(np.linalg.det(m))
+def _ggcd(a: Gauss, b: Gauss) -> Gauss:
+    """Euclid in Z[i], each quotient rounded to the nearest Gaussian integer."""
+    while b != _ZERO:
+        n = b[0] * b[0] + b[1] * b[1]
+        q0 = (2 * (a[0] * b[0] + a[1] * b[1]) + n) // (2 * n)
+        q1 = (2 * (a[1] * b[0] - a[0] * b[1]) + n) // (2 * n)
+        a, b = b, (a[0] - q0 * b[0] + q1 * b[1], a[1] - q0 * b[1] - q1 * b[0])
+    return a
 
 
-def resultant_last(p: CPoly, q: CPoly, nvars: int) -> CPoly:
-    """Resultant eliminating the last variable, as a polynomial in the
-    remaining nvars-1 variables, found by evaluation on roots-of-unity
-    grids and inverse FFT."""
-    dp = degree_in(p, nvars - 1)
-    dq = degree_in(q, nvars - 1)
+def _primitive(p: ZPoly) -> ZPoly:
+    """p divided by its monomial content and its content in Z[i]."""
+    if not p:
+        return {}
+    mins = [min(col) for col in zip(*p)]
+    g = _ZERO
+    for c in p.values():
+        g = _ggcd(c, g)
+    return {tuple(x - m for x, m in zip(a, mins)): _gdiv(c, g) for a, c in p.items()}
+
+
+def exact_poly(p: CPoly) -> ZPoly:
+    """p read exactly (floats as dyadic rationals) and scaled into Z[i]."""
+    parts = {a: (Fraction(c.real), Fraction(c.imag)) for a, c in p.items() if c}
+    den = math.lcm(*(x.denominator for c in parts.values() for x in c))
+    return _primitive(
+        {a: (int(re * den), int(im * den)) for a, (re, im) in parts.items()}
+    )
+
+
+def to_cpoly(p: ZPoly) -> CPoly:
+    """Complex coefficients scaled so that the largest part is 1."""
+    s = max(abs(x) for c in p.values() for x in c)
+    return {a: complex(re / s, im / s) for a, (re, im) in p.items()}
+
+
+def _mul(p: ZPoly, q: ZPoly) -> ZPoly:
+    out: ZPoly = {}
+    for a, (ar, ai) in p.items():
+        for b, (br, bi) in q.items():
+            k = tuple(x + y for x, y in zip(a, b))
+            cr, ci = out.get(k, _ZERO)
+            out[k] = (cr + ar * br - ai * bi, ci + ar * bi + ai * br)
+    return {k: c for k, c in out.items() if c != _ZERO}
+
+
+def _sub(p: ZPoly, q: ZPoly) -> ZPoly:
+    out = dict(p)
+    for a, (re, im) in q.items():
+        x, y = out.get(a, _ZERO)
+        out[a] = (x - re, y - im)
+        if out[a] == _ZERO:
+            del out[a]
+    return out
+
+
+def _div(p: ZPoly, q: ZPoly) -> ZPoly:
+    """Exact quotient p / q, by division on lexicographic leading terms."""
+    lead = max(q)
+    out: ZPoly = {}
+    while p:
+        top = max(p)
+        e = tuple(x - y for x, y in zip(top, lead))
+        out[e] = c = _gdiv(p[top], q[lead])
+        p = _sub(p, _mul({e: c}, q))
+    return out
+
+
+def _bareiss(m: list[list[ZPoly]]) -> ZPoly:
+    """Determinant, up to sign, by fraction-free elimination: every division
+    by the previous pivot is exact."""
+    n = len(m)
+    prev: ZPoly | None = None
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return {}
+            m[k], m[swap] = m[swap], m[k]
+        piv, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            for j in range(k + 1, n):
+                v = _mul(piv, row[j])
+                if row[k] and top[j]:
+                    v = _sub(v, _mul(row[k], top[j]))
+                row[j] = _div(v, prev) if prev and v else v
+        prev = piv
+    return m[n - 1][n - 1]
+
+
+def resultant_last(p: ZPoly, q: ZPoly) -> ZPoly:
+    """Resultant of p and q in their last variable, an exact polynomial in
+    the others with monomial and Z[i] content removed."""
+    pc: list[ZPoly] = [{} for _ in range(degree_in(p, -1) + 1)]
+    qc: list[ZPoly] = [{} for _ in range(degree_in(q, -1) + 1)]
+    for poly, cs in ((p, pc), (q, qc)):
+        for a, c in poly.items():
+            cs[a[-1]][a[:-1]] = c
+    dp, dq = len(pc) - 1, len(qc) - 1
     if dp == 0 or dq == 0:
         raise EliminationFailed("pivot does not involve the variable")
-    rest = nvars - 1
-    bounds = [
-        dq * degree_in(p, i) + dp * degree_in(q, i) for i in range(rest)
-    ]
-    sizes = [b + 1 for b in bounds]
-    # ifft inverts samples taken on exp(-2 pi i k / s); the conjugate grid
-    # would silently reverse every exponent
-    grids = [np.exp(-2j * np.pi * np.arange(s) / s) for s in sizes]
-    values = np.zeros(sizes, dtype=complex)
-    for idx in np.ndindex(*sizes):
-        point = tuple(grids[i][idx[i]] for i in range(rest))
-        pc = [0j] * (dp + 1)
-        for a, c in p.items():
-            term = c
-            for i in range(rest):
-                if a[i]:
-                    term *= point[i] ** a[i]
-            pc[a[-1]] += term
-        qc = [0j] * (dq + 1)
-        for a, c in q.items():
-            term = c
-            for i in range(rest):
-                if a[i]:
-                    term *= point[i] ** a[i]
-            qc[a[-1]] += term
-        values[idx] = _sylvester_det(pc, qc)
-    if np.abs(values).max() < 1e-10:
-        return {}  # resultant vanishes identically
-    coeffs = values
-    for axis in range(rest):
-        coeffs = np.fft.ifft(coeffs, axis=axis)
-    peak = np.abs(coeffs).max()
-    out: CPoly = {}
-    for idx in np.ndindex(*sizes):
-        c = complex(coeffs[idx])
-        if abs(c) > _ZERO_REL * peak:
-            out[tuple(idx)] = c
+    rows = [[{}] * r + pc[::-1] + [{}] * (dq - 1 - r) for r in range(dq)]
+    rows += [[{}] * r + qc[::-1] + [{}] * (dp - 1 - r) for r in range(dp)]
+    return _primitive(_bareiss(rows))
+
+
+# univariate polynomials keep the same representation, keys of length one
+
+
+def _prem(f: ZPoly, g: ZPoly) -> ZPoly:
+    """Pseudo-remainder lc(g)^k f mod g, by exact ring operations only."""
+    lead = max(g)
+    while f and max(f)[0] >= lead[0]:
+        top = max(f)
+        f = _sub(_mul(f, {(0,): g[lead]}), _mul({(top[0] - lead[0],): f[top]}, g))
+    return f
+
+
+def _gcd(f: ZPoly, g: ZPoly) -> ZPoly:
+    """Primitive gcd of univariate polynomials, a unit when coprime."""
+    while g:
+        f, g = g, _primitive(_prem(f, g))
+    return _primitive(f)
+
+
+def _deriv(f: ZPoly) -> ZPoly:
+    return {(k - 1,): (k * re, k * im) for (k,), (re, im) in f.items() if k}
+
+
+def squarefree_decomposition(f: ZPoly) -> list[tuple[ZPoly, int]]:
+    """Yun's algorithm: pairwise coprime square-free factors, with their
+    exponents, of a univariate f with nonzero constant term (the gcds drop
+    monomial content), f = unit * prod(factor ** exponent)."""
+    a = _gcd(f, _deriv(f))
+    b, c = _div(f, a), _div(_deriv(f), a)
+    out = []
+    k = 1
+    while max(b)[0] > 0:
+        d = _sub(c, _deriv(b))
+        a = _gcd(b, d)
+        if max(a)[0] > 0:
+            out.append((a, k))
+        b, c, k = _div(b, a), _div(d, a), k + 1
     return out
+
+
+def _split(factors: list[tuple[ZPoly, int]], coeffs: list[ZPoly]):
+    """Refine the factors so that each coefficient vanishes either at every
+    root of a factor or at none."""
+    for c in coeffs:
+        refined = []
+        for f, e in factors:
+            g = _gcd(f, c)
+            if 0 < max(g)[0] < max(f)[0]:
+                refined += [(g, e), (_div(f, g), e)]
+            else:
+                refined.append((f, e))
+        factors = refined
+    return factors
+
+
+def _x0_groups(p: ZPoly) -> dict[tuple[int, ...], ZPoly]:
+    """Coefficients of p as polynomials in the first variable, keyed by the
+    exponents of the others."""
+    groups: dict[tuple[int, ...], ZPoly] = {}
+    for a, c in p.items():
+        groups.setdefault(a[1:], {})[a[:1]] = c
+    return groups
+
+
+def _on_factor(p: ZPoly, f: ZPoly) -> ZPoly:
+    """The terms of p whose coefficient in the first variable does not
+    vanish on the roots of f."""
+    keep = {k for k, c in _x0_groups(p).items() if _prem(c, f)}
+    return {a: c for a, c in p.items() if a[1:] in keep}
+
+
+def _monic(f: ZPoly) -> list[complex]:
+    """Coefficients of a univariate f over its leading one, degree 0 up."""
+    top = max(f)
+    lr, li = f[top]
+    n = lr * lr + li * li
+    return [
+        complex((re * lr + im * li) / n, (im * lr - re * li) / n)
+        for re, im in (f.get((k,), _ZERO) for k in range(top[0] + 1))
+    ]
 
 
 # -- system layer ---------------------------------------------------------------
@@ -224,89 +319,74 @@ def resultant_last(p: CPoly, q: CPoly, nvars: int) -> CPoly:
 @dataclass
 class SystemSolution:
     roots: list[tuple[complex, ...]]
-    eliminant: list[complex] | None  # univariate in variable 0, degree 0 upward
+    eliminant: list[complex] | None  # monic in variable 0, degree 0 upward
+    # per root: the exponent of its eliminant factor split evenly over the
+    # roots with the same first coordinate, None when it does not split
+    multiplicities: list[int | None]
 
 
-def _roots_satisfying_all(
-    unis: list[dict[int, complex]],
-) -> list[complex]:
-    """Common nonzero roots of a family of univariate polynomials."""
-    nonzero = []
-    for u in unis:
-        scale = max((abs(c) for c in u.values()), default=0.0)
-        if scale > _ZERO_REL:
-            nonzero.append({e: c / scale for e, c in u.items()})
-    if not nonzero:
-        raise PositiveDimensionalInitialLocus(
-            "all equations vanish identically on this branch"
+def _eliminate(
+    polys: list[ZPoly], nvars: int
+) -> tuple[list[list[ZPoly]], ZPoly, int]:
+    """Resultant cascade: for k = 1 .. nvars-1 the equations involving
+    variable k once k+1.. are eliminated, the eliminant in variable 0, and
+    the factor its exponents miss where an equation alone involves its
+    variable (its resultant with q would be q to the power of its degree)."""
+    levels: list[list[ZPoly]] = []
+    weight = 1
+    for k in range(nvars - 1, 0, -1):
+        involving = [p for p in polys if degree_in(p, k) > 0]
+        reduced = [
+            {a[:-1]: c for a, c in p.items()} for p in polys if degree_in(p, k) == 0
+        ]
+        if not involving:
+            raise PositiveDimensionalInitialLocus(
+                f"no equation involves variable {k + 1}"
+            )
+        if len(involving) == 1 and not reduced:
+            raise PositiveDimensionalInitialLocus(
+                "fewer independent equations than variables"
+            )
+        if len(involving) == 1:
+            weight *= degree_in(involving[0], k)
+        else:
+            pivot = min(involving, key=lambda p: degree_in(p, k))
+            for q in involving:
+                if q is not pivot:
+                    res = resultant_last(pivot, q)
+                    if not res:
+                        raise PositiveDimensionalInitialLocus(
+                            "vanishing resultant: common positive-dimensional component"
+                        )
+                    reduced.append(res)
+        levels.append(involving)
+        polys = reduced
+    levels.reverse()
+    elim: ZPoly = {}
+    for p in polys:
+        elim = _gcd(elim, p)
+    return levels, elim, weight
+
+
+def _residual_ok(value: complex, magnitude: float) -> bool:
+    return abs(value) <= _EVAL_REL * max(magnitude, 1e-30)
+
+
+def _fibre_roots(unis: list[dict[int, complex]]) -> list[complex]:
+    """Common torus roots of the fibre equations: the roots of the lowest
+    degree one at which the others vanish."""
+    unis = sorted(unis, key=lambda u: max(u) - min(u))
+    return [
+        r
+        for r in univariate_roots(unis[0])
+        if all(
+            _residual_ok(
+                sum(c * r ** e for e, c in u.items()),
+                sum(abs(c) * abs(r) ** e for e, c in u.items()),
+            )
+            for u in unis[1:]
         )
-    nonzero.sort(key=lambda u: max(u) - min(u))
-    if max(nonzero[0]) - min(nonzero[0]) == 0:
-        return []  # a nonzero constant equation: no solutions
-    cands = univariate_roots(nonzero[0])
-    out = []
-    for r in cands:
-        ok = True
-        for u in nonzero[1:]:
-            val = sum(c * r ** e for e, c in u.items())
-            mag = sum(abs(c) * abs(r) ** e for e, c in u.items())
-            if abs(val) > _EVAL_REL * max(mag, 1e-30):
-                ok = False
-                break
-        if ok:
-            out.append(r)
-    return out
-
-
-def _solve_recursive(
-    polys: list[CPoly], nvars: int
-) -> tuple[list[tuple[complex, ...]], list[complex] | None]:
-    polys = [normalize(p) for p in polys if p]
-    if not polys:
-        raise PositiveDimensionalInitialLocus("empty system")
-    if any(not p for p in polys):
-        raise PositiveDimensionalInitialLocus("identically zero equation")
-    if nvars == 1:
-        unis = [{a[0]: c for a, c in p.items()} for p in polys]
-        roots = _roots_satisfying_all(unis)
-        elim = None
-        if len(unis) == 1:
-            hi = max(unis[0])
-            elim = [unis[0].get(e, 0j) for e in range(hi + 1)]
-        return [(r,) for r in roots], elim
-    involving = [p for p in polys if degree_in(p, nvars - 1) > 0]
-    passing = [drop_last_var(p) for p in polys if degree_in(p, nvars - 1) == 0]
-    if not involving:
-        raise PositiveDimensionalInitialLocus(
-            f"no equation involves variable {nvars}"
-        )
-    if len(involving) == 1 and not passing:
-        raise PositiveDimensionalInitialLocus(
-            "fewer independent equations than variables"
-        )
-    if len(involving) == 1:
-        reduced = passing
-    else:
-        pivot = min(involving, key=lambda p: degree_in(p, nvars - 1))
-        others = [p for p in involving if p is not pivot]
-        reduced = list(passing)
-        for q in others:
-            res = resultant_last(pivot, q, nvars)
-            if not res:
-                raise PositiveDimensionalInitialLocus(
-                    "vanishing resultant: common positive-dimensional component"
-                )
-            reduced.append(res)
-    partials, elim = _solve_recursive(reduced, nvars - 1)
-    solutions: list[tuple[complex, ...]] = []
-    for part in partials:
-        unis = [substitute_last(p, part) for p in involving]
-        try:
-            roots = _roots_satisfying_all(unis)
-        except PositiveDimensionalInitialLocus:
-            raise
-        solutions.extend(part + (r,) for r in roots)
-    return solutions, elim
+    ]
 
 
 def _newton_polish(
@@ -324,10 +404,7 @@ def _newton_polish(
             [[eval_cpoly(jac[r][c], tuple(x)) for c in range(n)] for r in range(len(polys))]
         )
         try:
-            if len(polys) == n:
-                step = np.linalg.solve(j, f)
-            else:
-                step, *_ = np.linalg.lstsq(j, f, rcond=None)
+            step = np.linalg.solve(j, f)
         except np.linalg.LinAlgError:
             break
         x = x - step
@@ -337,60 +414,58 @@ def _newton_polish(
 
 
 def solve_torus_system(polys: list[CPoly], nvars: int) -> SystemSolution:
-    """All isolated torus solutions of a system of Laurent polynomials.
+    """All isolated torus solutions of a system of Laurent polynomials,
+    with the multiplicities the exact eliminant assigns them.
 
     Raises PositiveDimensionalInitialLocus when a positive-dimensional
-    component is detected, EliminationFailed when the resultant cascade
-    cannot proceed, DimensionUnsupported above four variables.
+    component is detected.
     """
-    if nvars > 4:
-        raise DimensionUnsupported(
-            f"torus system solving handles at most 4 variables, got {nvars}"
-        )
-    cleared = [normalize(p) for p in polys]
-    if any(not p for p in cleared):
+    exact = [exact_poly(p) for p in polys]
+    if any(not p for p in exact):
         raise PositiveDimensionalInitialLocus("identically zero equation")
-    for p in cleared:
-        if len(p) == 1:
-            return SystemSolution([], None)  # single monomial: no torus zeros
-    raw, elim = _solve_recursive(cleared, nvars)
+    if any(len(p) == 1 for p in exact):
+        return SystemSolution([], None, [])  # single monomial: no torus zeros
+    levels, elim, weight = _eliminate(exact, nvars)
+    # a monomial coefficient vanishes at no root of a factor: the roots are nonzero
+    groups = [c for level in levels for p in level for c in _x0_groups(p).values()]
+    coeffs = [c for c in groups if len(c) > 1]
+    cleared = [to_cpoly(p) for p in exact]
     eps = get_config().eps_sol
-    polished: list[tuple[complex, ...]] = []
-    for cand in raw:
-        if any(abs(x) < 1e-10 for x in cand):
-            continue
-        point = _newton_polish(cleared, cand)
-        if any(abs(x) < 1e-10 for x in point) or not all(
-            abs(eval_cpoly(p, point))
-            <= _EVAL_REL * max(eval_magnitude(p, point), 1e-30)
-            for p in cleared
-        ):
-            continue
-        if not any(
-            all(abs(a - b) <= eps * max(1.0, abs(b)) for a, b in zip(point, seen))
-            for seen in polished
-        ):
-            polished.append(point)
-    polished.sort(key=lambda pt: tuple((round(x.real, 9), round(x.imag, 9)) for x in pt))
-    return SystemSolution(polished, elim)
-
-
-def eliminant_multiplicity(
-    elim: list[complex], x0: complex, sharing: int
-) -> int | None:
-    """Cluster multiplicity of x0 among the eliminant roots, split across the
-    `sharing` solutions lying over the same first coordinate.  None when the
-    count does not divide evenly."""
-    roots = univariate_roots({e: c for e, c in enumerate(elim)})
-    clusters = cluster_roots(roots)
-    cluster = next(
-        (c for c in clusters if abs(c[0] - x0) <= 1e-3 * max(1.0, abs(x0))),
-        None,
+    found: list[tuple[tuple[complex, ...], complex, int]] = []  # point, x0, exponent
+    for f, e in _split(squarefree_decomposition(elim), coeffs):
+        fibre_eqs = [
+            [to_cpoly(q) for q in (_on_factor(p, f) for p in level) if q]
+            for level in levels
+        ]
+        for x0 in univariate_roots({a[0]: c for a, c in to_cpoly(f).items()}):
+            partials = [(x0,)]
+            for eqs in fibre_eqs:
+                if not eqs:
+                    raise PositiveDimensionalInitialLocus(
+                        "all equations vanish identically on this fibre"
+                    )
+                partials = [
+                    part + (r,)
+                    for part in partials
+                    for r in _fibre_roots([substitute_last(q, part) for q in eqs])
+                ]
+            for cand in partials:
+                point = _newton_polish(cleared, cand)
+                if all(
+                    _residual_ok(eval_cpoly(p, point), eval_magnitude(p, point))
+                    for p in cleared
+                ) and not any(
+                    all(abs(a - b) <= eps * max(1.0, abs(b)) for a, b in zip(point, seen))
+                    for seen, _, _ in found
+                ):
+                    found.append((point, x0, e * weight))
+    found.sort(key=lambda t: tuple((round(x.real, 9), round(x.imag, 9)) for x in t[0]))
+    share = Counter(x0 for _, x0, _ in found)
+    return SystemSolution(
+        [point for point, _, _ in found],
+        _monic(elim),
+        [e // share[x0] if e % share[x0] == 0 else None for _, x0, e in found],
     )
-    if cluster is None:
-        return None
-    mult, rem = divmod(cluster[1], max(sharing, 1))
-    return mult if rem == 0 else None
 
 
 def log_jacobian(polys: list[CPoly], point: tuple[complex, ...]) -> np.ndarray:

@@ -316,15 +316,19 @@ class MomentPolytope:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "tuple[MomentPolytope, list[Correction]]":
-        facets = [
-            Facet(
-                tuple(int(x) for x in fd["normal"]),
-                Fraction(fd["constant"]),
-                fd.get("name", f"ell{j}"),
-            )
-            for j, fd in enumerate(d["facets"])
-        ]
-        p = cls(int(d["dim"]), facets)
+        try:
+            facets = [
+                Facet(
+                    tuple(int(x) for x in fd["normal"]),
+                    Fraction(fd["constant"]),
+                    fd.get("name", f"ell{j}"),
+                )
+                for j, fd in enumerate(d["facets"])
+            ]
+            dim = int(d["dim"])
+        except KeyError as exc:
+            raise InvalidPolytope(f"polytope JSON lacks key {exc}") from None
+        p = cls(dim, facets)
         corrections = [
             Correction.from_json_dict(cd) for cd in d.get("corrections", [])
         ]
@@ -389,11 +393,12 @@ class Correction:
             )
         else:
             coeff = NovikovScalar.from_number(complex(raw))
-        return cls(
-            Fraction(d["extra_T"]),
-            tuple(int(x) for x in d["monomial_z"]),
-            coeff,
-        )
+        try:
+            return cls(
+                Fraction(d["extra_T"]), tuple(int(x) for x in d["monomial_z"]), coeff
+            )
+        except KeyError as exc:
+            raise InvalidPolytope(f"correction JSON lacks key {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,14 @@ of the potential has its minimal T-power attained by at least two terms.
 Candidate points come from equating valuation pairs, one pair per
 equation; rank-deficient pair choices yield affine candidate subspaces
 that are subdivided along their breakpoints.  The algebraic stage solves
-the leading-coefficient system at each candidate over the torus and lifts
-every nondegenerate initial root to a Novikov series solution by Newton
-iteration with exact exponent bookkeeping.
+the leading-coefficient system at each candidate over the torus by exact
+elimination (``polysolve``) and lifts every nondegenerate initial root to
+a Novikov series solution by Newton iteration with exact exponent
+bookkeeping.  A root with an invertible leading Jacobian is simple; a
+degenerate root is not lifted and takes its multiplicity from the exponent
+of its factor in the square-free decomposition of the exact eliminant,
+shared evenly by the roots over the same first coordinate (None when the
+share is uneven).
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .laurent import LaurentPoly, Potential
 from .novikov import INF, NovikovScalar, format_fraction
 from .polysolve import (
     CPoly,
-    eliminant_multiplicity,
     log_jacobian,
     solve_torus_system,
 )
@@ -510,58 +514,6 @@ class CriticalReport:
         }
 
 
-def _monic(coeffs: list[complex]) -> list[complex]:
-    lead = coeffs[-1]
-    return [c / lead for c in coeffs]
-
-
-# a double factor perturbed by coefficient noise eps splits its root into a
-# pair about sqrt(eps) apart, far wider than any simple-root error
-_SPLIT_TOL = 2e-6
-_MERGE_DET_REL = 1e-5
-
-
-def _merge_split_roots(
-    roots: list[tuple[complex, ...]], polys
-) -> list[tuple[tuple[complex, ...], int]]:
-    """Collapse root pairs that are numerical shadows of one multiple root.
-
-    Groups roots within ``_SPLIT_TOL`` coordinatewise and keeps the group
-    centroid only when the logarithmic Jacobian is actually near-singular
-    there; a tight but honestly nonsingular pair stays separate.
-    """
-    merged: list[tuple[tuple[complex, ...], int]] = []
-    used = [False] * len(roots)
-    for i, r in enumerate(roots):
-        if used[i]:
-            continue
-        used[i] = True
-        group = [r]
-        for k in range(i + 1, len(roots)):
-            if used[k]:
-                continue
-            s = roots[k]
-            if all(
-                abs(a - b) <= _SPLIT_TOL * max(1.0, abs(a))
-                for a, b in zip(r, s)
-            ):
-                group.append(s)
-                used[k] = True
-        if len(group) == 1:
-            merged.append((r, 1))
-            continue
-        centroid = tuple(sum(zs) / len(zs) for zs in zip(*group))
-        jac = log_jacobian(polys, centroid)
-        scale = 1.0
-        for row in jac:
-            scale *= max((abs(x) for x in row), default=0.0)
-        if abs(_det(jac)) <= _MERGE_DET_REL * max(scale, 1e-30):
-            merged.append((centroid, len(group)))
-        else:
-            merged.extend((g, 1) for g in group)
-    return merged
-
-
 def find_critical_points(
     potential: Potential, order: Fraction | None = None
 ) -> CriticalReport:
@@ -587,26 +539,12 @@ def find_critical_points(
             )
             continue
         if sol.eliminant is not None and len(sol.eliminant) > 1:
-            eliminants.append(EliminantRecord(u, _monic(sol.eliminant)))
-        merged = _merge_split_roots(sol.roots, polys)
-        for root, copies in merged:
+            eliminants.append(EliminantRecord(u, sol.eliminant))
+        for root, mult in zip(sol.roots, sol.multiplicities):
             jac = log_jacobian(polys, root)
-            det = _det(jac)
-            scale = 1.0
-            for row in jac:
-                scale *= max((abs(x) for x in row), default=0.0)
-            degenerate = (
-                copies > 1 or abs(det) <= cfg.eps_degenerate * max(scale, 1e-30)
-            )
-            if degenerate:
-                mult = None
-                if n <= 2 and sol.eliminant is not None:
-                    sharing = sum(
-                        1
-                        for s, _ in merged
-                        if abs(s[0] - root[0]) <= 1e-3 * max(1.0, abs(root[0]))
-                    )
-                    mult = eliminant_multiplicity(sol.eliminant, root[0], sharing)
+            scale = np.prod(np.abs(jac).max(axis=1))
+            if abs(np.linalg.det(jac)) <= cfg.eps_degenerate * max(scale, 1e-30):
+                # a degenerate root takes its multiplicity from the eliminant
                 points.append(
                     CriticalPoint(
                         u=u,
@@ -637,10 +575,3 @@ def find_critical_points(
     extra_cells.sort(key=lambda c: (c.dimension, c.sample_u))
     eliminants.sort(key=lambda e: e.u)
     return CriticalReport(points=points, cells=extra_cells, eliminants=eliminants)
-
-
-def _det(m) -> complex:
-    a = np.asarray(m, dtype=complex)
-    if a.size == 0:
-        return 1.0 + 0j
-    return complex(np.linalg.det(a))

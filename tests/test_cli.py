@@ -111,6 +111,42 @@ class TestJsonContract:
         assert doc["betti"] == 3
         assert len(doc["critical"]["points"]) == 3
 
+    def test_analyze_blowup2_monotone_finds_all_five_points(self, capsys):
+        # the eliminant (y1 + 1)^2 (y1^3 - y1^2 + 2 y1 - 1) has a double root
+        # over which the second equation vanishes identically
+        code, out, _ = run(
+            capsys, "analyze", "--catalog", "blowup2:1/3,1/3", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        points = doc["critical"]["points"]
+        assert len(points) == 5
+        over = sorted(
+            p["y_initial"][1][0]
+            for p in points
+            if abs(complex(*p["y_initial"][0]) + 1) < 1e-12
+        )
+        root5 = 5 ** 0.5
+        assert over == pytest.approx([(-1 - root5) / 2, (-1 + root5) / 2], abs=1e-12)
+        res = doc["residue"]
+        assert res["morse_mode"] == "equality"
+        assert res["morse_total"] == res["betti"] == 5
+        assert res["morse_ok"] is True
+        assert res["trace_ok"] is True
+
+    def test_analyze_five_dimensional_simplex(self, capsys):
+        # five variables: past the old four-variable limit of the solver
+        code, out, _ = run(
+            capsys, "analyze", "--catalog", "simplex:5", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["critical"]["points"]) == 6
+        res = doc["residue"]
+        assert res["morse_mode"] == "equality"
+        assert res["morse_total"] == res["betti"] == 6
+        assert res["trace_ok"] is True
+
     def test_series_fields_parse_back(self, capsys):
         from fractions import Fraction
         from toriclg import NovikovScalar
@@ -270,6 +306,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "potential", "--polytope", str(path))
         assert code == 2
         assert "invalid input" in err
+
+    @pytest.mark.parametrize("key", ["dim", "facets"])
+    def test_polytope_json_missing_key(self, capsys, tmp_path, key):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({k: v for k, v in HIRZ.items() if k != key}))
+        code, _, err = run(capsys, "analyze", "--polytope", str(path))
+        assert code == 2
+        assert err == f"invalid input: polytope JSON lacks key '{key}'\n"
+
+    def test_correction_json_missing_key(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        corrections = [{"monomial_z": [0, 0, 0, 1]}]  # no "extra_T"
+        path.write_text(json.dumps({**HIRZ, "corrections": corrections}))
+        code, _, err = run(capsys, "potential", "--polytope", str(path))
+        assert code == 2
+        assert err == "invalid input: correction JSON lacks key 'extra_T'\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(

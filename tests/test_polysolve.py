@@ -1,23 +1,28 @@
-"""Small dense solver for complex Laurent polynomial systems on the torus."""
+"""Exact elimination and numeric roots for Laurent polynomial systems on the
+torus."""
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from toriclg.errors import PositiveDimensionalInitialLocus
+from toriclg import build_potential, catalog, initial_system, tropical_candidates
+from toriclg.errors import EliminationFailed, PositiveDimensionalInitialLocus
 from toriclg.polysolve import (
-    cluster_roots,
-    eliminant_multiplicity,
     eval_cpoly,
+    exact_poly,
     log_jacobian,
-    normalize,
     partial,
     resultant_last,
     solve_torus_system,
+    squarefree_decomposition,
     substitute_last,
     univariate_roots,
 )
+
+F = Fraction
 
 
 def close_sets(xs, ys, tol=1e-8):
@@ -30,6 +35,24 @@ def close_sets(xs, ys, tol=1e-8):
             return False
         ys.remove(hit)
     return True
+
+
+def upoly(*coeffs):
+    """Exact univariate polynomial over Z[i], coefficients constant first."""
+    return {(k,): c if isinstance(c, tuple) else (c, 0) for k, c in enumerate(coeffs)}
+
+
+def proportional(p, q):
+    """Exact polynomials over Z[i] equal up to a nonzero scalar."""
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    k = next(iter(p))
+    return set(p) == set(q) and all(mul(p[a], q[k]) == mul(q[a], p[k]) for a in p)
+
+
+def exact_roots(f):
+    return univariate_roots({a[0]: complex(*c) for a, c in f.items()})
 
 
 class TestUnivariate:
@@ -53,23 +76,24 @@ class TestUnivariate:
         with pytest.raises(PositiveDimensionalInitialLocus):
             univariate_roots({})
 
-    def test_cluster_roots(self):
-        clusters = cluster_roots([1.0, 1.0 + 1e-9, -2.0])
-        assert sorted(m for _, m in clusters) == [1, 2]
-        double = next(c for c, m in clusters if m == 2)
-        assert abs(double - 1.0) < 1e-6
+    def test_squarefree_decomposition_counts_repeated_roots(self):
+        # (z - 1)^2 (z + 2) = z^3 - 3z + 2
+        parts = squarefree_decomposition(upoly(2, -3, 0, 1))
+        assert sorted(e for _, e in parts) == [1, 2]
+        double = next(f for f, e in parts if e == 2)
+        assert close_sets(exact_roots(double), [1.0])
+        simple = next(f for f, e in parts if e == 1)
+        assert close_sets(exact_roots(simple), [-2.0])
+
+    def test_squarefree_decomposition_over_gaussian_integers(self):
+        # (z - i)^3 (z + 1) = z^4 + (1 - 3i) z^3 - 3(1 + i) z^2 + (i - 3) z + i
+        parts = squarefree_decomposition(upoly((0, 1), (-3, 1), (-3, -3), (1, -3), 1))
+        assert sorted(e for _, e in parts) == [1, 3]
+        triple = next(g for g, e in parts if e == 3)
+        assert close_sets(exact_roots(triple), [1j])
 
 
 class TestCPolyBasics:
-    def test_normalize_strips_content_and_rescales(self):
-        p = {(2, 1): 4.0 + 0j, (1, 3): 2.0 + 0j}
-        out = normalize(p)
-        assert set(out) == {(1, 0), (0, 2)}
-        assert out[(1, 0)] == pytest.approx(1.0)
-        assert out[(0, 2)] == pytest.approx(0.5)
-        assert normalize({}) == {}
-        assert normalize({(0,): 0j}) == {}
-
     def test_eval_and_partial(self):
         p = {(2, 1): 1 + 0j, (0, 0): -4 + 0j}
         assert eval_cpoly(p, (2.0, 1.0)) == pytest.approx(0.0)
@@ -84,31 +108,53 @@ class TestCPolyBasics:
         assert uni[0] == pytest.approx(-8.0)
 
 
+class TestExactInput:
+    def test_floats_read_as_dyadic_rationals(self):
+        # 0.75 x - 0.25 y^-1: content x^0 y^-1 stripped, 1/4 cleared
+        p = exact_poly({(1, 0): 0.75 + 0j, (0, -1): -0.25 + 0j})
+        assert proportional(p, {(1, 1): (3, 0), (0, 0): (-1, 0)})
+
+    def test_complex_read_as_gaussian_rationals(self):
+        p = exact_poly({(1,): 0.5 + 1.5j, (0,): -2j})
+        assert proportional(p, {(1,): (1, 3), (0,): (0, -4)})
+
+    def test_inexact_double_is_taken_as_given(self):
+        # 0.1 is not 1/10: the exact reading keeps its binary expansion
+        p = exact_poly({(1,): 0.1 + 0j, (0,): -1 + 0j})
+        tenth = F(0.1)
+        assert tenth != F(1, 10)
+        want = {(1,): (tenth.numerator, 0), (0,): (-tenth.denominator, 0)}
+        assert proportional(p, want)
+
+
 class TestResultant:
     def test_eliminates_common_root(self):
         # x^2 + y^2 - 5 and xy - 2 meet where x in {+-1, +-2}
-        p = {(2, 0): 1 + 0j, (0, 2): 1 + 0j, (0, 0): -5 + 0j}
-        q = {(1, 1): 1 + 0j, (0, 0): -2 + 0j}
-        r = resultant_last(p, q, 2)
-        uni = {a[0]: c for a, c in r.items()}
-        assert close_sets(univariate_roots(uni), [1.0, -1.0, 2.0, -2.0], tol=1e-7)
+        p = exact_poly({(2, 0): 1 + 0j, (0, 2): 1 + 0j, (0, 0): -5 + 0j})
+        q = exact_poly({(1, 1): 1 + 0j, (0, 0): -2 + 0j})
+        r = resultant_last(p, q)
+        # x^4 - 5x^2 + 4, exactly
+        assert proportional(r, {(4,): (1, 0), (2,): (-5, 0), (0,): (4, 0)})
 
     def test_orientation_of_eliminant(self):
         # y - 2x against y - 3: the resultant must vanish at x = 3/2, not 2/3
-        p = {(0, 1): 1 + 0j, (1, 0): -2 + 0j}
-        q = {(0, 1): 1 + 0j, (0, 0): -3 + 0j}
-        r = resultant_last(p, q, 2)
-        uni = {a[0]: c for a, c in r.items()}
-        assert close_sets(univariate_roots(uni), [1.5])
+        p = exact_poly({(0, 1): 1 + 0j, (1, 0): -2 + 0j})
+        q = exact_poly({(0, 1): 1 + 0j, (0, 0): -3 + 0j})
+        r = resultant_last(p, q)
+        assert proportional(r, {(1,): (2, 0), (0,): (-3, 0)})
 
     def test_degree_zero_in_last_variable_is_rejected(self):
         # elimination pivots must actually involve the eliminated variable
-        from toriclg.errors import EliminationFailed
-
-        p = {(1, 1): 1 + 0j, (0, 0): -1 + 0j}
-        q = {(1, 0): 1 + 0j, (0, 0): -2 + 0j}
+        p = exact_poly({(1, 1): 1 + 0j, (0, 0): -1 + 0j})
+        q = exact_poly({(1, 0): 1 + 0j, (0, 0): -2 + 0j})
         with pytest.raises(EliminationFailed):
-            resultant_last(p, q, 2)
+            resultant_last(p, q)
+
+    def test_common_component_gives_zero_resultant(self):
+        # (x - y)(x + y) and 2x - 2y share the line x = y
+        p = exact_poly({(2, 0): 1 + 0j, (0, 2): -1 + 0j})
+        q = exact_poly({(1, 0): 2 + 0j, (0, 1): -2 + 0j})
+        assert resultant_last(p, q) == {}
 
 
 class TestSolveSystem:
@@ -116,6 +162,7 @@ class TestSolveSystem:
         sol = solve_torus_system([{(2,): 1 + 0j, (0,): -4 + 0j}], 1)
         assert close_sets([r[0] for r in sol.roots], [2.0, -2.0])
         assert sol.eliminant is not None
+        assert sol.multiplicities == [1, 1]
 
     def test_two_by_two(self):
         # x y = 1, x + y = 3  ->  x in {(3 +- sqrt 5)/2}
@@ -154,6 +201,22 @@ class TestSolveSystem:
         for r in sol.roots:
             assert abs(r[0] ** 4 - 1) < 1e-8
             assert abs(r[1] - r[0]) < 1e-8 and abs(r[2] - r[0]) < 1e-8
+        assert sol.multiplicities == [1] * 4
+
+    def test_five_variables(self):
+        # the simplex(5) barycenter system: six points y0^6 = 1, all equal
+        n = 5
+        polys = []
+        for i in range(n):
+            e = [0] * n
+            e[i] = 1
+            polys.append({tuple(e): 1 + 0j, (-1,) * n: -1 + 0j})
+        sol = solve_torus_system(polys, n)
+        assert len(sol.roots) == 6
+        for r in sol.roots:
+            assert abs(r[0] ** 6 - 1) < 1e-8
+            assert all(abs(x - r[0]) < 1e-8 for x in r)
+        assert sol.multiplicities == [1] * 6
 
     def test_residual_filter_rejects_spurious_branches(self):
         # x - 1 together with x + y - 3: the eliminant in x from a naive
@@ -167,28 +230,115 @@ class TestSolveSystem:
         assert abs(sol.roots[0][0] - 1) < 1e-10
         assert abs(sol.roots[0][1] - 2) < 1e-10
 
+    def test_equation_vanishing_on_a_fibre_is_dropped(self):
+        # eliminant (x + 1)^2 (x^3 - x^2 + 2x - 1) of the monotone two-point
+        # blow-up; over the double root x = -1 the second equation vanishes
+        # identically, so the first one alone gives y = (-1 +- sqrt 5)/2
+        polys = [
+            {(1, 1): 1 + 0j, (1, 0): 1 + 0j, (-1, -1): -1 + 0j},
+            {(1, 1): 1 + 0j, (0, 1): 1 + 0j, (0, -1): -1 + 0j, (-1, -1): -1 + 0j},
+        ]
+        sol = solve_torus_system(polys, 2)
+        assert len(sol.roots) == 5
+        over = sorted(r[1].real for r in sol.roots if abs(r[0] + 1) < 1e-12)
+        assert over == pytest.approx([(-1 - math.sqrt(5)) / 2, (-1 + math.sqrt(5)) / 2])
+        assert sol.multiplicities == [1] * 5
+
+    def test_factor_split_where_an_equation_vanishes_on_some_roots(self):
+        # y - 1 and (x^2 - 2)(y - x): the eliminant (x^2 - 2)(x - 1) is
+        # square-free, but the second equation vanishes identically only
+        # over x = +-sqrt 2, so the factor is split before back substitution
+        polys = [
+            {(0, 1): 1 + 0j, (0, 0): -1 + 0j},
+            {(2, 1): 1 + 0j, (3, 0): -1 + 0j, (0, 1): -2 + 0j, (1, 0): 2 + 0j},
+        ]
+        sol = solve_torus_system(polys, 2)
+        assert close_sets([r[0] for r in sol.roots], [math.sqrt(2), -math.sqrt(2), 1.0])
+        assert all(abs(r[1] - 1) < 1e-12 for r in sol.roots)
+        assert sol.multiplicities == [1, 1, 1]
+
 
 class TestMultiplicity:
+    """Multiplicities come from the exponents of the square-free
+    decomposition of the exact eliminant, shared by the roots over the
+    same first coordinate."""
+
     def test_simple_root(self):
-        # (z - 1)(z + 2) = z^2 + z - 2
-        assert eliminant_multiplicity([-2, 1, 1], 1.0, sharing=1) == 1
+        # x - 1, y - x - 1: one point, eliminant x - 1
+        polys = [
+            {(1, 0): 1 + 0j, (0, 0): -1 + 0j},
+            {(0, 1): 1 + 0j, (1, 0): -1 + 0j, (0, 0): -1 + 0j},
+        ]
+        sol = solve_torus_system(polys, 2)
+        assert len(sol.roots) == 1
+        assert sol.multiplicities == [1]
 
     def test_double_root(self):
-        # (z - 1)^2 = 1 - 2z + z^2
-        assert eliminant_multiplicity([1, -2, 1], 1.0, sharing=1) == 2
+        # y = 1 tangent to y = 1 + (x - 1)^2: eliminant (x - 1)^2, one point
+        polys = [
+            {(0, 1): 1 + 0j, (0, 0): -1 + 0j},
+            {(0, 1): 1 + 0j, (2, 0): -1 + 0j, (1, 0): 2 + 0j, (0, 0): -2 + 0j},
+        ]
+        sol = solve_torus_system(polys, 2)
+        assert len(sol.roots) == 1
+        assert abs(sol.roots[0][0] - 1) < 1e-6 and abs(sol.roots[0][1] - 1) < 1e-6
+        assert sol.multiplicities == [2]
 
     def test_shared_cluster_divides(self):
-        # (z-1)^2 (z+1): two points over z = 1 share the double cluster
-        elim = [1, -1, -1, 1]
-        assert eliminant_multiplicity(elim, 1.0, sharing=2) == 1
+        # y^2 = x and x y^2 = 1: eliminant (x^2 - 1)^2, two points over each
+        # root, so the double factor splits into two simple points
+        polys = [
+            {(0, 2): 1 + 0j, (1, 0): -1 + 0j},
+            {(1, 2): 1 + 0j, (0, 0): -1 + 0j},
+        ]
+        sol = solve_torus_system(polys, 2)
+        assert len(sol.roots) == 4
+        assert sol.multiplicities == [1] * 4
 
     def test_uneven_share_is_none(self):
-        # triple root shared by two points does not split evenly
-        elim = [-1, 3, -3, 1]
-        assert eliminant_multiplicity(elim, 1.0, sharing=2) is None
+        # y^2 = 1 against (x - 1)(1 + y) + (x - 1)^2 (1 - y): eliminant
+        # (x - 1)^3 with the two points (1, 1) and (1, -1) above it
+        polys = [
+            {(0, 2): 1 + 0j, (0, 0): -1 + 0j},
+            {
+                (2, 0): 1 + 0j, (1, 0): -1 + 0j, (1, 1): 3 + 0j,
+                (0, 1): -2 + 0j, (2, 1): -1 + 0j,
+            },
+        ]
+        sol = solve_torus_system(polys, 2)
+        assert close_sets([r[1] for r in sol.roots], [1.0, -1.0])
+        assert sol.multiplicities == [None, None]
 
     def test_missing_root_is_none(self):
-        assert eliminant_multiplicity([-2, 1, 1], 5.0, sharing=1) is None
+        # y + x - 1 and y^2 - y + x - 1: the eliminant root x = 1 has only
+        # y = 0 above it, off the torus, so only (-1, 2) is reported
+        polys = [
+            {(0, 1): 1 + 0j, (1, 0): 1 + 0j, (0, 0): -1 + 0j},
+            {(0, 2): 1 + 0j, (0, 1): -1 + 0j, (1, 0): 1 + 0j, (0, 0): -1 + 0j},
+        ]
+        sol = solve_torus_system(polys, 2)
+        assert len(sol.roots) == 1
+        assert abs(sol.roots[0][0] + 1) < 1e-12 and abs(sol.roots[0][1] - 2) < 1e-12
+        assert sol.multiplicities == [1]
+
+    def test_product_fibres_keep_multiplicity_one(self):
+        # x^2 = 4 and y^2 = 9 decouple: four simple points
+        polys = [
+            {(2, 0): 1 + 0j, (0, 0): -4 + 0j},
+            {(0, 2): 1 + 0j, (0, 0): -9 + 0j},
+        ]
+        sol = solve_torus_system(polys, 2)
+        assert len(sol.roots) == 4
+        assert sol.multiplicities == [1] * 4
+
+    def test_vanishing_resultant_raises(self):
+        # x^2 - y^2 and x - y share the line x = y
+        polys = [
+            {(2, 0): 1 + 0j, (0, 2): -1 + 0j},
+            {(1, 0): 1 + 0j, (0, 1): -1 + 0j},
+        ]
+        with pytest.raises(PositiveDimensionalInitialLocus):
+            solve_torus_system(polys, 2)
 
 
 class TestLogJacobian:
@@ -206,3 +356,141 @@ class TestLogJacobian:
         j = log_jacobian(polys, (3.0, 2.0))
         assert j[0, 0] == pytest.approx(1.5)
         assert j[0, 1] == pytest.approx(-1.5)
+
+
+# -- sympy as an independent oracle --------------------------------------------
+
+CATALOG_SPECS = [
+    ("simplex", 1), ("simplex", 2), ("simplex", 3), ("simplex", 4),
+    ("blowup1", F(1, 3)), ("blowup1", F(1, 4)), ("blowup1", F(1, 5)),
+    ("blowup2", F(1, 3), F(1, 3)), ("blowup2", F(1, 2), F(1, 5)),
+    ("blowup2", F(1, 2), F(1, 4)),
+    ("hirzebruch", 1, F(1, 3)), ("hirzebruch", 1, F(1, 2)),
+    ("hirzebruch", 2, F(1, 2)), ("hirzebruch", 2, F(2, 5)),
+]
+
+
+def _sym(p, gens):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Add(*(
+        (re + sympy.I * im) * sympy.Mul(*(g ** e for g, e in zip(gens, a)))
+        for a, (re, im) in p.items()
+    ))
+
+
+def _proportional(ours, theirs, gens):
+    """Equal up to a nonzero scalar and a monomial factor."""
+    sympy = pytest.importorskip("sympy")
+    terms = dict(sympy.Poly(theirs, *gens).terms()) if theirs != 0 else {}
+    if not terms or not ours:
+        return not terms and not ours
+    mins = [min(a[i] for a in terms) for i in range(len(gens))]
+    terms = {tuple(x - m for x, m in zip(a, mins)): c for a, c in terms.items()}
+    if set(terms) != set(ours):
+        return False
+    key = next(iter(ours))
+    ratio = terms[key] / (ours[key][0] + sympy.I * ours[key][1])
+    return all(
+        sympy.simplify(c - ratio * (ours[a][0] + sympy.I * ours[a][1])) == 0
+        for a, c in terms.items()
+    )
+
+
+def _check_pair(p, q, nvars):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(f"x0:{nvars}")
+    ours = resultant_last(p, q)
+    theirs = sympy.expand(sympy.resultant(_sym(p, gens), _sym(q, gens), gens[-1]))
+    assert _proportional(ours, theirs, gens[:-1]), (p, q)
+    if nvars == 2 and len(ours) > 1:
+        # the square-free decomposition against sympy's, exponent by exponent
+        want = sorted(
+            (e, sympy.Poly(g, gens[0]).degree())
+            for g, e in sympy.sqf_list(_sym(ours, gens[:1]), gens[0])[1]
+        )
+        got = sorted((e, max(g)[0]) for g, e in squarefree_decomposition(ours))
+        assert got == want, (p, q)
+
+
+def _involving_pairs(polys):
+    exact = [exact_poly(p) for p in polys]
+    last = [p for p in exact if max(a[-1] for a in p) > 0]
+    return [(p, q) for p in last for q in last if p is not q]
+
+
+def _strip_monomial(expr, gens):
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly(expr, *gens)
+    mins = [min(m[i] for m in poly.monoms()) for i in range(len(gens))]
+    return sympy.expand(expr / sympy.Mul(*(g ** m for g, m in zip(gens, mins))))
+
+
+def _sympy_eliminant(polys, gens):
+    """The resultant cascade of polysolve (same pivots, monomial content
+    removed at every level), computed by sympy."""
+    sympy = pytest.importorskip("sympy")
+    eqs = [_sym(exact_poly(p), gens) for p in polys]
+    for k in range(len(gens) - 1, 0, -1):
+        involving = [f for f in eqs if sympy.degree(f, gens[k]) > 0]
+        eqs = [f for f in eqs if sympy.degree(f, gens[k]) == 0]
+        if len(involving) > 1:
+            degrees = [sympy.degree(f, gens[k]) for f in involving]
+            i = degrees.index(min(degrees))
+            eqs += [
+                _strip_monomial(sympy.resultant(involving[i], q, gens[k]), gens[:k])
+                for j, q in enumerate(involving)
+                if j != i
+            ]
+    return _strip_monomial(sympy.gcd_list(eqs), gens[:1])
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS, ids=lambda s: ":".join(map(str, s)))
+def test_eliminants_match_sympy_on_catalog_initial_systems(spec):
+    pytest.importorskip("sympy")
+    entry = catalog(*spec)
+    pot = build_potential(entry.polytope, corrections=entry.corrections)
+    n = pot.polytope.dim
+    cands, _ = tropical_candidates(pot)
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(f"x0:{n}")
+    pairs = []
+    for u in cands:
+        polys, _ = initial_system(pot, u)
+        pairs += _involving_pairs(polys)
+        try:
+            got = solve_torus_system(polys, n).eliminant
+        except PositiveDimensionalInitialLocus:
+            continue
+        coeffs = sympy.Poly(_sympy_eliminant(polys, gens), gens[0]).all_coeffs()[::-1]
+        want = [complex(c / coeffs[-1]) for c in coeffs]
+        assert len(got) == len(want)
+        assert all(abs(a - b) <= 1e-12 * max(map(abs, want)) for a, b in zip(got, want))
+    if n > 1:
+        assert pairs
+    for p, q in pairs:
+        _check_pair(p, q, n)
+
+
+def _random_poly(rng, nvars, gaussian):
+    p = {}
+    for _ in range(rng.randint(2, 4)):
+        a = tuple(rng.randint(0, 3) for _ in range(nvars))
+        re = rng.choice([-3, -2, -1, 1, 2, 3])
+        im = rng.choice([-2, -1, 0, 1, 2]) if gaussian else 0
+        p[a] = complex(re, im)
+    return p
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_resultants_match_sympy_on_random_systems(seed):
+    pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    nvars = 2 if seed < 8 else 3
+    checked = 0
+    while checked < 3:
+        polys = [_random_poly(rng, nvars, gaussian=seed % 2 == 1) for _ in range(2)]
+        exact = [exact_poly(p) for p in polys]
+        if any(len(p) < 2 or max(a[-1] for a in p) == 0 for p in exact):
+            continue
+        _check_pair(exact[0], exact[1], nvars)
+        checked += 1
