@@ -146,8 +146,9 @@ def residue_report(
     for pt in report.points:
         if pt.y_local is None:
             all_lifted = False
+            why = "did not lift" if pt.nondegenerate else "is degenerate"
             notes.append(
-                f"point at u={tuple(map(format_fraction, pt.u))} is degenerate; "
+                f"point at u={tuple(map(format_fraction, pt.u))} {why}; "
                 "no residue data"
             )
             continue
@@ -170,7 +171,7 @@ def residue_report(
     elif report.cells:
         notes.append("positive-dimensional candidate cells: trace check skipped")
     elif report.points and not all_lifted:
-        notes.append("degenerate points present: trace check skipped")
+        notes.append("degenerate or unlifted points present: trace check skipped")
     else:
         notes.append("no critical points found: trace check skipped")
     morse_ok, total, betti, mode = morse_count_check(potential, report)

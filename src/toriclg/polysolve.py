@@ -8,19 +8,25 @@ by a monomial: stripping monomial content is an exact symmetry.
 Input contract: every coefficient is read as the exact rational it is, a
 float as a dyadic and a complex number as a Gaussian rational.  One power
 of two scales each equation into Z[i][x], so the elimination below runs
-without rounding and no tolerance decides what is zero.  A coefficient
-meant as 1/3 that arrives as the nearest double is solved as that double.
+without rounding.  A coefficient meant as 1/3 that arrives as the nearest
+double is solved as that double.
 
 Strategy: eliminate the last variable with Sylvester resultants of a pivot
 equation against the others (fraction-free Bareiss determinants over
 Z[i][x]) down to one eliminant in the first variable.  Its square-free
 decomposition (Yun) gives factors with exponents; an exponent is the
-multiplicity shared by the solutions over each root of its factor.  The
-equations of every level are reduced modulo each factor, after splitting
-the factor by gcds, so that a term vanishing on a fibre is dropped by an
-exact test.  Only roots are numeric: those of the square-free factors and
-of the reduced fibre equations, found from companion matrices and polished
-by Newton's method on the original system.  A vanishing resultant signals
+multiplicity shared by the solutions over each root of its factor.  That
+count holds for a single resultant, not for a resultant of resultants,
+which carries extraneous factors: there no multiplicity is reported.  Exact
+gcds run only where a gcd modulo a prime is not constant.  The equations
+of every level are reduced modulo each factor, after splitting the factor
+by gcds, so that a term vanishing on the fibre over the first coordinate
+is dropped by an exact test; past it the fibre equations are evaluated at
+numeric partial roots, and a coefficient that cancels to _EVAL_REL of its
+terms is dropped.  Only roots are numeric: those of the square-free
+factors and of the reduced fibre equations, found from companion matrices
+and polished by Newton's method on the original system.  A vanishing
+resultant, or a fibre on which every equation of a level vanishes, signals
 a positive-dimensional solution set and aborts the search.
 """
 
@@ -30,6 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -43,7 +50,8 @@ ZPoly = dict[tuple[int, ...], Gauss]
 _ZERO: Gauss = (0, 0)
 
 # relative residual under which a numeric root counts as a root of a fibre
-# equation (back substitution) and of the original system (after polishing)
+# equation (back substitution) and of the original system (after polishing),
+# and a coefficient of a fibre equation past the first level counts as zero
 _EVAL_REL = 1e-6
 
 
@@ -85,16 +93,21 @@ def partial(p: CPoly, i: int) -> CPoly:
     return out
 
 
-def substitute_last(p: CPoly, values: tuple[complex, ...]) -> dict[int, complex]:
-    """Fix all variables except the last; return a univariate dict."""
+def substitute_last(
+    p: CPoly, values: tuple[complex, ...], rel: float = 0.0
+) -> dict[int, complex]:
+    """Fix all variables except the last; return a univariate dict without
+    the coefficients that cancel to rel of the magnitude of their terms."""
     out: dict[int, complex] = {}
+    mag: dict[int, float] = {}
     for a, c in p.items():
         term = c
         for x, e in zip(values, a[:-1]):
             if e:
                 term *= x ** e
         out[a[-1]] = out.get(a[-1], 0j) + term
-    return out
+        mag[a[-1]] = mag.get(a[-1], 0.0) + abs(term)
+    return {e: c for e, c in out.items() if abs(c) > rel * mag[e]}
 
 
 def univariate_roots(p: dict[int, complex]) -> list[complex]:
@@ -165,7 +178,7 @@ def _mul(p: ZPoly, q: ZPoly) -> ZPoly:
     out: ZPoly = {}
     for a, (ar, ai) in p.items():
         for b, (br, bi) in q.items():
-            k = tuple(x + y for x, y in zip(a, b))
+            k = tuple(map(add, a, b))
             cr, ci = out.get(k, _ZERO)
             out[k] = (cr + ar * br - ai * bi, ci + ar * bi + ai * br)
     return {k: c for k, c in out.items() if c != _ZERO}
@@ -243,8 +256,38 @@ def _prem(f: ZPoly, g: ZPoly) -> ZPoly:
     return f
 
 
+# a prime 1 mod 4 and a square root of -1 modulo it: i -> _I maps Z[i] onto
+# Z/_P, so a gcd of degree 0 there certifies coprimality over Q(i) and the
+# exact gcds below are only run on polynomials that share a root
+_P = 2**64 - 59
+_I = next(r for g in range(2, 99) if (r := pow(g, _P // 4, _P)) ** 2 % _P == _P - 1)
+
+
+def _coprime(f: ZPoly, g: ZPoly) -> bool:
+    """True when univariate f and g certainly have no common root: their gcd
+    modulo _P is constant and _P keeps the leading coefficient of f."""
+    a, b = ([0] * (max(h, default=(0,))[0] + 1) for h in (f, g))
+    for h, v in ((f, a), (g, b)):
+        for (k,), (re, im) in h.items():
+            v[k] = (re + im * _I) % _P
+    if not a[-1]:
+        return False
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, _P)
+        while len(a) >= len(b):
+            q = a.pop() * inv % _P
+            for j, c in enumerate(b[:-1], len(a) - len(b) + 1):
+                a[j] = (a[j] - q * c) % _P
+        a, b = b, a
+    return len(a) == 1
+
+
 def _gcd(f: ZPoly, g: ZPoly) -> ZPoly:
     """Primitive gcd of univariate polynomials, a unit when coprime."""
+    if _coprime(f, g):
+        return {(0,): (1, 0)}
     while g:
         f, g = g, _primitive(_prem(f, g))
     return _primitive(f)
@@ -302,17 +345,6 @@ def _on_factor(p: ZPoly, f: ZPoly) -> ZPoly:
     return {a: c for a, c in p.items() if a[1:] in keep}
 
 
-def _monic(f: ZPoly) -> list[complex]:
-    """Coefficients of a univariate f over its leading one, degree 0 up."""
-    top = max(f)
-    lr, li = f[top]
-    n = lr * lr + li * li
-    return [
-        complex((re * lr + im * li) / n, (im * lr - re * li) / n)
-        for re, im in (f.get((k,), _ZERO) for k in range(top[0] + 1))
-    ]
-
-
 # -- system layer ---------------------------------------------------------------
 
 
@@ -321,71 +353,72 @@ class SystemSolution:
     roots: list[tuple[complex, ...]]
     eliminant: list[complex] | None  # monic in variable 0, degree 0 upward
     # per root: the exponent of its eliminant factor split evenly over the
-    # roots with the same first coordinate, None when it does not split
+    # roots with the same first coordinate, None when it does not split or
+    # the eliminant came from resultants of resultants
     multiplicities: list[int | None]
 
 
 def _eliminate(
     polys: list[ZPoly], nvars: int
-) -> tuple[list[list[ZPoly]], ZPoly, int]:
+) -> tuple[list[list[ZPoly]], ZPoly, int | None]:
     """Resultant cascade: for k = 1 .. nvars-1 the equations involving
     variable k once k+1.. are eliminated, the eliminant in variable 0, and
     the factor its exponents miss where an equation alone involves its
-    variable (its resultant with q would be q to the power of its degree)."""
+    variable (its resultant with q would be q to the power of its degree).
+    The factor is None when a resultant is taken of a resultant, or the
+    eliminant is the gcd of several: then it carries extraneous factors and
+    its exponents count nothing."""
     levels: list[list[ZPoly]] = []
-    weight = 1
+    weight: int | None = 1
+    eqs = [(p, False) for p in polys]  # (equation, is it a resultant)
     for k in range(nvars - 1, 0, -1):
-        involving = [p for p in polys if degree_in(p, k) > 0]
-        reduced = [
-            {a[:-1]: c for a, c in p.items()} for p in polys if degree_in(p, k) == 0
-        ]
+        involving = [(p, r) for p, r in eqs if degree_in(p, k) > 0]
+        eqs = [({a[:-1]: c for a, c in p.items()}, r) for p, r in eqs if degree_in(p, k) == 0]
         if not involving:
             raise PositiveDimensionalInitialLocus(
                 f"no equation involves variable {k + 1}"
             )
-        if len(involving) == 1 and not reduced:
+        if len(involving) == 1 and not eqs:
             raise PositiveDimensionalInitialLocus(
                 "fewer independent equations than variables"
             )
         if len(involving) == 1:
-            weight *= degree_in(involving[0], k)
+            weight = weight and weight * degree_in(involving[0][0], k)
         else:
-            pivot = min(involving, key=lambda p: degree_in(p, k))
+            pivot = min(involving, key=lambda pr: degree_in(pr[0], k))
             for q in involving:
                 if q is not pivot:
-                    res = resultant_last(pivot, q)
+                    res = resultant_last(pivot[0], q[0])
                     if not res:
                         raise PositiveDimensionalInitialLocus(
                             "vanishing resultant: common positive-dimensional component"
                         )
-                    reduced.append(res)
-        levels.append(involving)
-        polys = reduced
+                    weight = None if pivot[1] or q[1] else weight
+                    eqs.append((res, True))
+        levels.append([p for p, _ in involving])
     levels.reverse()
     elim: ZPoly = {}
-    for p in polys:
+    for p, _ in eqs:
         elim = _gcd(elim, p)
-    return levels, elim, weight
+    return levels, elim, weight if len(eqs) == 1 else None
 
 
-def _residual_ok(value: complex, magnitude: float) -> bool:
-    return abs(value) <= _EVAL_REL * max(magnitude, 1e-30)
+def _is_root(p: CPoly, point: tuple[complex, ...]) -> bool:
+    return abs(eval_cpoly(p, point)) <= _EVAL_REL * max(eval_magnitude(p, point), 1e-30)
 
 
 def _fibre_roots(unis: list[dict[int, complex]]) -> list[complex]:
     """Common torus roots of the fibre equations: the roots of the lowest
-    degree one at which the others vanish."""
-    unis = sorted(unis, key=lambda u: max(u) - min(u))
+    degree nonzero one at which the others vanish."""
+    unis = sorted((u for u in unis if u), key=lambda u: max(u) - min(u))
+    if not unis:
+        raise PositiveDimensionalInitialLocus(
+            "all equations vanish identically on this fibre"
+        )
     return [
         r
         for r in univariate_roots(unis[0])
-        if all(
-            _residual_ok(
-                sum(c * r ** e for e, c in u.items()),
-                sum(abs(c) * abs(r) ** e for e, c in u.items()),
-            )
-            for u in unis[1:]
-        )
+        if all(_is_root({(e,): c for e, c in u.items()}, (r,)) for u in unis[1:])
     ]
 
 
@@ -439,32 +472,30 @@ def solve_torus_system(polys: list[CPoly], nvars: int) -> SystemSolution:
         ]
         for x0 in univariate_roots({a[0]: c for a, c in to_cpoly(f).items()}):
             partials = [(x0,)]
-            for eqs in fibre_eqs:
-                if not eqs:
-                    raise PositiveDimensionalInitialLocus(
-                        "all equations vanish identically on this fibre"
-                    )
+            for level, eqs in enumerate(fibre_eqs):
+                # past x0 the partial roots are numeric: a coefficient that
+                # cancels to roundoff there is zero
+                rel = _EVAL_REL if level else 0.0
                 partials = [
                     part + (r,)
                     for part in partials
-                    for r in _fibre_roots([substitute_last(q, part) for q in eqs])
+                    for r in _fibre_roots([substitute_last(q, part, rel) for q in eqs])
                 ]
             for cand in partials:
                 point = _newton_polish(cleared, cand)
-                if all(
-                    _residual_ok(eval_cpoly(p, point), eval_magnitude(p, point))
-                    for p in cleared
-                ) and not any(
+                if all(_is_root(p, point) for p in cleared) and not any(
                     all(abs(a - b) <= eps * max(1.0, abs(b)) for a, b in zip(point, seen))
                     for seen, _, _ in found
                 ):
-                    found.append((point, x0, e * weight))
+                    found.append((point, x0, e * weight if weight else 0))
     found.sort(key=lambda t: tuple((round(x.real, 9), round(x.imag, 9)) for x in t[0]))
     share = Counter(x0 for _, x0, _ in found)
+    el = to_cpoly(elim)
+    top = max(el)[0]
     return SystemSolution(
         [point for point, _, _ in found],
-        _monic(elim),
-        [e // share[x0] if e % share[x0] == 0 else None for _, x0, e in found],
+        [el.get((k,), 0j) / el[(top,)] for k in range(top + 1)],
+        [m // share[x0] if m and m % share[x0] == 0 else None for _, x0, m in found],
     )
 
 

@@ -26,10 +26,6 @@ from .novikov import NovikovScalar
 Point = tuple[Fraction, ...]
 
 
-def _as_point(u: Sequence) -> Point:
-    return tuple(Fraction(x) for x in u)
-
-
 @dataclass(frozen=True)
 class Facet:
     normal: tuple[int, ...]

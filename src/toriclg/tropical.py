@@ -10,11 +10,12 @@ that are subdivided along their breakpoints.  The algebraic stage solves
 the leading-coefficient system at each candidate over the torus by exact
 elimination (``polysolve``) and lifts every nondegenerate initial root to
 a Novikov series solution by Newton iteration with exact exponent
-bookkeeping.  A root with an invertible leading Jacobian is simple; a
+bookkeeping.  A root with an invertible leading Jacobian is simple, and
+stays in the report without a series when its lift fails numerically; a
 degenerate root is not lifted and takes its multiplicity from the exponent
 of its factor in the square-free decomposition of the exact eliminant,
 shared evenly by the roots over the same first coordinate (None when the
-share is uneven).
+share is uneven or the eliminant is a resultant of resultants).
 """
 
 from __future__ import annotations
@@ -555,7 +556,10 @@ def find_critical_points(
                     )
                 )
                 continue
-            ys, resval = newton_lift(potential, u, root, e_order)
+            try:
+                ys, resval = newton_lift(potential, u, root, e_order)
+            except NoConvergence:  # still a simple root; only its series is missing
+                ys = resval = None
             points.append(
                 CriticalPoint(
                     u=u,

@@ -11,7 +11,11 @@ import pytest
 from toriclg import build_potential, catalog, initial_system, tropical_candidates
 from toriclg.errors import EliminationFailed, PositiveDimensionalInitialLocus
 from toriclg.polysolve import (
+    _P,
+    _coprime,
+    _gcd,
     eval_cpoly,
+    eval_magnitude,
     exact_poly,
     log_jacobian,
     partial,
@@ -91,6 +95,23 @@ class TestUnivariate:
         assert sorted(e for _, e in parts) == [1, 3]
         triple = next(g for g, e in parts if e == 3)
         assert close_sets(exact_roots(triple), [1j])
+
+
+class TestModularCertificate:
+    def test_coprime_and_common_root(self):
+        assert _coprime(upoly(-1, 1), upoly(1, 1))  # x - 1, x + 1
+        assert not _coprime(upoly(-1, 0, 1), upoly(1, 1))  # x^2 - 1, x + 1
+
+    def test_prime_dividing_the_leading_coefficient_is_inconclusive(self):
+        # _P x - 1 and x - 1 are coprime, but modulo _P the first is constant
+        assert not _coprime(upoly(-1, _P), upoly(-1, 1))
+        assert _gcd(upoly(-1, _P), upoly(-1, 1)) == upoly(1)
+
+    def test_squarefree_decomposition_with_that_prime_falls_back(self):
+        # (_P x - 1)(x - 1)^2: the exact gcds still find the double root
+        f = upoly(-1, _P + 2, -2 * _P - 1, _P)
+        parts = squarefree_decomposition(f)
+        assert sorted((e, max(g)[0]) for g, e in parts) == [(1, 1), (2, 1)]
 
 
 class TestCPolyBasics:
@@ -201,7 +222,8 @@ class TestSolveSystem:
         for r in sol.roots:
             assert abs(r[0] ** 4 - 1) < 1e-8
             assert abs(r[1] - r[0]) < 1e-8 and abs(r[2] - r[0]) < 1e-8
-        assert sol.multiplicities == [1] * 4
+        # the eliminant is a resultant of resultants: its exponents count nothing
+        assert sol.multiplicities == [None] * 4
 
     def test_five_variables(self):
         # the simplex(5) barycenter system: six points y0^6 = 1, all equal
@@ -216,7 +238,7 @@ class TestSolveSystem:
         for r in sol.roots:
             assert abs(r[0] ** 6 - 1) < 1e-8
             assert all(abs(x - r[0]) < 1e-8 for x in r)
-        assert sol.multiplicities == [1] * 6
+        assert sol.multiplicities == [None] * 6
 
     def test_residual_filter_rejects_spurious_branches(self):
         # x - 1 together with x + y - 3: the eliminant in x from a naive
@@ -256,6 +278,66 @@ class TestSolveSystem:
         assert close_sets([r[0] for r in sol.roots], [math.sqrt(2), -math.sqrt(2), 1.0])
         assert all(abs(r[1] - 1) < 1e-12 for r in sol.roots)
         assert sol.multiplicities == [1, 1, 1]
+
+
+    def test_equation_vanishing_at_a_numeric_partial_root_is_dropped(self):
+        # y - 2, y z - 2 z + x - 1, z - 3: the x - 1 term vanishes exactly on
+        # the fibre x = 1, and what remains, (y - 2) z, vanishes at y = 2,
+        # which is numeric by then; z = 3 comes from the last equation
+        polys = [
+            {(0, 1, 0): 1 + 0j, (0, 0, 0): -2 + 0j},
+            {(0, 1, 1): 1 + 0j, (0, 0, 1): -2 + 0j, (1, 0, 0): 1 + 0j, (0, 0, 0): -1 + 0j},
+            {(0, 0, 1): 1 + 0j, (0, 0, 0): -3 + 0j},
+        ]
+        sol = solve_torus_system(polys, 3)
+        assert len(sol.roots) == 1
+        assert all(abs(a - b) < 1e-12 for a, b in zip(sol.roots[0], (1, 2, 3)))
+        # Res_y(y - 2, Res_z(...)) is a resultant of a resultant
+        assert sol.multiplicities == [None]
+
+    def test_coefficient_cancelling_to_roundoff_is_dropped(self):
+        # y^2 - 2, (y^2 - 2) z + x - 1, z - 3: at the numeric y = +-sqrt 2 the
+        # z coefficient is a rounding residue, not an equation
+        polys = [
+            {(0, 2, 0): 1 + 0j, (0, 0, 0): -2 + 0j},
+            {(0, 2, 1): 1 + 0j, (0, 0, 1): -2 + 0j, (1, 0, 0): 1 + 0j, (0, 0, 0): -1 + 0j},
+            {(0, 0, 1): 1 + 0j, (0, 0, 0): -3 + 0j},
+        ]
+        sol = solve_torus_system(polys, 3)
+        assert close_sets([r[1] for r in sol.roots], [math.sqrt(2), -math.sqrt(2)])
+        assert all(abs(r[0] - 1) < 1e-12 and abs(r[2] - 3) < 1e-12 for r in sol.roots)
+
+    def test_all_fibre_equations_vanishing_raises(self):
+        # y - 2 and (y - 2) z twice over x = 1: z is free above (1, 2)
+        polys = [
+            {(1, 0, 0): 1 + 0j, (0, 0, 0): -1 + 0j},
+            {(0, 1, 0): 1 + 0j, (0, 0, 0): -2 + 0j},
+            {(0, 1, 1): 1 + 0j, (0, 0, 1): -2 + 0j, (1, 1, 0): 1 + 0j, (0, 1, 0): -1 + 0j},
+        ]
+        with pytest.raises(PositiveDimensionalInitialLocus):
+            solve_torus_system(polys, 3)
+
+    def test_dense_three_variable_system(self):
+        # three dense Gaussian equations: 58 simple torus roots, a degree-118
+        # square-free eliminant (most of it extraneous factors of the
+        # resultant of resultants), certified square-free modulo a prime
+        polys = [
+            {(-1, -1, 1): -1 + 1j, (1, 2, -1): 2 + 0j, (-1, -1, 0): -3 + 0j, (0, 1, 2): 1 + 0j},
+            {(2, 0, -1): -3 - 1j, (1, 2, -1): 2 + 0j, (-1, 1, 1): 3 - 1j, (1, 1, 2): 2 + 0j},
+            {(1, -1, 2): -3 + 0j, (-1, 2, 0): 3 + 0j, (-1, 1, 1): -3 + 1j},
+        ]
+        sol = solve_torus_system(polys, 3)
+        assert len(sol.eliminant) == 119
+        assert len(sol.roots) == 58
+        for r in sol.roots:
+            for p in polys:
+                assert abs(eval_cpoly(p, r)) <= 1e-12 * eval_magnitude(p, r)
+            assert abs(np.linalg.det(log_jacobian(polys, r))) > 1.0
+        assert min(
+            max(abs(a - b) for a, b in zip(r, s))
+            for i, r in enumerate(sol.roots)
+            for s in sol.roots[:i]
+        ) > 0.1
 
 
 class TestMultiplicity:

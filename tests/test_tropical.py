@@ -324,6 +324,44 @@ class TestCriticalPoints:
         assert abs(roots[0] + w) < 1e-9 and abs(roots[1] - w) < 1e-9
         assert rep.multiplicity_total() == 4
 
+    def test_failed_lift_keeps_the_simple_point(self, monkeypatch):
+        # a root with an invertible leading Jacobian is simple whether or not
+        # its series lifts; a lift that fails numerically drops only the series
+        pot = potential_of("simplex", 2)
+        real_lift = tropical.newton_lift
+        failing = []
+
+        def flaky_lift(potential, u, root, order=None):
+            if not failing:
+                failing.append(root)
+                raise NoConvergence("residual valuation below the order")
+            return real_lift(potential, u, root, order)
+
+        monkeypatch.setattr(tropical, "newton_lift", flaky_lift)
+        rep = find_critical_points(pot)
+        assert len(rep.points) == 3 and rep.multiplicity_total() == 3
+        unlifted = [p for p in rep.points if p.y_local is None]
+        assert [p.y_initial for p in unlifted] == failing
+        assert unlifted[0].nondegenerate and unlifted[0].residual_valuation is None
+        res = residue_report(pot, rep)
+        assert res.trace_ok is None and res.morse_ok and res.morse_total == 3
+        assert any("did not lift" in note for note in res.notes)
+
+    def test_random_threefold_reports_every_simple_point(self):
+        # seed 7: one root at u = (21/64, 3/64, 3/64) has a lift so
+        # ill-conditioned (series coefficients near 1e40) that it fails on
+        # the last bits of the root; the search must still report it
+        from helpers import random_delzant_threefold
+        import random
+
+        poly = random_delzant_threefold(random.Random(7), max_chops=3)
+        pot = build_potential(poly, assume_fano=True)
+        rep = find_critical_points(pot)
+        assert len(rep.points) >= 10
+        assert all(p.nondegenerate and p.multiplicity == 1 for p in rep.points)
+        assert rep.multiplicity_total() <= poly.total_betti()
+        assert [c.dimension for c in rep.cells].count(0) == 1
+
     def test_truncation_stability(self):
         pot = potential_of("blowup1", F(2, 5))
         rep3 = find_critical_points(pot, order=F(3))
