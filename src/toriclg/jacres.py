@@ -2,10 +2,12 @@
 
 For a Morse potential the Jacobian ring splits over the critical points;
 the residue pairing is diagonal with entry 1/Z at each point, where Z is
-the determinant of the logarithmic Hessian.  Two checks fall out at desk
-scale: the traces of the idempotents sum to zero, and on projective
-space the basis built from powers of the hyperplane class is exactly
-Poincare dual to itself.
+the determinant of the logarithmic Hessian.  Each point evaluates the
+terms T_a = c_a y^a of the potential in its frame once; the Hessian
+entries sum_a a_i a_j T_a and the critical value sum_a T_a are weighted
+sums of those values.  Two checks fall out at desk scale: the traces of
+the idempotents sum to zero, and on projective space the basis built from
+powers of the hyperplane class is exactly Poincare dual to itself.
 """
 
 from __future__ import annotations
@@ -18,30 +20,24 @@ from fractions import Fraction
 from .config import get_config
 from .errors import SingularHessian
 from .laurent import Potential, build_potential
-from .novikov import INF, NovikovScalar, format_fraction
+from .novikov import INF, NovikovScalar, format_fraction, weighted_sum
 from .polytope import catalog
 from .tropical import CriticalPoint, CriticalReport
 
 
 def hessian_matrix(
-    potential: Potential, u, ys_local
+    potential: Potential, u, ys_local, values=None
 ) -> list[list[NovikovScalar]]:
-    """Logarithmic Hessian  theta_i theta_j PO  at a point given in the
-    frame centered at u."""
+    """Logarithmic Hessian  theta_i theta_j PO = sum_a a_i a_j T_a  at a
+    point given in the frame centered at u, from the term values T_a of the
+    potential in that frame; ``values`` passes them when they are at hand."""
+    if values is None:
+        values = potential.poly.change_frame(u).term_values(ys_local)
     n = potential.polytope.dim
-    base = potential.poly
-    rows = []
-    powers: dict[tuple[int, int], NovikovScalar] = {}
-    for i in range(n):
-        row = []
-        gi = base.log_derivative(i)
-        for j in range(n):
-            hij = gi.log_derivative(j).change_frame(
-                tuple(Fraction(x) for x in u)
-            )
-            row.append(hij.evaluate(ys_local, powers))
-        rows.append(row)
-    return rows
+    return [
+        [weighted_sum((a[i] * a[j], t) for a, t in values) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def novikov_det(m: list[list[NovikovScalar]]) -> NovikovScalar:
@@ -64,13 +60,16 @@ def novikov_det(m: list[list[NovikovScalar]]) -> NovikovScalar:
     return total
 
 
-def z_value(potential: Potential, point: CriticalPoint) -> NovikovScalar:
-    """Hessian determinant at a lifted critical point."""
+def z_value(
+    potential: Potential, point: CriticalPoint, values=None
+) -> NovikovScalar:
+    """Hessian determinant at a lifted critical point; ``values`` as in
+    ``hessian_matrix``."""
     if point.y_local is None:
         raise SingularHessian(
             "no series solution stored; the point was degenerate at leading order"
         )
-    z = novikov_det(hessian_matrix(potential, point.u, point.y_local))
+    z = novikov_det(hessian_matrix(potential, point.u, point.y_local, values))
     if z.is_zero():
         raise SingularHessian(f"Hessian determinant vanishes at u={point.u}")
     return z
@@ -152,19 +151,16 @@ def residue_report(
                 "no residue data"
             )
             continue
-        z = z_value(potential, pt)
+        terms = potential.poly.change_frame(pt.u).term_values(pt.y_local)
+        z = z_value(potential, pt, terms)
         zs.append(z)
         inv.append(z.invert())
-        ys_abs = pt.y_absolute()
-        values.append(potential.evaluate(ys_abs))
+        values.append(weighted_sum((1, t) for _, t in terms))
     trace_sum = None
     trace_ok: bool | None = None
     trace_residual: float | None = None
     if all_lifted and not report.cells and inv:
-        s = NovikovScalar.zero()
-        for t in inv:
-            s = s + t
-        trace_sum = s
+        trace_sum = s = sum(inv, NovikovScalar.zero())
         scale = max(t.max_abs_coeff() for t in inv)
         trace_residual = s.max_abs_coeff() / max(scale, 1e-30)
         trace_ok = s.is_zero() or trace_residual <= cfg.tol_zero
@@ -224,20 +220,8 @@ def z_valuation_consistency(potential: Potential, point: CriticalPoint) -> bool:
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 # -- projective space duality -------------------------------------------------

@@ -129,45 +129,49 @@ class LaurentPoly:
         """min over terms of  v(coeff) + <a, u>: the valuation the polynomial
         acquires on the fiber over u."""
         uf = [Fraction(x) for x in u]
-        best: Fraction | float = INF
+        return min(
+            (c.valuation() + sum(x * e for x, e in zip(uf, a))
+             for a, c in self._terms.items()),
+            default=INF,
+        )
+
+    def term_values(
+        self,
+        ys: Sequence[NovikovScalar],
+        powers: dict[tuple[int, int], NovikovScalar] | None = None,
+    ) -> list[tuple[ExpVec, NovikovScalar]]:
+        """The values c_a * y^a of the terms at invertible scalars ys, in
+        term order; negative powers are powers of one inverse of y_i.
+        ``powers`` shares computed powers across calls at the same point."""
+        if len(ys) != self.nvars:
+            raise ValueError("arity mismatch")
+        if powers is None:
+            powers = {}
+
+        def power(i: int, e: int) -> NovikovScalar:
+            if (i, e) not in powers:
+                powers[i, e] = (
+                    ys[i] ** e if e > 0 else power(i, -1) ** -e if e < -1
+                    else ys[i].invert()
+                )
+            return powers[i, e]
+
+        out = []
         for a, c in self._terms.items():
-            v = c.valuation()
-            if v == INF:
-                continue
-            cand = v + sum(x * e for x, e in zip(uf, a))
-            if cand < best:
-                best = cand
-        return best
+            for i, e in enumerate(a):
+                if e:
+                    c = c * power(i, e)
+            out.append((a, c))
+        return out
 
     def evaluate(
         self,
         ys: Sequence[NovikovScalar],
         powers: dict[tuple[int, int], NovikovScalar] | None = None,
     ) -> NovikovScalar:
-        """Substitute invertible scalars for the variables.
-
-        ``powers`` may be passed to share the cache of computed powers
-        across several evaluations at the same point.
-        """
-        if len(ys) != self.nvars:
-            raise ValueError("arity mismatch")
-        total = NovikovScalar.zero()
-        if powers is None:
-            powers = {}
-
-        def power(i: int, e: int) -> NovikovScalar:
-            key = (i, e)
-            if key not in powers:
-                powers[key] = ys[i] ** e
-            return powers[key]
-
-        for a, c in self._terms.items():
-            term = c
-            for i, e in enumerate(a):
-                if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
+        """Substitute invertible scalars for the variables: the sum of the
+        term values."""
+        return sum((t for _, t in self.term_values(ys, powers)), NovikovScalar.zero())
 
     def __repr__(self) -> str:
         return render_poly(self)
@@ -200,22 +204,13 @@ class Potential:
         for j in range(p.nfacets):
             total = total + z_monomial(p, j) * self.bulk.values[j]
         for corr in self.corrections:
-            term = LaurentPoly.monomial(
-                p.dim,
-                (0,) * p.dim,
-                corr.coeff * NovikovScalar.monomial(corr.extra_t),
+            # prod_j z_j^{k_j} = T^{sum k_j lambda_j} y^{sum k_j v_j}
+            ks = list(zip(corr.z_exponents, p.facets))
+            a = tuple(sum(k * f.normal[i] for k, f in ks) for i in range(p.dim))
+            lam = corr.extra_t + sum(k * f.constant for k, f in ks)
+            total = total + LaurentPoly.monomial(
+                p.dim, a, corr.coeff * NovikovScalar.monomial(lam)
             )
-            for j, k in enumerate(corr.z_exponents):
-                for _ in range(abs(k)):
-                    zj = z_monomial(p, j)
-                    if k < 0:
-                        zj = LaurentPoly.monomial(
-                            p.dim,
-                            tuple(-x for x in p.facets[j].normal),
-                            NovikovScalar.monomial(-p.facets[j].constant),
-                        )
-                    term = term * zj
-            total = total + term
         return total
 
     def critical_system(self) -> list[LaurentPoly]:
@@ -289,13 +284,16 @@ def _render_monomial(a: ExpVec) -> str:
     return " ".join(parts)
 
 
+def _render_number(z: complex) -> str:
+    if z.imag == 0 and z.real == int(z.real):
+        return str(int(z.real))
+    return f"({z:.6g})"
+
+
 def _render_coeff(c: NovikovScalar) -> str:
     if len(c.terms) == 1:
         e, z = c.terms[0]
-        coeff = "" if z == 1 else (
-            str(int(z.real)) if z.imag == 0 and z.real == int(z.real)
-            else f"({z:.6g})"
-        )
+        coeff = "" if z == 1 else _render_number(z)
         if e == 0:
             return coeff or "1"
         tpart = "T" if e == 1 else f"T^{format_fraction(e)}"
@@ -303,19 +301,10 @@ def _render_coeff(c: NovikovScalar) -> str:
     v = c.valuation()
     inner = []
     for e, z in c.shift(-v).terms:
-        num = "1" if z == 1 else (
-            str(int(z.real)) if z.imag == 0 and z.real == int(z.real)
-            else f"({z:.6g})"
-        )
-        if e == 0:
-            inner.append(num)
-        else:
-            t = f"T^{format_fraction(e)}"
-            inner.append(t if num == "1" else f"{num} {t}")
+        num, t = _render_number(z), f"T^{format_fraction(e)}"
+        inner.append(num if e == 0 else t if num == "1" else f"{num} {t}")
     grouped = "(" + "+".join(inner) + ")"
-    if v == 0:
-        return grouped
-    return f"T^{format_fraction(v)} {grouped}"
+    return grouped if v == 0 else f"T^{format_fraction(v)} {grouped}"
 
 
 def render_poly(f: LaurentPoly, varname: str = "y") -> str:

@@ -22,6 +22,10 @@ The valuation of a scalar is the least exponent carrying a nonzero
 coefficient, and ``math.inf`` for the zero scalar.  Scalars with
 nonnegative valuation form the subring on which ``exp`` and ``log`` below
 operate.
+
+``invert`` multiplies only on the window each Newton step makes correct;
+``weighted_sum`` adds integer multiples of scalars in one pass, so the
+derivatives of a polynomial at a point come from its term values.
 """
 
 from __future__ import annotations
@@ -310,9 +314,11 @@ class NovikovScalar:
     def invert(self) -> "NovikovScalar":
         """Multiplicative inverse.
 
-        Exact for a single-term scalar.  Otherwise the unit part is inverted
-        by Newton doubling up to the knowledge window of the input, or to the
-        configured default order for exact inputs.
+        Exact for a single-term scalar.  Otherwise the unit part u is
+        inverted by Newton doubling (Brent-Kung) up to the knowledge window
+        t of the input, or to the configured default order for exact
+        inputs: an inverse g known modulo T^k becomes g(2 - ug) modulo
+        T^min(2k, t), computed from u and g cut to that window only.
         """
         if self.is_zero():
             raise ZeroLeadingCoefficient("cannot invert zero scalar")
@@ -333,13 +339,15 @@ class NovikovScalar:
         # s = c0 T^v (1 + r), r strictly higher order
         unit = _make(den, [e - v for e in s._e], [c / c0 for c in s._c], s._t - v)
         two = NovikovScalar.from_number(2.0)
-        inv = _make(unit._den, (0,), (1.0,), unit._t)
-        # g <- g(2 - sg) doubles the correct order; a unit whose higher
-        # terms all fell below eps_coeff is 1 to its whole window
-        known = unit._e[1] if len(unit._e) > 1 else unit._t
-        while known < unit._t:
-            inv = inv * (two - unit * inv)
-            known *= 2
+        d, t = unit._den, unit._t
+        inv = _make(d, (0,), (1.0,), t)
+        # a unit whose higher terms all fell below eps_coeff is 1 to its
+        # whole window
+        known = unit._e[1] if len(unit._e) > 1 else t
+        while known < t:
+            known = min(2 * known, t)
+            g = inv.with_order(Fraction(known, d))
+            inv = g * (two - unit.with_order(Fraction(known, d)) * g)
         return inv.shift(Fraction(-v, den)) * (1.0 / c0)
 
     def __truediv__(self, other) -> "NovikovScalar":
@@ -413,6 +421,27 @@ def _lattice_multiply(den, ea, ca, eb, cb, tr: int | None) -> NovikovScalar:
         np.add.at(acc, inv, coeffs)
     keep = np.abs(acc) > get_config().eps_coeff
     return _make(den, es[keep].tolist(), acc[keep].tolist(), tr)
+
+
+def weighted_sum(
+    pairs: Iterable[tuple[int, NovikovScalar]], order: ExponentLike | None = None
+) -> NovikovScalar:
+    """The sum of k * x over the pairs (k, x) of an integer and a scalar,
+    modulo T^order: one pass over the terms, pruned once at the end."""
+    pairs = [(k, x) for k, x in pairs if k]
+    o = None if order is None else _as_fraction(order)
+    den = math.lcm(1 if o is None else o.denominator, *(x._den for _, x in pairs))
+    t = None if o is None else o.numerator * (den // o.denominator)
+    acc: dict[int, complex] = {}
+    for k, x in pairs:
+        es, xt = _rescaled(x, den)
+        t = _min_order(t, xt)
+        for e, c in zip(es, x._c):
+            if t is not None and e >= t:
+                break  # the exponents of x increase
+            acc[e] = acc[e] + k * c if e in acc else k * c
+    es = sorted(acc)
+    return _make(den, es, [acc[e] for e in es], t)
 
 
 def novikov_exp(x: NovikovScalar) -> NovikovScalar:

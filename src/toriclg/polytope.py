@@ -312,6 +312,10 @@ class MomentPolytope:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "tuple[MomentPolytope, list[Correction]]":
+        if not isinstance(d, dict):
+            raise InvalidPolytope(
+                f"polytope JSON must be an object, got {type(d).__name__}"
+            )
         try:
             facets = [
                 Facet(

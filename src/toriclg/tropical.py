@@ -10,12 +10,15 @@ that are subdivided along their breakpoints.  The algebraic stage solves
 the leading-coefficient system at each candidate over the torus by exact
 elimination (``polysolve``) and lifts every nondegenerate initial root to
 a Novikov series solution by Newton iteration with exact exponent
-bookkeeping.  A root with an invertible leading Jacobian is simple, and
-stays in the report without a series when its lift fails numerically; a
-degenerate root is not lifted and takes its multiplicity from the exponent
-of its factor in the square-free decomposition of the exact eliminant,
-shared evenly by the roots over the same first coordinate (None when the
-share is uneven or the eliminant is a resultant of resultants).
+bookkeeping; each step evaluates every term c_a y^a of the potential in
+the frame at u once, and takes the residuals and the Jacobian as
+integer-weighted sums of those term values.  A root with an invertible
+leading Jacobian is simple, and stays in the report without a series when
+its lift fails numerically; a degenerate root is not lifted and takes its
+multiplicity from the exponent of its factor in the square-free
+decomposition of the exact eliminant, shared evenly by the roots over the
+same first coordinate (None when the share is uneven or the eliminant is
+a resultant of resultants).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     SingularInitialJacobian,
 )
 from .laurent import LaurentPoly, Potential
-from .novikov import INF, NovikovScalar, format_fraction
+from .novikov import INF, NovikovScalar, format_fraction, weighted_sum
 from .polysolve import (
     CPoly,
     log_jacobian,
@@ -320,22 +323,39 @@ def lambda_solve(
 # -- lifting ------------------------------------------------------------------
 
 
-def _scaled_system(
-    potential: Potential, u: FracVec, order: Fraction
-) -> list[LaurentPoly]:
-    """Critical system in the frame at u, each equation divided by its
-    leading T-power and truncated to the working order."""
-    out = []
-    for g in potential.critical_system():
-        gh = g.change_frame(u)
-        s = min(c.valuation() for c in gh.terms.values())
-        out.append(
-            LaurentPoly(
-                gh.nvars,
-                [(a, c.shift(-s).truncate(order)) for a, c in gh.terms.items()],
-            )
-        )
-    return out
+def _frame_system(
+    potential: Potential, u: FracVec
+) -> tuple[LaurentPoly, list[Fraction]]:
+    """The potential P_u in the frame at u, and for each equation i of the
+    critical system its leading T-power s_i: the least coefficient
+    valuation of P_u among the terms with a_i != 0."""
+    pu = potential.poly.change_frame(u)
+    shifts = [
+        min(c.valuation() for a, c in pu.terms.items() if a[i])
+        for i in range(pu.nvars)
+    ]
+    return pu, shifts
+
+
+def _residuals(values, shifts, order) -> list[NovikovScalar]:
+    """r_i = T^-s_i sum_a a_i T_a modulo T^order, from the term values
+    T_a = c_a y^a of P_u."""
+    return [
+        weighted_sum(((a[i], t) for a, t in values), order + s).shift(-s)
+        for i, s in enumerate(shifts)
+    ]
+
+
+def _jacobian(values, shifts, order) -> list[list[NovikovScalar]]:
+    """J_ij = T^-s_i sum_a a_i a_j T_a modulo T^order: the derivatives
+    y_j d/dy_j of the residuals, from the same term values."""
+    return [
+        [
+            weighted_sum(((a[i] * a[j], t) for a, t in values), order + s).shift(-s)
+            for j in range(len(shifts))
+        ]
+        for i, s in enumerate(shifts)
+    ]
 
 
 def _residual_valuation(
@@ -391,23 +411,18 @@ def newton_lift(
     solve on the fixed windows 2v, 4v, ... up to the order.  The residual
     valuation of the final series is measured once at the end; it is
     returned only as a certificate that it reaches the order, and
-    NoConvergence is raised otherwise, as it is for v <= 0.
+    NoConvergence is raised otherwise, as it is for v <= 0.  The terms of
+    P_u are evaluated once per step; the residuals and the Jacobian of the
+    next step are weighted sums of those values.
     """
     cfg = get_config()
     e_order = Fraction(order) if order is not None else cfg.truncation_order
     if e_order is None or e_order <= 0:
         raise ValueError("newton_lift needs a positive finite order")
-    uf = tuple(Fraction(x) for x in u)
-    hs = _scaled_system(potential, uf, e_order)
-    n = potential.polytope.dim
-    theta = [[h.log_derivative(j) for j in range(n)] for h in hs]
+    pu, shifts = _frame_system(potential, tuple(Fraction(x) for x in u))
     ys = tuple(NovikovScalar.monomial(0, c, trunc=e_order) for c in y0)
-
-    def residuals(point):
-        cache: dict[tuple[int, int], NovikovScalar] = {}
-        return [h.evaluate(point, cache) for h in hs]
-
-    res = residuals(ys)
+    values = pu.term_values(ys)
+    res = _residuals(values, shifts, e_order)
     w = _residual_valuation(ys, res)
     if w <= 0:
         raise NoConvergence(
@@ -418,11 +433,8 @@ def newton_lift(
         # exact modulo T^(2w); solving past that window only injects junk
         # into the tail of ys
         w = min(2 * w, e_order)
-        yw = tuple(y.truncate(w) for y in ys)
-        cache: dict[tuple[int, int], NovikovScalar] = {}
-        jac = [
-            [theta[i][j].evaluate(yw, cache) for j in range(n)] for i in range(n)
-        ]
+        # the Jacobian at ys mod T^w is the residuals' term values mod T^w
+        jac = _jacobian(values, shifts, w)
         try:
             eps = lambda_solve(jac, [-r.truncate(w) for r in res])
         except SingularInitialJacobian as exc:
@@ -430,7 +442,8 @@ def newton_lift(
         ys = tuple(
             y * (e.with_order(e_order) + 1.0) for y, e in zip(ys, eps)
         )
-        res = residuals(ys)
+        values = pu.term_values(ys)
+        res = _residuals(values, shifts, e_order)
     final = _residual_valuation(ys, res)
     if final < e_order:
         raise NoConvergence(

@@ -315,6 +315,16 @@ class TestExitCodes:
         assert code == 2
         assert err == f"invalid input: polytope JSON lacks key '{key}'\n"
 
+    @pytest.mark.parametrize(
+        "text, kind", [("[1, 2]", "list"), ('"x"', "str"), ("null", "NoneType")]
+    )
+    def test_polytope_json_not_an_object(self, capsys, tmp_path, text, kind):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "analyze", "--polytope", str(path))
+        assert code == 2
+        assert err == f"invalid input: polytope JSON must be an object, got {kind}\n"
+
     def test_correction_json_missing_key(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         corrections = [{"monomial_z": [0, 0, 0, 1]}]  # no "extra_T"

@@ -1,5 +1,6 @@
 """Scalar arithmetic over the universal Novikov field."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -169,6 +170,24 @@ _long = st.one_of(
 )
 
 
+@st.composite
+def _units(draw):
+    """c0 (1 + r) with |c0| = 1 modulo T^t, t <= 5 with denominator <= 60,
+    and r of one to three terms of exponent in [t/10, t) over denominators
+    up to 60 with |coefficient| <= 1/4, so the inverse stays O(1) and has
+    at most a few hundred terms."""
+    td = draw(st.integers(1, 60))
+    t = Fraction(draw(st.integers(1, 5 * td)), td)
+    terms = [(0, cmath.exp(1j * draw(st.floats(0, 2 * math.pi))))]
+    for _ in range(draw(st.integers(1, 3))):
+        q = draw(st.integers(1, 60))
+        lo, hi = max(math.ceil(t * q / 10), 1), math.ceil(t * q) - 1
+        if lo <= hi:
+            c = draw(st.complex_numbers(min_magnitude=0.01, max_magnitude=0.25))
+            terms.append((Fraction(draw(st.integers(lo, hi)), q), c))
+    return NovikovScalar(terms, trunc=t)
+
+
 def _assert_matches(s: NovikovScalar, reference):
     terms, trunc = reference
     assert s.trunc == trunc
@@ -279,6 +298,19 @@ class TestInvert:
         inv = NovikovScalar([(0, 1e6), (1, 1e-9)], trunc=5).invert()
         assert inv.terms == ((Fraction(0), 1e-6 + 0j),)
         assert inv.trunc == Fraction(5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_units())
+    def test_windowed_inverse_is_inverse_modulo_trunc(self, s):
+        inv = s.invert()
+        assert inv.trunc == s.trunc
+        prod = s * inv
+        assert prod.trunc == s.trunc
+        # pruning at eps_coeff is absolute, so the error scales with the
+        # summands of the product
+        norm = sum(abs(c) for _, c in s.terms) * sum(abs(c) for _, c in inv.terms)
+        assert (prod - 1.0).max_abs_coeff() <= 1e-12 * norm
+        assert s**-3 == inv**3
 
     def test_zero_is_not_invertible(self):
         with pytest.raises(ZeroDivisionError):

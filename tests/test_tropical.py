@@ -10,6 +10,7 @@ from helpers import assert_scalar_close
 from toriclg import tropical
 from toriclg import (
     BulkCoefficients,
+    LaurentPoly,
     NoConvergence,
     NovikovScalar,
     build_potential,
@@ -84,6 +85,13 @@ class TestInitialSystem:
         vals = pot.polytope.support_values(u)
         low = min(vals)
         assert sum(1 for v in vals if v == low) >= 2
+
+
+def residuals(pot, u, ys, order):
+    """The lift's residuals at ys: equation i of the critical system in the
+    frame at u, divided by its leading T-power, modulo T^order."""
+    pu, shifts = tropical._frame_system(pot, u)
+    return tropical._residuals(pu.term_values(ys), shifts, order)
 
 
 def blowup_root_series(n: int) -> list[Fraction]:
@@ -170,21 +178,19 @@ class TestNewtonLift:
         order = F(5)
         ys, resval = newton_lift(pot, u, y0, order)
         assert resval == math.inf
-        hs = tropical._scaled_system(pot, u, order)
-        res = [h.evaluate(ys) for h in hs]
+        res = residuals(pot, u, ys, order)
         assert tropical._residual_valuation(ys, res) == math.inf
         d, es, _ = ys[0].lattice()
         e = F(es[k], d)
         bumped = (ys[0] + NovikovScalar.monomial(e, size, trunc=order), *ys[1:])
-        res = [h.evaluate(bumped) for h in hs]
+        res = residuals(pot, u, bumped, order)
         assert tropical._residual_valuation(bumped, res) == e
 
     def test_steps_follow_the_doubling_schedule(self, monkeypatch):
         pot = potential_of("blowup1", F(2, 5))
         u, y0, order = (F(7, 20), F(3, 10)), (1.0, 1.0), F(3)
         ys0 = tuple(NovikovScalar.monomial(0, c, trunc=order) for c in y0)
-        hs = tropical._scaled_system(pot, u, order)
-        v = tropical._residual_valuation(ys0, [h.evaluate(ys0) for h in hs])
+        v = tropical._residual_valuation(ys0, residuals(pot, u, ys0, order))
         assert 0 < v < order
         calls = []
         solve = tropical.lambda_solve
@@ -201,6 +207,46 @@ class TestNewtonLift:
             w = min(2 * w, order)
             windows.append(w)
         assert calls == windows
+
+    def test_one_term_evaluation_per_step(self, monkeypatch):
+        # an operation count, not a timing: the lift evaluates the terms of
+        # the potential once per Newton step plus once for the seed, and
+        # inverts each coordinate at most once per evaluation
+        pot = potential_of("blowup2", F(1, 2), F(1, 5))
+        pt = max(
+            find_critical_points(pot).points,
+            key=lambda p: max(len(y.terms) for y in p.y_local or ()),
+        )
+        n = pot.polytope.dim
+        steps, evaluations, inside = [], [], []
+        term_values, invert = LaurentPoly.term_values, NovikovScalar.invert
+        solve = tropical.lambda_solve
+
+        def counted_term_values(self, *args):
+            evaluations.append(0)
+            inside.append(True)
+            try:
+                return term_values(self, *args)
+            finally:
+                inside.pop()
+
+        def counted_invert(self):
+            if inside:
+                evaluations[-1] += 1
+            return invert(self)
+
+        def counted_solve(mat, rhs):
+            steps.append(rhs)
+            return solve(mat, rhs)
+
+        monkeypatch.setattr(LaurentPoly, "term_values", counted_term_values)
+        monkeypatch.setattr(NovikovScalar, "invert", counted_invert)
+        monkeypatch.setattr(tropical, "lambda_solve", counted_solve)
+        ys, _ = newton_lift(pot, pt.u, pt.y_initial)
+        assert ys == pt.y_local
+        assert len(steps) >= 3
+        assert len(evaluations) == len(steps) + 1
+        assert all(0 < k <= n for k in evaluations)
 
     def test_final_residual_below_order_raises(self, monkeypatch):
         # a solve that never corrects past T^1 leaves residual content below
