@@ -258,6 +258,12 @@ def cmd_lte(args) -> int:
     return _emit(args, doc, "\n".join(lines))
 
 
+def _count_verdict(res) -> str:
+    """A lower bound that holds is not a certificate: 'incomplete', not 'ok'."""
+    holds = "incomplete" if res.morse_mode == "lower-bound" else "ok"
+    return holds if res.morse_ok else "FAIL"
+
+
 def cmd_residue_check(args) -> int:
     pot = _build_potential(args)
     report = find_critical_points(pot, order=get_config().truncation_order)
@@ -279,7 +285,7 @@ def cmd_residue_check(args) -> int:
         )
     lines.append(
         f"multiplicity count: {res.morse_total} vs betti {res.betti}"
-        f" ({res.morse_mode}) -> {'ok' if res.morse_ok else 'FAIL'}"
+        f" ({res.morse_mode}) -> {_count_verdict(res)}"
     )
     for note in res.notes:
         lines.append(f"note: {note}")
@@ -316,7 +322,7 @@ def cmd_analyze(args) -> int:
         _critical_text(report),
         f"exactness: {res.exactness}",
         f"multiplicity count {res.morse_total} vs betti {res.betti}"
-        f" ({res.morse_mode}) -> {'ok' if res.morse_ok else 'FAIL'}",
+        f" ({res.morse_mode}) -> {_count_verdict(res)}",
     ]
     if res.trace_ok is not None:
         lines.append(

@@ -160,10 +160,12 @@ def residue_report(
     trace_ok: bool | None = None
     trace_residual: float | None = None
     if all_lifted and not report.cells and inv:
-        trace_sum = s = sum(inv, NovikovScalar.zero())
+        s = sum(inv, NovikovScalar.zero())
         scale = max(t.max_abs_coeff() for t in inv)
         trace_residual = s.max_abs_coeff() / max(scale, 1e-30)
         trace_ok = s.is_zero() or trace_residual <= cfg.tol_zero
+        cut = cfg.tol_zero * scale  # the written sum leaves out rounding residue
+        trace_sum = NovikovScalar(((e, c) for e, c in s.terms if abs(c) > cut), s.trunc)
     elif report.cells:
         notes.append("positive-dimensional candidate cells: trace check skipped")
     elif report.points and not all_lifted:

@@ -153,6 +153,11 @@ class NovikovScalar:
     ) -> "NovikovScalar":
         return cls(((_as_fraction(exp), complex(coeff)),), trunc)
 
+    @classmethod
+    def from_lattice(cls, den: int, es, cs, t: int | None = None) -> "NovikovScalar":
+        """``lattice`` read back: cs at the sorted exponents es/den, mod T^(t/den)."""
+        return _make(den, es, cs, t)
+
     # -- basic accessors -------------------------------------------------------
 
     @property

@@ -9,16 +9,14 @@ equation; rank-deficient pair choices yield affine candidate subspaces
 that are subdivided along their breakpoints.  The algebraic stage solves
 the leading-coefficient system at each candidate over the torus by exact
 elimination (``polysolve``) and lifts every nondegenerate initial root to
-a Novikov series solution by Newton iteration with exact exponent
-bookkeeping; each step evaluates every term c_a y^a of the potential in
-the frame at u once, and takes the residuals and the Jacobian as
-integer-weighted sums of those term values.  A root with an invertible
-leading Jacobian is simple, and stays in the report without a series when
-its lift fails numerically; a degenerate root is not lifted and takes its
-multiplicity from the exponent of its factor in the square-free
-decomposition of the exact eliminant, shared evenly by the roots over the
-same first coordinate (None when the share is uneven or the eliminant is
-a resultant of resultants).
+a Novikov series by Newton steps on dense arrays over one exponent
+lattice, each solved order by order from one inverse of the leading
+Jacobian.  A root with an invertible leading Jacobian is simple, and stays
+in the report without a series when its lift fails numerically; a
+degenerate root is not lifted and takes its multiplicity from the exponent
+of its factor in the square-free decomposition of the exact eliminant,
+shared evenly by the roots over the same first coordinate (None when the
+share is uneven or the eliminant is a resultant of resultants).
 """
 
 from __future__ import annotations
@@ -276,50 +274,6 @@ def tropical_candidates(
     return ordered, cells
 
 
-# -- Novikov-linear algebra ---------------------------------------------------
-
-
-def lambda_solve(
-    mat: list[list[NovikovScalar]], rhs: list[NovikovScalar]
-) -> list[NovikovScalar]:
-    """Gaussian elimination over the Novikov field with minimal-valuation
-    pivoting.  Raises SingularInitialJacobian when no usable pivot exists."""
-    n = len(rhs)
-    m = [row[:] for row in mat]
-    b = rhs[:]
-    # a pivot row is final once its column is eliminated, so back
-    # substitution reuses the inverses taken here
-    invs: list[NovikovScalar] = []
-    for col in range(n):
-        best = None
-        best_val = INF
-        for r in range(col, n):
-            e = m[r][col]
-            if not e.is_zero() and e.valuation() < best_val:
-                best, best_val = r, e.valuation()
-        if best is None:
-            raise SingularInitialJacobian(
-                f"no pivot in column {col}: Jacobian is singular to working order"
-            )
-        m[col], m[best] = m[best], m[col]
-        b[col], b[best] = b[best], b[col]
-        inv = m[col][col].invert()
-        invs.append(inv)
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            f = m[r][col] * inv
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-            b[r] = b[r] - f * b[col]
-    xs: list[NovikovScalar] = [NovikovScalar.zero()] * n
-    for row in range(n - 1, -1, -1):
-        acc = b[row]
-        for col in range(row + 1, n):
-            acc = acc - m[row][col] * xs[col]
-        xs[row] = acc * invs[row]
-    return xs
-
-
 # -- lifting ------------------------------------------------------------------
 
 
@@ -342,18 +296,6 @@ def _residuals(values, shifts, order) -> list[NovikovScalar]:
     T_a = c_a y^a of P_u."""
     return [
         weighted_sum(((a[i], t) for a, t in values), order + s).shift(-s)
-        for i, s in enumerate(shifts)
-    ]
-
-
-def _jacobian(values, shifts, order) -> list[list[NovikovScalar]]:
-    """J_ij = T^-s_i sum_a a_i a_j T_a modulo T^order: the derivatives
-    y_j d/dy_j of the residuals, from the same term values."""
-    return [
-        [
-            weighted_sum(((a[i] * a[j], t) for a, t in values), order + s).shift(-s)
-            for j in range(len(shifts))
-        ]
         for i, s in enumerate(shifts)
     ]
 
@@ -395,6 +337,115 @@ def _residual_valuation(
     return INF
 
 
+def _is_degenerate(jac: np.ndarray) -> bool:
+    """|det jac| <= eps_degenerate times the product of its row maxima."""
+    scale = np.prod(np.abs(jac).max(axis=1))
+    return abs(np.linalg.det(jac)) <= get_config().eps_degenerate * max(scale, 1e-30)
+
+
+def lambda_solve(jac: np.ndarray, rhs: np.ndarray, inv0=None) -> np.ndarray:
+    """Solve jac . delta = rhs modulo T^W order by order, for an (n, n, W)
+    and an (n, W) array whose slot k holds the coefficient of T^(k/D):
+    delta_m = J_0^-1 (rhs_m - sum_{k=1..m} J_k delta_{m-k}), J_k = jac[..., k].
+    ``inv0`` passes J_0^-1; without it SingularInitialJacobian is raised
+    when J_0 is singular."""
+    n, width = rhs.shape
+    if inv0 is None:
+        if _is_degenerate(jac[:, :, 0]):
+            raise SingularInitialJacobian("leading Jacobian is singular")
+        inv0 = np.linalg.inv(jac[:, :, 0])
+    higher = jac[:, :, 1:].transpose(0, 2, 1).reshape(n, -1)  # [J_1 | J_2 | ...]
+    rev = np.zeros((width, n), complex)  # row width-1-m holds delta_m
+    for m in range(width):
+        acc = rhs[:, m] - higher[:, : m * n] @ rev[width - m :].ravel()
+        rev[width - 1 - m] = inv0 @ acc
+    return rev[::-1].T
+
+
+def _unit_inverse(p: np.ndarray) -> np.ndarray:
+    """1/p to the length of p for p[0] = 1, by Newton doubling (Brent-Kung):
+    g known modulo T^k becomes g(2 - pg) modulo T^2k."""
+    g, k = np.ones(1, complex), 1
+    while k < len(p):
+        k = min(2 * k, len(p))
+        e = -np.convolve(p[:k], g)[:k]
+        e[0] += 2
+        g = np.convolve(g, e)[:k]
+    return g
+
+
+class _Lattice:
+    """The terms of P_u on the lattice (1/den)Z, slot k holding T^(k/den),
+    where den is the lcm of the denominators of the order, the shifts s_i
+    and the coefficients of P_u: their exponent vectors, their values at
+    the seed over their leading T-power (size = order*den slots) and the
+    slots of those powers in ``_system``'s array, where equation i starts
+    at ``starts[i]``; ``weights`` has the rows a_i and a_i a_j of each i."""
+
+    def __init__(self, values, shifts, order: Fraction):
+        lattices = [t.lattice() for _, t in values]
+        self.den = den = math.lcm(
+            order.denominator, *(s.denominator for s in shifts), *(d for d, _, _ in lattices)
+        )
+        self.size, low = int(order * den), int(min(shifts) * den)
+        self.exps, self.base, self.place = [], [], []
+        for (a, _), (d, es, cs) in zip(values, lattices):
+            if es and any(a):
+                ks = np.array(es) * (den // d)
+                keep = ks - ks[0] < self.size
+                self.base.append(np.zeros(self.size, complex))
+                self.base[-1][ks[keep] - ks[0]] = np.array(cs)[keep]
+                self.exps.append(a)
+                self.place.append(int(ks[0]) - low)
+        am = np.array(self.exps, dtype=float)
+        rows = np.einsum("ai,aj->ija", am, np.hstack([np.ones((len(am), 1)), am]))
+        self.weights = rows.reshape(-1, len(am))
+        self.starts = [int(s * den) - low for s in shifts]
+
+
+def _term_arrays(lat: _Lattice, x: np.ndarray, width: int) -> list[np.ndarray]:
+    """The term values of P_u at y = y0 (1 + x) over their leading T-power,
+    modulo T^width in slots: the seed values times powers of 1 + x_i, the
+    negative ones powers of one inverse per variable."""
+    units = x[:, :width] + np.eye(1, width)
+    powers: dict[tuple[int, int], np.ndarray] = {}
+
+    def power(i: int, e: int) -> np.ndarray:
+        if (i, e) not in powers:
+            step = 1 if e > 0 else -1
+            powers[i, e] = (
+                units[i] if e == 1 else _unit_inverse(units[i]) if e == -1
+                else np.convolve(power(i, e - step), power(i, step))[:width]
+            )
+        return powers[i, e]
+
+    out = []
+    for t, a in zip(lat.base, lat.exps):
+        t = t[:width]
+        for i, e in enumerate(a):
+            if e:
+                t = np.convolve(t, power(i, e))[:width]
+        out.append(t)
+    return out
+
+
+def _system(lat: _Lattice, terms, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals r_i = T^-s_i sum_a a_i T_a and log-Jacobian J_ij = T^-s_i
+    sum_a a_i a_j T_a modulo T^width: weighted sums of the term arrays."""
+    g = np.zeros((len(terms), max(lat.starts + lat.place) + width), complex)
+    for row, t, p in zip(g, terms, lat.place):
+        row[p : p + width] = t[:width]
+    sums = (lat.weights @ g).reshape(len(lat.starts), -1, g.shape[1])
+    blocks = np.array([sums[i, :, o : o + width] for i, o in enumerate(lat.starts)])
+    return blocks[:, 0], blocks[:, 1:]
+
+
+def _scalar(arr: np.ndarray, den: int) -> NovikovScalar:
+    """sum_k arr[k] T^(k/den) modulo T^(len(arr)/den), pruned at eps_coeff."""
+    keep = np.flatnonzero(np.abs(arr) > get_config().eps_coeff)
+    return NovikovScalar.from_lattice(den, keep.tolist(), arr[keep].tolist(), len(arr))
+
+
 def newton_lift(
     potential: Potential,
     u,
@@ -402,49 +453,47 @@ def newton_lift(
     order: Fraction | None = None,
 ) -> tuple[tuple[NovikovScalar, ...], Fraction | float]:
     """Lift an initial torus root at candidate u to a series solution of the
-    critical system, accurate modulo T^order.  Returns the solution in the
-    frame centered at u along with the final residual valuation.
+    critical system modulo T^order, in the frame centered at u, with the
+    final residual valuation: a certificate that it reaches the order
+    (NoConvergence otherwise, and when the seed's valuation v is <= 0).
 
-    When the leading Jacobian at y0 is invertible, Hensel's lemma makes
-    each Newton step at least double the residual valuation.  So the
-    valuation v of the residual at y0 is measured once, and the steps then
-    solve on the fixed windows 2v, 4v, ... up to the order.  The residual
-    valuation of the final series is measured once at the end; it is
-    returned only as a certificate that it reaches the order, and
-    NoConvergence is raised otherwise, as it is for v <= 0.  The terms of
-    P_u are evaluated once per step; the residuals and the Jacobian of the
-    next step are weighted sums of those values.
+    A seed with v >= order is returned as it is.  Otherwise the steps carry
+    y_i = y0_i (1 + x_i) on one exponent lattice (``_Lattice``).  With J_0
+    invertible each Newton step at least doubles v (Hensel), so the steps
+    solve on the windows 2v, 4v, ... up to the order with ``lambda_solve``
+    from one inverse of J_0, each evaluating the terms of P_u once, to the
+    next window only.
     """
-    cfg = get_config()
-    e_order = Fraction(order) if order is not None else cfg.truncation_order
+    e_order = Fraction(order) if order is not None else get_config().truncation_order
     if e_order is None or e_order <= 0:
         raise ValueError("newton_lift needs a positive finite order")
     pu, shifts = _frame_system(potential, tuple(Fraction(x) for x in u))
     ys = tuple(NovikovScalar.monomial(0, c, trunc=e_order) for c in y0)
     values = pu.term_values(ys)
-    res = _residuals(values, shifts, e_order)
-    w = _residual_valuation(ys, res)
+    w = _residual_valuation(ys, _residuals(values, shifts, e_order))
     if w <= 0:
         raise NoConvergence(
             f"initial root has residual of valuation {w}; not a root"
         )
-    while w < e_order:
-        # the residual has valuation at least w (Hensel), so this step is
-        # exact modulo T^(2w); solving past that window only injects junk
-        # into the tail of ys
-        w = min(2 * w, e_order)
-        # the Jacobian at ys mod T^w is the residuals' term values mod T^w
-        jac = _jacobian(values, shifts, w)
-        try:
-            eps = lambda_solve(jac, [-r.truncate(w) for r in res])
-        except SingularInitialJacobian as exc:
-            raise NoConvergence(f"Jacobian became singular while lifting: {exc}")
-        ys = tuple(
-            y * (e.with_order(e_order) + 1.0) for y, e in zip(ys, eps)
-        )
-        values = pu.term_values(ys)
-        res = _residuals(values, shifts, e_order)
-    final = _residual_valuation(ys, res)
+    if w >= e_order:
+        return ys, w
+    lat = _Lattice(values, shifts, e_order)
+    w, width = int(w * lat.den), min(int(2 * w * lat.den), lat.size)
+    res, jac = _system(lat, lat.base, width)
+    if _is_degenerate(jac[:, :, 0]):
+        raise NoConvergence("leading Jacobian is singular; cannot lift")
+    inv0 = np.linalg.inv(jac[:, :, 0])
+    x = np.zeros((len(shifts), lat.size), complex)
+    while w < lat.size:
+        # the residual is O(T^w), so this step is exact modulo T^(2w) (Hensel)
+        w = width
+        delta = lambda_solve(jac, -res, inv0)
+        x[:, :w] += delta + [np.convolve(a[:w], b)[:w] for a, b in zip(x, delta)]
+        width = min(2 * w, lat.size)
+        res, jac = _system(lat, _term_arrays(lat, x, width), width)
+    x[:, 0] += 1
+    ys = tuple(_scalar(c * xi, lat.den) for c, xi in zip(y0, x))
+    final = _residual_valuation(ys, [_scalar(r, lat.den) for r in res])
     if final < e_order:
         raise NoConvergence(
             f"residual valuation {final} is below the order {e_order} "
@@ -555,9 +604,7 @@ def find_critical_points(
         if sol.eliminant is not None and len(sol.eliminant) > 1:
             eliminants.append(EliminantRecord(u, sol.eliminant))
         for root, mult in zip(sol.roots, sol.multiplicities):
-            jac = log_jacobian(polys, root)
-            scale = np.prod(np.abs(jac).max(axis=1))
-            if abs(np.linalg.det(jac)) <= cfg.eps_degenerate * max(scale, 1e-30):
+            if _is_degenerate(log_jacobian(polys, root)):
                 # a degenerate root takes its multiplicity from the eliminant
                 points.append(
                     CriticalPoint(

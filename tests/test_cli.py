@@ -1,9 +1,11 @@
 """Command line driver: subcommands, file inputs, exit codes, JSON contract."""
 
 import json
+import random
 
 import pytest
 
+from helpers import random_delzant_polytope
 from toriclg import NoConvergence
 from toriclg.cli import main
 
@@ -236,6 +238,31 @@ class TestFileInputs:
         with pytest.warns(UserWarning, match="fano"):
             code, out, _ = run(capsys, "potential", "--polytope", str(path))
         assert code == 0
+
+
+class TestCountVerdict:
+    def test_lower_bound_reads_incomplete(self, capsys, tmp_path):
+        # the hexagon cut from the triangle u1 + u2 <= 1 by u2 <= 3/4,
+        # u1 + u2 >= 1/4 and u1 <= 1/2: the search finds no point, so the
+        # count 0 <= 6 holds and certifies nothing
+        path = tmp_path / "p.json"
+        hexagon = random_delzant_polytope(random.Random(6))
+        path.write_text(json.dumps(hexagon.to_json_dict()))
+        source = ("--polytope", str(path), "--assume-fano")
+        code, out, _ = run(capsys, "analyze", *source)
+        assert code == 0
+        assert "multiplicity count 0 vs betti 6 (lower-bound) -> incomplete" in out
+        assert "-> ok" not in out
+        code, out, _ = run(capsys, "residue-check", *source)
+        assert code == 0
+        assert "multiplicity count: 0 vs betti 6 (lower-bound) -> incomplete" in out
+        # the JSON keeps its fields: a lower bound that holds
+        code, out, _ = run(capsys, "analyze", *source, "--format", "json")
+        assert code == 0
+        res = json.loads(out)["residue"]
+        assert (res["morse_mode"], res["morse_total"], res["morse_ok"]) == (
+            "lower-bound", 0, True
+        )
 
 
 class TestConfiguration:

@@ -13,6 +13,7 @@ from toriclg import (
     catalog,
     cpn_duality,
     find_critical_points,
+    get_config,
     hessian_matrix,
     morse_count_check,
     novikov_det,
@@ -216,6 +217,35 @@ class TestResidueReport:
             res = residue_report(pot, rep)
             assert res.trace_ok, (name, params, res.trace_residual)
             assert res.trace_residual <= 1e-9
+
+    def test_written_trace_sum_leaves_out_rounding_residue(self):
+        # the sum of 1/Z is zero; on blowup2:1/2,1/5 its computed terms are
+        # rounding residue of about 1e-15 of the pairing scale, which only
+        # trace_residual reports
+        pot = potential_of("blowup2", F(1, 2), F(1, 5))
+        rep = find_critical_points(pot)
+        tol = get_config().tol_zero
+
+        def checked(rep):
+            res = residue_report(pot, rep)
+            total = sum(res.pairing_diag, NovikovScalar.zero())
+            scale = max(t.max_abs_coeff() for t in res.pairing_diag)
+            assert res.trace_residual == total.max_abs_coeff() / scale
+            assert res.trace_ok is (res.trace_residual <= tol)
+            kept = tuple((e, c) for e, c in total.terms if abs(c) > tol * scale)
+            assert res.trace_sum.terms == kept
+            assert res.trace_sum.trunc == total.trunc
+            doc = res.trace_sum.to_json_dict()
+            assert NovikovScalar.from_json_dict(doc).to_json_dict() == doc
+            return res
+
+        res = checked(rep)
+        assert res.trace_ok is True and 0 < res.trace_residual <= tol
+        assert res.trace_sum.is_zero()
+        # without one point the sum is minus its 1/Z, which is written
+        rep.points = rep.points[1:]
+        res = checked(rep)
+        assert res.trace_ok is False and res.trace_sum.terms
 
     def test_degenerate_points_skip_trace_with_note(self):
         entry = catalog("blowup1", F(1, 3))

@@ -1,0 +1,148 @@
+"""The Newton lift on one exponent lattice.
+
+``lambda_solve`` solves J delta = rhs modulo T^W order by order from one
+inverse of the leading coefficient J_0; the property below checks the
+product J delta with ``np.convolve``, independently of the recursion.  The
+oracle substitutes each lifted series into the frame equations of the
+critical system through the sparse ``LaurentPoly.evaluate``, which shares
+no code with the array lift, and asks that nothing above rounding noise
+remains below the truncation order.
+"""
+
+import random
+from bisect import bisect_right
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_delzant_polytope, random_delzant_threefold
+from toriclg import (
+    SingularInitialJacobian,
+    build_potential,
+    catalog,
+    find_critical_points,
+    get_config,
+    tropical,
+)
+
+F = Fraction
+
+
+def _series_product(jac: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J delta modulo T^W by convolution, and the same sum over absolute
+    values: the scale each coefficient is rounded against."""
+    n, width = delta.shape
+    prod = np.zeros((n, width), complex)
+    scale = np.zeros((n, width))
+    for i in range(n):
+        for j in range(n):
+            prod[i] += np.convolve(jac[i, j], delta[j])[:width]
+            scale[i] += np.convolve(abs(jac[i, j]), abs(delta[j]))[:width]
+    return prod, scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    width=st.integers(1, 300),
+    decay=st.floats(0.05, 1.0),
+)
+def test_lambda_solve_solves_modulo_the_window(seed, n, width, decay):
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+    # J_0 with condition number at most 10: a unitary factor times singular
+    # values in [1, 10]
+    q, _ = np.linalg.qr(cplx(n, n))
+    j0 = q @ np.diag(rng.uniform(1, 10, n)) @ np.linalg.qr(cplx(n, n))[0]
+    # higher terms J_k of size decay^k keep delta's coefficients finite
+    jac = cplx(n, n, width) * decay ** np.arange(width)
+    jac[:, :, 0] = j0
+    rhs = cplx(n, width)
+    delta = tropical.lambda_solve(jac, rhs)
+    assert delta.shape == (n, width)
+    assert np.all(np.isfinite(delta))
+    prod, scale = _series_product(jac, delta)
+    assert np.all(abs(prod - rhs) <= 1e-10 * (scale + abs(rhs)))
+    # the caller's inverse of J_0 gives the same solution
+    same = tropical.lambda_solve(jac, rhs, np.linalg.inv(j0))
+    assert np.allclose(same, delta, rtol=1e-12, atol=0)
+
+
+def test_lambda_solve_refuses_a_singular_leading_term():
+    jac = np.zeros((2, 2, 3), complex)
+    jac[:, :, 0] = [[1, 2], [2, 4]]
+    jac[:, :, 1] = np.eye(2)
+    with pytest.raises(SingularInitialJacobian):
+        tropical.lambda_solve(jac, np.ones((2, 3), complex))
+
+
+def _catalog(name, *params):
+    entry = catalog(name, *params)
+    return build_potential(entry.polytope, corrections=entry.corrections)
+
+
+LIFTED = [
+    pytest.param(lambda n=n, p=p: _catalog(n, *p), id=f"{n}:{p}")
+    for n, p in [
+        ("blowup1", (F(1, 5),)),
+        ("blowup2", (F(1, 2), F(1, 5))),
+        ("hirzebruch", (1, F(1, 2))),
+        ("hirzebruch", (1, F(2, 5))),
+        ("hirzebruch", (2, F(1, 2))),
+        ("hirzebruch", (2, F(2, 5))),
+    ]
+] + [
+    pytest.param(
+        lambda s=s: build_potential(
+            random_delzant_polytope(random.Random(s)), assume_fano=True
+        ),
+        id=f"polygon-{s}",
+    )
+    for s in (3, 4, 11, 16, 21)  # lattices of 160, 40, 1080, 180 and 540 slots
+] + [
+    # threefold 45 lifts on a lattice of 640 slots (1/128 up to T^5),
+    # threefold 7 on 1280 (1/256), with coefficients up to about 5e41
+    pytest.param(
+        lambda s=s: build_potential(
+            random_delzant_threefold(random.Random(s), max_chops=3), assume_fano=True
+        ),
+        id=f"threefold-{s}",
+    )
+    for s in (3, 45, 7)
+]
+
+
+def _graded_scale(values, weight):
+    """For the sum of weight(a) T_a: the exponents of its summands' terms
+    in increasing order, and the largest summand coefficient at or below
+    each."""
+    pairs = sorted(
+        (e, abs(weight(a) * c)) for a, t in values if weight(a) for e, c in t.terms
+    )
+    return [e for e, _ in pairs], np.maximum.accumulate([c for _, c in pairs])
+
+
+@pytest.mark.parametrize("make", LIFTED)
+def test_lifted_series_solve_the_frame_equations(make):
+    pot = make()
+    order = get_config().truncation_order
+    lifted = [p for p in find_critical_points(pot).points if p.y_local is not None]
+    assert lifted
+    for pt in lifted:
+        pu = pot.change_frame(pt.u)
+        values = pu.term_values(pt.y_local)
+        for i in range(pot.polytope.dim):
+            r = pu.log_derivative(i).evaluate(pt.y_local)
+            shift = min(c.valuation() for a, c in pu.terms.items() if a[i])
+            assert r.trunc >= order + shift
+            exps, scale = _graded_scale(values, lambda a: a[i])
+            for e, c in r.terms:
+                if e < order + shift:
+                    assert abs(c) <= 1e-9 * scale[bisect_right(exps, e) - 1], (pt.u, i, e)

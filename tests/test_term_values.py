@@ -3,15 +3,17 @@
 The Newton lift and the residue report evaluate each term c_a y^a of the
 frame-shifted potential once per point and take the residuals, the
 Jacobian, the Hessian and the critical value as integer-weighted sums of
-those values.  The oracle here builds each derivative polynomial
+those values; the lift does so on dense arrays over one exponent lattice.  The oracle here builds each derivative polynomial
 theta_i theta_j PO, shifts it to the frame and evaluates it term by term
 with its own powers of y, and evaluates the critical value as the
 potential at the absolute point.  Both must agree below each window.
 """
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import random_delzant_polytope, random_delzant_threefold
@@ -20,6 +22,7 @@ from toriclg import (
     NovikovScalar,
     build_potential,
     catalog,
+    configured,
     find_critical_points,
     get_config,
     hessian_matrix,
@@ -88,6 +91,17 @@ def assert_agree(got: NovikovScalar, ref: NovikovScalar, scale: float, window):
         assert abs(got.coeff_at(e) - ref.coeff_at(e)) <= tol, (e, got, ref)
 
 
+def on_lattice(s: NovikovScalar, den: int, width: int) -> np.ndarray:
+    """Coefficients of s at T^(k/den), k < width; den is a multiple of the
+    denominator of s."""
+    d, es, cs = s.lattice()
+    out = np.zeros(width, complex)
+    for e, c in zip(es, cs):
+        if e * (den // d) < width:
+            out[e * (den // d)] = c
+    return out
+
+
 def summand_scale(values, weight) -> float:
     return max(abs(weight(a)) * t.max_abs_coeff() for a, t in values)
 
@@ -113,16 +127,26 @@ def test_term_values_match_derivative_evaluation(make):
             ref = reference_evaluate(thetas[i], ys).shift(-shifts[i])
             assert_agree(r, ref, summand_scale(values, lambda a: a[i]), order)
         hess = hessian_matrix(pot, pt.u, ys)
+        # the lift's array path: the terms at y = y0 (1 + x) on its lattice,
+        # and the log-Jacobian summed from them, modulo T^w
+        seed = tuple(NovikovScalar.monomial(0, c, trunc=order) for c in pt.y_initial)
+        lat = tropical._Lattice(pu.term_values(seed), shifts, order)
+        x = np.array([on_lattice(y, lat.den, lat.size) / c for y, c in zip(ys, pt.y_initial)])
+        x[:, 0] -= 1
         for w in (order / 4, order / 2, order):
             yw = tuple(y.truncate(w) for y in ys)
-            jac = tropical._jacobian(values, shifts, w)
+            width = math.ceil(w * lat.den)
+            _, jac = tropical._system(lat, tropical._term_arrays(lat, x, width), width)
             for i in range(n):
                 for j in range(n):
                     hij = g.log_derivative(i).log_derivative(j).change_frame(pt.u)
                     scale = summand_scale(values, lambda a: a[i] * a[j])
-                    ref = reference_evaluate(hij, yw).shift(-shifts[i])
-                    assert jac[i][j].trunc == w
-                    assert_agree(jac[i][j], ref, scale, w)
+                    # the array path prunes only its output, so neither side
+                    # prunes here
+                    with configured(eps_coeff=0.0):
+                        ref = reference_evaluate(hij, yw).shift(-shifts[i])
+                        got = tropical._scalar(jac[i, j], lat.den)
+                    assert_agree(got, ref, scale, w)
                     if w == order:
                         ref = reference_evaluate(hij, ys)
                         assert hess[i][j].trunc == ref.trunc

@@ -94,6 +94,14 @@ def residuals(pot, u, ys, order):
     return tropical._residuals(pu.term_values(ys), shifts, order)
 
 
+def lattice_denominator(pot, u, order) -> int:
+    """D of the lift's exponent lattice (1/D)Z: the lcm of the denominators
+    of the order, the shifts s_i and the coefficients of P_u."""
+    pu, shifts = tropical._frame_system(pot, u)
+    exps = [e for c in pu.terms.values() for e, _ in c.terms]
+    return math.lcm(*(x.denominator for x in [order, *shifts, *exps]))
+
+
 def blowup_root_series(n: int) -> list[Fraction]:
     """Coefficients of s^0..s^(n-1) of the root a = -1 - s + ... of
     a^3 (a + 1) = s, exactly: x = a + 1 solves x = -s (1 - x)^-3."""
@@ -192,12 +200,14 @@ class TestNewtonLift:
         ys0 = tuple(NovikovScalar.monomial(0, c, trunc=order) for c in y0)
         v = tropical._residual_valuation(ys0, residuals(pot, u, ys0, order))
         assert 0 < v < order
+        den = lattice_denominator(pot, u, order)
         calls = []
         solve = tropical.lambda_solve
 
-        def counted(mat, rhs):
-            calls.append(max(r.trunc for r in rhs))
-            return solve(mat, rhs)
+        def counted(jac, rhs, *args):
+            assert jac.shape[2] == rhs.shape[1]
+            calls.append(F(rhs.shape[1], den))
+            return solve(jac, rhs, *args)
 
         monkeypatch.setattr(tropical, "lambda_solve", counted)
         newton_lift(pot, u, y0, order)
@@ -210,56 +220,76 @@ class TestNewtonLift:
 
     def test_one_term_evaluation_per_step(self, monkeypatch):
         # an operation count, not a timing: the lift evaluates the terms of
-        # the potential once per Newton step plus once for the seed, and
-        # inverts each coordinate at most once per evaluation
+        # the potential once per Newton step, only to the next window, plus
+        # once for the seed, and inverts each coordinate at most once per
+        # evaluation
         pot = potential_of("blowup2", F(1, 2), F(1, 5))
         pt = max(
             find_critical_points(pot).points,
             key=lambda p: max(len(y.terms) for y in p.y_local or ()),
         )
         n = pot.polytope.dim
-        steps, evaluations, inside = [], [], []
-        term_values, invert = LaurentPoly.term_values, NovikovScalar.invert
+        steps, evaluations, widths, inside = [], [], [], []
         solve = tropical.lambda_solve
 
-        def counted_term_values(self, *args):
-            evaluations.append(0)
-            inside.append(True)
-            try:
-                return term_values(self, *args)
-            finally:
-                inside.pop()
+        def evaluation(fn):
+            def counted(*args):
+                evaluations.append(0)
+                inside.append(True)
+                try:
+                    return fn(*args)
+                finally:
+                    inside.pop()
 
-        def counted_invert(self):
-            if inside:
-                evaluations[-1] += 1
-            return invert(self)
+            return counted
 
-        def counted_solve(mat, rhs):
-            steps.append(rhs)
-            return solve(mat, rhs)
+        def inverse(fn):
+            def counted(*args):
+                if inside:
+                    evaluations[-1] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(LaurentPoly, "term_values", counted_term_values)
-        monkeypatch.setattr(NovikovScalar, "invert", counted_invert)
+            return counted
+
+        term_arrays = tropical._term_arrays
+
+        def recorded(lat, x, width):
+            widths.append(width)
+            return term_arrays(lat, x, width)
+
+        def counted_solve(jac, rhs, *args):
+            steps.append(rhs.shape[1])
+            return solve(jac, rhs, *args)
+
+        monkeypatch.setattr(LaurentPoly, "term_values", evaluation(LaurentPoly.term_values))
+        monkeypatch.setattr(tropical, "_term_arrays", evaluation(recorded))
+        monkeypatch.setattr(NovikovScalar, "invert", inverse(NovikovScalar.invert))
+        monkeypatch.setattr(tropical, "_unit_inverse", inverse(tropical._unit_inverse))
         monkeypatch.setattr(tropical, "lambda_solve", counted_solve)
         ys, _ = newton_lift(pot, pt.u, pt.y_initial)
         assert ys == pt.y_local
         assert len(steps) >= 3
         assert len(evaluations) == len(steps) + 1
         assert all(0 < k <= n for k in evaluations)
+        # after a step on window W the terms are needed to min(2W, N) only
+        assert widths == [min(2 * w, steps[-1]) for w in steps]
 
     def test_final_residual_below_order_raises(self, monkeypatch):
         # a solve that never corrects past T^1 leaves residual content below
         # the order, which the final measurement must refuse
-        solve = tropical.lambda_solve
-        monkeypatch.setattr(
-            tropical,
-            "lambda_solve",
-            lambda mat, rhs: [e.truncate(1) for e in solve(mat, rhs)],
-        )
         pot = potential_of("blowup1", F(2, 5))
+        u, order = (F(7, 20), F(3, 10)), F(3)
+        den = lattice_denominator(pot, u, order)
+        solve = tropical.lambda_solve
+
+        def cut(jac, rhs, *args):
+            delta = solve(jac, rhs, *args)
+            delta[:, den:] = 0  # slot den holds T^1
+            return delta
+
+        monkeypatch.setattr(tropical, "lambda_solve", cut)
         with pytest.raises(NoConvergence, match="below the order"):
-            newton_lift(pot, (F(7, 20), F(3, 10)), (1.0, 1.0), order=F(3))
+            newton_lift(pot, u, (1.0, 1.0), order=order)
 
 
 class TestCriticalPoints:
