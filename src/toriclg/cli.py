@@ -12,36 +12,23 @@ exact rationals: "1/3" or "0.4" both work, never floats) or from a JSON
 polytope file via ``--polytope``.  Reports print as text by default and
 as deterministic JSON with ``--format json``.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input (a ValueError, UnknownName or
+OSError), 3 numerical failure (any other ToricLGError).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .config import get_config, update_config
-from .errors import (
-    CorrectionNotPositive,
-    EliminationFailed,
-    IntegralityFailure,
-    InvalidPolytope,
-    LevelUnderdetermined,
-    NoConvergence,
-    NotInLambdaZero,
-    NotInterior,
-    OutsideDomain,
-    ParamOutOfRange,
-    PositiveDimensionalInitialLocus,
-    SingularHessian,
-    SingularInitialJacobian,
-    UnknownName,
-    ZeroLeadingCoefficient,
-)
-from .jacres import residue_report, z_exactness
+from .errors import InvalidPolytope, ToricLGError, UnknownName
+from .jacres import residue_report
 from .laurent import Potential, build_potential, render_poly
 from .lte import balanced_positions, solve_lte
 from .novikov import format_fraction, render_scalar
@@ -52,28 +39,6 @@ from .polytope import (
     catalog,
 )
 from .tropical import find_critical_points
-
-_VALIDATION_ERRORS = (
-    InvalidPolytope,
-    UnknownName,
-    ParamOutOfRange,
-    CorrectionNotPositive,
-    OutsideDomain,
-    NotInterior,
-    NotInLambdaZero,
-    json.JSONDecodeError,
-    OSError,
-)
-_NUMERICAL_ERRORS = (
-    NoConvergence,
-    EliminationFailed,
-    SingularInitialJacobian,
-    SingularHessian,
-    PositiveDimensionalInitialLocus,
-    LevelUnderdetermined,
-    IntegralityFailure,
-    ZeroLeadingCoefficient,
-)
 
 CONFIG_ENV = "TORICLG_CONFIG"
 
@@ -125,6 +90,10 @@ def _build_potential(args) -> Potential:
     if getattr(args, "corrections", None):
         with open(args.corrections) as fh:
             data = json.load(fh)
+        if not isinstance(data, list):
+            raise InvalidPolytope(
+                f"corrections JSON must be a list, got {type(data).__name__}"
+            )
         corrections = tuple(Correction.from_json_dict(d) for d in data)
     return build_potential(p, corrections=corrections, assume_fano=args.assume_fano)
 
@@ -136,11 +105,12 @@ def _poly_json(poly) -> list[dict]:
     ]
 
 
-def _emit(args, doc: dict, text: str) -> int:
+def _emit(args, doc: dict, text: Callable[[], str]) -> int:
+    """Print the report; the text is rendered only for ``--format text``."""
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(text)
+        print(text())
     return 0
 
 
@@ -168,13 +138,13 @@ def cmd_catalog_list(args) -> int:
         for name, sig in sorted(CATALOG_SIGNATURES.items())
     ]
     text = "\n".join(f"{e['name']:<12} {e['signature']}" for e in entries)
-    return _emit(args, {"catalog": entries}, text)
+    return _emit(args, {"catalog": entries}, lambda: text)
 
 
 def cmd_betti(args) -> int:
     p, _ = _resolve_polytope(args)
     n = p.total_betti()
-    return _emit(args, {"betti": n}, str(n))
+    return _emit(args, {"betti": n}, lambda: str(n))
 
 
 def cmd_potential(args) -> int:
@@ -192,7 +162,7 @@ def cmd_potential(args) -> int:
         )
         doc["frame_u"] = [format_fraction(x) for x in args.u]
         doc["terms_at_u"] = _poly_json(local)
-    return _emit(args, doc, "\n".join(lines))
+    return _emit(args, doc, lambda: "\n".join(lines))
 
 
 def _critical_text(report) -> str:
@@ -219,7 +189,7 @@ def _critical_text(report) -> str:
 def cmd_critical_points(args) -> int:
     pot = _build_potential(args)
     report = find_critical_points(pot, order=get_config().truncation_order)
-    return _emit(args, report.to_json_dict(), _critical_text(report))
+    return _emit(args, report.to_json_dict(), lambda: _critical_text(report))
 
 
 def cmd_lte(args) -> int:
@@ -240,7 +210,7 @@ def cmd_lte(args) -> int:
             lines.append(
                 "  witness ybar=(" + ", ".join(_fmt_z(z) for z in w) + ")"
             )
-        return _emit(args, res.to_json_dict(), "\n".join(lines))
+        return _emit(args, res.to_json_dict(), lambda: "\n".join(lines))
     rows = balanced_positions(pot, args.grid)
     doc = {
         "grid": args.grid,
@@ -255,7 +225,7 @@ def cmd_lte(args) -> int:
     unknown = sum(1 for _, s in rows if s == "unknown")
     if unknown:
         lines.append(f"  ({unknown} points undetermined)")
-    return _emit(args, doc, "\n".join(lines))
+    return _emit(args, doc, lambda: "\n".join(lines))
 
 
 def _count_verdict(res) -> str:
@@ -268,32 +238,35 @@ def cmd_residue_check(args) -> int:
     pot = _build_potential(args)
     report = find_critical_points(pot, order=get_config().truncation_order)
     res = residue_report(pot, report)
-    lines = [f"exactness: {res.exactness}"]
-    for pt, z, inv in zip(
-        [p for p in report.points if p.y_local is not None],
-        res.z_values,
-        res.pairing_diag,
-    ):
-        lines.append(f"  u={_fmt_u(pt.u)}  Z = {render_scalar(z)}")
-        lines.append(f"    <1,1> = {render_scalar(inv)}")
-    if res.trace_ok is None:
-        lines.append("trace check: skipped")
-    else:
-        lines.append(
-            f"trace sum residual: {res.trace_residual:.3e}"
-            f" -> {'ok' if res.trace_ok else 'FAIL'}"
-        )
-    lines.append(
-        f"multiplicity count: {res.morse_total} vs betti {res.betti}"
-        f" ({res.morse_mode}) -> {_count_verdict(res)}"
-    )
-    for note in res.notes:
-        lines.append(f"note: {note}")
     doc = {
         "critical": report.to_json_dict(),
         "residue": res.to_json_dict(),
     }
-    return _emit(args, doc, "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"exactness: {res.exactness}"]
+        for pt, z, inv in zip(
+            [p for p in report.points if p.y_local is not None],
+            res.z_values,
+            res.pairing_diag,
+        ):
+            lines.append(f"  u={_fmt_u(pt.u)}  Z = {render_scalar(z)}")
+            lines.append(f"    <1,1> = {render_scalar(inv)}")
+        if res.trace_ok is None:
+            lines.append("trace check: skipped")
+        else:
+            lines.append(
+                f"trace sum residual: {res.trace_residual:.3e}"
+                f" -> {'ok' if res.trace_ok else 'FAIL'}"
+            )
+        lines.append(
+            f"multiplicity count: {res.morse_total} vs betti {res.betti}"
+            f" ({res.morse_mode}) -> {_count_verdict(res)}"
+        )
+        lines += [f"note: {note}" for note in res.notes]
+        return "\n".join(lines)
+
+    return _emit(args, doc, text)
 
 
 def cmd_analyze(args) -> int:
@@ -315,27 +288,33 @@ def cmd_analyze(args) -> int:
         "critical": report.to_json_dict(),
         "residue": res.to_json_dict(),
     }
-    lines = [
-        f"polytope: dim {p.dim}, {p.nfacets} facets, "
-        f"{validation.vertex_count} vertices, fano type: {fano_type}",
-        f"PO = {render_poly(pot.poly)}",
-        _critical_text(report),
-        f"exactness: {res.exactness}",
-        f"multiplicity count {res.morse_total} vs betti {res.betti}"
-        f" ({res.morse_mode}) -> {_count_verdict(res)}",
-    ]
-    if res.trace_ok is not None:
-        lines.append(
-            f"trace residual {res.trace_residual:.3e}"
-            f" -> {'ok' if res.trace_ok else 'FAIL'}"
-        )
-    return _emit(args, doc, "\n".join(lines))
+
+    def text() -> str:
+        lines = [
+            f"polytope: dim {p.dim}, {p.nfacets} facets, "
+            f"{validation.vertex_count} vertices, fano type: {fano_type}",
+            f"PO = {render_poly(pot.poly)}",
+            _critical_text(report),
+            f"exactness: {res.exactness}",
+            f"multiplicity count {res.morse_total} vs betti {res.betti}"
+            f" ({res.morse_mode}) -> {_count_verdict(res)}",
+        ]
+        if res.trace_ok is not None:
+            lines.append(
+                f"trace residual {res.trace_residual:.3e}"
+                f" -> {'ok' if res.trace_ok else 'FAIL'}"
+            )
+        return "\n".join(lines)
+
+    return _emit(args, doc, text)
 
 
 # -- wiring ----------------------------------------------------------------------
 
 
-def _make_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--catalog",
@@ -398,22 +377,18 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _load_env_config()
         if args.truncation is not None:
             update_config(truncation_order=args.truncation)
         return args.fn(args)
-    except _NUMERICAL_ERRORS as exc:
+    except (ValueError, UnknownName, OSError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except ToricLGError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except _VALIDATION_ERRORS as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -136,17 +136,13 @@ class LaurentPoly:
         )
 
     def term_values(
-        self,
-        ys: Sequence[NovikovScalar],
-        powers: dict[tuple[int, int], NovikovScalar] | None = None,
+        self, ys: Sequence[NovikovScalar]
     ) -> list[tuple[ExpVec, NovikovScalar]]:
         """The values c_a * y^a of the terms at invertible scalars ys, in
-        term order; negative powers are powers of one inverse of y_i.
-        ``powers`` shares computed powers across calls at the same point."""
+        term order; negative powers are powers of one inverse of y_i."""
         if len(ys) != self.nvars:
             raise ValueError("arity mismatch")
-        if powers is None:
-            powers = {}
+        powers: dict[tuple[int, int], NovikovScalar] = {}
 
         def power(i: int, e: int) -> NovikovScalar:
             if (i, e) not in powers:
@@ -164,14 +160,10 @@ class LaurentPoly:
             out.append((a, c))
         return out
 
-    def evaluate(
-        self,
-        ys: Sequence[NovikovScalar],
-        powers: dict[tuple[int, int], NovikovScalar] | None = None,
-    ) -> NovikovScalar:
+    def evaluate(self, ys: Sequence[NovikovScalar]) -> NovikovScalar:
         """Substitute invertible scalars for the variables: the sum of the
         term values."""
-        return sum((t for _, t in self.term_values(ys, powers)), NovikovScalar.zero())
+        return sum((t for _, t in self.term_values(ys)), NovikovScalar.zero())
 
     def __repr__(self) -> str:
         return render_poly(self)

@@ -325,13 +325,14 @@ class MomentPolytope:
                 )
                 for j, fd in enumerate(d["facets"])
             ]
-            dim = int(d["dim"])
+            p = cls(int(d["dim"]), facets)
+            corrections = [
+                Correction.from_json_dict(cd) for cd in d.get("corrections", [])
+            ]
         except KeyError as exc:
             raise InvalidPolytope(f"polytope JSON lacks key {exc}") from None
-        p = cls(dim, facets)
-        corrections = [
-            Correction.from_json_dict(cd) for cd in d.get("corrections", [])
-        ]
+        except TypeError as exc:
+            raise InvalidPolytope(f"malformed polytope JSON: {exc}") from None
         return p, corrections
 
     def __repr__(self) -> str:
@@ -384,21 +385,27 @@ class Correction:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Correction":
-        raw = d.get("coeff", {"re": 1.0, "im": 0.0})
-        if isinstance(raw, dict) and "terms" in raw:
-            coeff = NovikovScalar.from_json_dict(raw)
-        elif isinstance(raw, dict):
-            coeff = NovikovScalar.from_number(
-                complex(raw.get("re", 0.0), raw.get("im", 0.0))
+        if not isinstance(d, dict):
+            raise InvalidPolytope(
+                f"correction JSON must be an object, got {type(d).__name__}"
             )
-        else:
-            coeff = NovikovScalar.from_number(complex(raw))
         try:
+            raw = d.get("coeff", {"re": 1.0, "im": 0.0})
+            if isinstance(raw, dict) and "terms" in raw:
+                coeff = NovikovScalar.from_json_dict(raw)
+            elif isinstance(raw, dict):
+                coeff = NovikovScalar.from_number(
+                    complex(raw.get("re", 0.0), raw.get("im", 0.0))
+                )
+            else:
+                coeff = NovikovScalar.from_number(complex(raw))
             return cls(
                 Fraction(d["extra_T"]), tuple(int(x) for x in d["monomial_z"]), coeff
             )
         except KeyError as exc:
             raise InvalidPolytope(f"correction JSON lacks key {exc}") from None
+        except TypeError as exc:
+            raise InvalidPolytope(f"malformed correction JSON: {exc}") from None
 
 
 @dataclass(frozen=True)

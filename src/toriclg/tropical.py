@@ -8,15 +8,17 @@ Candidate points come from equating valuation pairs, one pair per
 equation; rank-deficient pair choices yield affine candidate subspaces
 that are subdivided along their breakpoints.  The algebraic stage solves
 the leading-coefficient system at each candidate over the torus by exact
-elimination (``polysolve``) and lifts every nondegenerate initial root to
-a Novikov series by Newton steps on dense arrays over one exponent
-lattice, each solved order by order from one inverse of the leading
-Jacobian.  A root with an invertible leading Jacobian is simple, and stays
-in the report without a series when its lift fails numerically; a
-degenerate root is not lifted and takes its multiplicity from the exponent
-of its factor in the square-free decomposition of the exact eliminant,
-shared evenly by the roots over the same first coordinate (None when the
-share is uneven or the eliminant is a resultant of resultants).
+elimination (``polysolve``) and lifts every initial root to a Novikov
+series by Newton steps on dense arrays over one exponent lattice, read from
+the potential and u directly, each step solved order by order from one
+inverse of the leading Jacobian.  The lift's leading Jacobian decides
+degeneracy.  A root where it is invertible is simple, and stays in the
+report without a series when its lift fails numerically (NoConvergence); at
+a degenerate root the lift raises SingularInitialJacobian, and the root
+takes its multiplicity from the exponent of its factor in the square-free
+decomposition of the exact eliminant, shared evenly by the roots over the
+same first coordinate (None when the share is uneven or the eliminant is a
+resultant of resultants).
 """
 
 from __future__ import annotations
@@ -37,12 +39,8 @@ from .errors import (
     SingularInitialJacobian,
 )
 from .laurent import LaurentPoly, Potential
-from .novikov import INF, NovikovScalar, format_fraction, weighted_sum
-from .polysolve import (
-    CPoly,
-    log_jacobian,
-    solve_torus_system,
-)
+from .novikov import INF, NovikovScalar, format_fraction
+from .polysolve import CPoly, solve_torus_system
 
 ExpVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -277,63 +275,22 @@ def tropical_candidates(
 # -- lifting ------------------------------------------------------------------
 
 
-def _frame_system(
-    potential: Potential, u: FracVec
-) -> tuple[LaurentPoly, list[Fraction]]:
-    """The potential P_u in the frame at u, and for each equation i of the
-    critical system its leading T-power s_i: the least coefficient
-    valuation of P_u among the terms with a_i != 0."""
-    pu = potential.poly.change_frame(u)
-    shifts = [
-        min(c.valuation() for a, c in pu.terms.items() if a[i])
-        for i in range(pu.nvars)
-    ]
-    return pu, shifts
+def _residual_valuation(den: int, ys: np.ndarray, res: np.ndarray) -> Fraction | float:
+    """Least exponent k/den at which a residual array has a coefficient above
+    rounding noise; ``inf`` when none has.
 
-
-def _residuals(values, shifts, order) -> list[NovikovScalar]:
-    """r_i = T^-s_i sum_a a_i T_a modulo T^order, from the term values
-    T_a = c_a y^a of P_u."""
-    return [
-        weighted_sum(((a[i], t) for a, t in values), order + s).shift(-s)
-        for i, s in enumerate(shifts)
-    ]
-
-
-def _residual_valuation(
-    point: tuple[NovikovScalar, ...], residuals: list[NovikovScalar]
-) -> Fraction | float:
-    """Least exponent at which a residual has a coefficient above rounding
-    noise; ``inf`` when none has.
-
-    Float error in a residual coefficient at T^e scales with the products
+    Float error in a residual coefficient at slot k scales with the products
     cancelled there, so its noise level is a small multiple of eps_coeff
-    times the largest b(e1)*b(e2) with e1 + e2 = e, where b is the running
-    max of |coefficient| over the solution series, floored at 1.  The
-    exponents are read as numerators over one common denominator; a lift
-    from a nondegenerate root has none below 0, and a residual term there
-    never counts as noise.
+    times the largest b(k1)*b(k2) with k1 + k2 = k, where b is the running
+    max of |coefficient| over the solution arrays ``ys`` (as wide as
+    ``res``), floored at 1.
     """
     rel = max(10 * get_config().eps_coeff, 1e-11)
-    lattices = [s.lattice() for s in point]
-    res_lattices = [r.lattice() for r in residuals]
-    den = math.lcm(*(d for d, _, _ in lattices + res_lattices))
-    res = sorted(
-        ((e * (den // d), c) for d, es, cs in res_lattices for e, c in zip(es, cs)),
-        key=lambda term: term[0],
-    )
-    if not res:
-        return INF
-    b = np.ones(max(res[-1][0], 0) + 1)
-    for d, es, cs in lattices:
-        for e, c in zip(es, cs):
-            k = max(e * (den // d), 0)
-            if k < len(b):
-                b[k] = max(b[k], abs(c))
-    np.maximum.accumulate(b, out=b)
-    for k, c in res:
-        if k < 0 or abs(c) > rel * (b[: k + 1] * b[k::-1]).max():
-            return Fraction(k, den)
+    b = np.maximum.accumulate(np.maximum(np.abs(ys).max(axis=0), 1.0))
+    size = np.abs(res).max(axis=0)
+    for k in np.flatnonzero(size > rel):  # the floor is at least rel
+        if size[k] > rel * (b[: k + 1] * b[k::-1]).max():
+            return Fraction(int(k), den)
     return INF
 
 
@@ -375,36 +332,60 @@ def _unit_inverse(p: np.ndarray) -> np.ndarray:
 
 
 class _Lattice:
-    """The terms of P_u on the lattice (1/den)Z, slot k holding T^(k/den),
-    where den is the lcm of the denominators of the order, the shifts s_i
-    and the coefficients of P_u: their exponent vectors, their values at
-    the seed over their leading T-power (size = order*den slots) and the
-    slots of those powers in ``_system``'s array, where equation i starts
-    at ``starts[i]``; ``weights`` has the rows a_i and a_i a_j of each i."""
+    """The terms of the potential in the frame at u on one exponent lattice
+    (1/den)Z, slot k holding T^(k/den).  u and the coefficients sit over one
+    common integer denominator, so the frame shift <a, u> of a term is an
+    integer added to its exponent numerators; den is the least common
+    denominator of the order and the frame exponents below each term's
+    leading power plus the order, size = order*den.  Each term c_a y^a with
+    a != 0 keeps its exponent vector, its value c_a y0^a at the seed over its
+    leading T-power (size slots) and the slot of that power in ``_system``'s
+    array, where equation i starts at ``starts[i]``: the least leading slot
+    over the terms with a_i != 0, the shift s_i.  ``weights`` has the rows
+    a_i and a_i a_j of each i."""
 
-    def __init__(self, values, shifts, order: Fraction):
-        lattices = [t.lattice() for _, t in values]
-        self.den = den = math.lcm(
-            order.denominator, *(s.denominator for s in shifts), *(d for d, _, _ in lattices)
+    def __init__(self, potential: Potential, u, y0, order: Fraction):
+        terms = potential.poly.terms
+        uf = [Fraction(x) for x in u]
+        big = math.lcm(
+            order.denominator,
+            *(x.denominator for x in uf),
+            *(c.lattice()[0] for c in terms.values()),
         )
-        self.size, low = int(order * den), int(min(shifts) * den)
+        un = [x.numerator * (big // x.denominator) for x in uf]
+        size = order.numerator * (big // order.denominator)
+        frame = []
+        for a, c in terms.items():
+            d, es, cs = c.lattice()
+            ks = np.array(es) * (big // d) + sum(x * e for x, e in zip(un, a))
+            cut = int(np.searchsorted(ks, ks[0] + size))
+            frame.append((a, ks[:cut], cs[:cut]))
+        g = math.gcd(big, size, *(int(k) for _, ks, _ in frame for k in ks))
+        self.den, self.size = big // g, size // g
+        shifts = [
+            min(int(ks[0]) for a, ks, _ in frame if a[i]) // g for i in range(len(un))
+        ]
+        low = min(shifts)
+        ys = [complex(y) for y in y0]
         self.exps, self.base, self.place = [], [], []
-        for (a, _), (d, es, cs) in zip(values, lattices):
-            if es and any(a):
-                ks = np.array(es) * (den // d)
-                keep = ks - ks[0] < self.size
+        for a, ks, cs in frame:
+            if any(a):
+                for y, e in zip(ys, a):
+                    if e:
+                        p = y**e if e > 0 else (1 / y) ** -e
+                        cs = [c * p for c in cs]
                 self.base.append(np.zeros(self.size, complex))
-                self.base[-1][ks[keep] - ks[0]] = np.array(cs)[keep]
+                self.base[-1][(ks - ks[0]) // g] = cs
                 self.exps.append(a)
-                self.place.append(int(ks[0]) - low)
+                self.place.append(int(ks[0]) // g - low)
         am = np.array(self.exps, dtype=float)
         rows = np.einsum("ai,aj->ija", am, np.hstack([np.ones((len(am), 1)), am]))
         self.weights = rows.reshape(-1, len(am))
-        self.starts = [int(s * den) - low for s in shifts]
+        self.starts = [s - low for s in shifts]
 
 
 def _term_arrays(lat: _Lattice, x: np.ndarray, width: int) -> list[np.ndarray]:
-    """The term values of P_u at y = y0 (1 + x) over their leading T-power,
+    """The term values c_a y^a at y = y0 (1 + x) over their leading T-power,
     modulo T^width in slots: the seed values times powers of 1 + x_i, the
     negative ones powers of one inverse per variable."""
     units = x[:, :width] + np.eye(1, width)
@@ -454,36 +435,38 @@ def newton_lift(
 ) -> tuple[tuple[NovikovScalar, ...], Fraction | float]:
     """Lift an initial torus root at candidate u to a series solution of the
     critical system modulo T^order, in the frame centered at u, with the
-    final residual valuation: a certificate that it reaches the order
-    (NoConvergence otherwise, and when the seed's valuation v is <= 0).
+    final residual valuation: a certificate that it reaches the order.
 
-    A seed with v >= order is returned as it is.  Otherwise the steps carry
-    y_i = y0_i (1 + x_i) on one exponent lattice (``_Lattice``).  With J_0
-    invertible each Newton step at least doubles v (Hensel), so the steps
-    solve on the windows 2v, 4v, ... up to the order with ``lambda_solve``
-    from one inverse of J_0, each evaluating the terms of P_u once, to the
-    next window only.
+    The whole lift runs on one exponent lattice (``_Lattice``), built from
+    the potential and u directly, and carries y_i = y0_i (1 + x_i).  The
+    seed's system gives the leading Jacobian J_0, the one degeneracy test
+    (SingularInitialJacobian), and the seed's residual valuation v
+    (NoConvergence when v <= 0: not a root).  A seed with v >= order is
+    returned as it is.  Otherwise each Newton step at least doubles v
+    (Hensel), so the steps solve on the windows 2v, 4v, ... up to the order
+    with ``lambda_solve`` from one inverse of J_0, each evaluating the terms
+    once, to the next window only.  NoConvergence is raised when the final
+    residual has content below the order.
     """
     e_order = Fraction(order) if order is not None else get_config().truncation_order
     if e_order is None or e_order <= 0:
         raise ValueError("newton_lift needs a positive finite order")
-    pu, shifts = _frame_system(potential, tuple(Fraction(x) for x in u))
-    ys = tuple(NovikovScalar.monomial(0, c, trunc=e_order) for c in y0)
-    values = pu.term_values(ys)
-    w = _residual_valuation(ys, _residuals(values, shifts, e_order))
+    lat = _Lattice(potential, u, y0, e_order)
+    res, jac = _system(lat, lat.base, lat.size)
+    if _is_degenerate(jac[:, :, 0]):
+        raise SingularInitialJacobian("leading Jacobian is singular; cannot lift")
+    seed = np.array(y0, complex)[:, None]
+    w = _residual_valuation(lat.den, seed * np.eye(1, lat.size), res)
     if w <= 0:
         raise NoConvergence(
             f"initial root has residual of valuation {w}; not a root"
         )
     if w >= e_order:
-        return ys, w
-    lat = _Lattice(values, shifts, e_order)
+        return tuple(NovikovScalar.monomial(0, c, trunc=e_order) for c in y0), w
     w, width = int(w * lat.den), min(int(2 * w * lat.den), lat.size)
-    res, jac = _system(lat, lat.base, width)
-    if _is_degenerate(jac[:, :, 0]):
-        raise NoConvergence("leading Jacobian is singular; cannot lift")
+    res, jac = res[:, :width], jac[:, :, :width]
     inv0 = np.linalg.inv(jac[:, :, 0])
-    x = np.zeros((len(shifts), lat.size), complex)
+    x = np.zeros((len(y0), lat.size), complex)
     while w < lat.size:
         # the residual is O(T^w), so this step is exact modulo T^(2w) (Hensel)
         w = width
@@ -492,14 +475,14 @@ def newton_lift(
         width = min(2 * w, lat.size)
         res, jac = _system(lat, _term_arrays(lat, x, width), width)
     x[:, 0] += 1
-    ys = tuple(_scalar(c * xi, lat.den) for c, xi in zip(y0, x))
-    final = _residual_valuation(ys, [_scalar(r, lat.den) for r in res])
+    x *= seed
+    final = _residual_valuation(lat.den, x, res)
     if final < e_order:
         raise NoConvergence(
             f"residual valuation {final} is below the order {e_order} "
             f"after the Newton steps"
         )
-    return ys, final
+    return tuple(_scalar(y, lat.den) for y in x), final
 
 
 # -- assembled search ---------------------------------------------------------
@@ -604,7 +587,9 @@ def find_critical_points(
         if sol.eliminant is not None and len(sol.eliminant) > 1:
             eliminants.append(EliminantRecord(u, sol.eliminant))
         for root, mult in zip(sol.roots, sol.multiplicities):
-            if _is_degenerate(log_jacobian(polys, root)):
+            try:
+                ys, resval = newton_lift(potential, u, root, e_order)
+            except SingularInitialJacobian:
                 # a degenerate root takes its multiplicity from the eliminant
                 points.append(
                     CriticalPoint(
@@ -616,8 +601,6 @@ def find_critical_points(
                     )
                 )
                 continue
-            try:
-                ys, resval = newton_lift(potential, u, root, e_order)
             except NoConvergence:  # still a simple root; only its series is missing
                 ys = resval = None
             points.append(

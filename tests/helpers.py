@@ -5,6 +5,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from toriclg import (
     LevelUnderdetermined,
     MomentPolytope,
@@ -117,6 +119,17 @@ def random_scalar(rng: random.Random, nterms: int = 4, den: int = 6) -> NovikovS
 def scalars_close(x: NovikovScalar, y: NovikovScalar, tol: float = 1e-9) -> bool:
     d = x - y
     return all(abs(c) <= tol for _, c in d.terms)
+
+
+def on_lattice(s: NovikovScalar, den: int, width: int) -> np.ndarray:
+    """Coefficients of s at T^(k/den), k < width; s must sit on (1/den)Z."""
+    d, es, cs = s.lattice()
+    assert den % d == 0, (den, d)
+    out = np.zeros(width, complex)
+    for e, c in zip(es, cs):
+        if e * (den // d) < width:
+            out[e * (den // d)] = c
+    return out
 
 
 def assert_scalar_close(x: NovikovScalar, y: NovikovScalar, tol: float = 1e-9):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import random_delzant_polytope
-from toriclg import NoConvergence
+from toriclg import NoConvergence, ToricLGError
 from toriclg.cli import main
 
 HIRZ = {
@@ -389,6 +389,30 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "polytope, corrections",
+        [
+            ({**HIRZ, "facets": [*HIRZ["facets"], 5]}, None),
+            ({**HIRZ, "facets": [{"normal": 5, "constant": "0"}, *HIRZ["facets"][1:]]}, None),
+            ({**HIRZ, "facets": [{"normal": [1, 0], "constant": [1]}, *HIRZ["facets"][1:]]}, None),
+            ({**HIRZ, "corrections": [5]}, None),
+            (HIRZ, 5),
+        ],
+        ids=["facet-number", "normal-number", "constant-list", "correction-number", "corrections-file-number"],
+    )
+    def test_malformed_polytope_json(self, capsys, tmp_path, polytope, corrections):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(polytope))
+        argv = ["analyze", "--polytope", str(path)]
+        if corrections is not None:
+            corr = tmp_path / "c.json"
+            corr.write_text(json.dumps(corrections))
+            argv += ["--corrections", str(corr)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
+
     def test_numerical_failure_maps_to_three(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise NoConvergence("stuck")
@@ -397,3 +421,40 @@ class TestExitCodes:
         code, _, err = run(capsys, "critical-points", "--catalog", "simplex:1")
         assert code == 3
         assert "numerical failure" in err
+
+
+# the exit code of every package error, as it stands: ValueError kin,
+# UnknownName (a KeyError) and OSError are invalid input, the rest are
+# numerical failures
+EXIT_CODES = {
+    "NotInLambdaZero": 2,
+    "ZeroLeadingCoefficient": 3,
+    "InvalidPolytope": 2,
+    "UnknownName": 2,
+    "ParamOutOfRange": 2,
+    "CorrectionNotPositive": 2,
+    "OutsideDomain": 2,
+    "PositiveDimensionalInitialLocus": 3,
+    "EliminationFailed": 3,
+    "SingularInitialJacobian": 3,
+    "NoConvergence": 3,
+    "NotInterior": 2,
+    "IntegralityFailure": 3,
+    "LevelUnderdetermined": 3,
+    "SingularHessian": 3,
+}
+
+
+def test_every_package_error_has_its_exit_code(capsys, monkeypatch):
+    classes = ToricLGError.__subclasses__()
+    assert sorted(c.__name__ for c in classes) == sorted(EXIT_CODES)
+    for cls in classes:
+
+        def boom(*a, cls=cls, **k):
+            raise cls("boom")
+
+        monkeypatch.setattr("toriclg.cli.find_critical_points", boom)
+        code, out, err = run(capsys, "critical-points", "--catalog", "simplex:1")
+        assert code == EXIT_CODES[cls.__name__], cls
+        prefix = "invalid input" if code == 2 else "numerical failure"
+        assert err.startswith(prefix) and out == ""

@@ -64,13 +64,23 @@ class TestRingOps:
         assert v.coeff_at(F(1, 2)) == pytest.approx(6.0)
         assert v.coeff_at(F(-1, 2)) == pytest.approx(0.5)
 
-    def test_evaluate_shares_power_cache(self):
-        f = mono((3, 0)) + mono((2, 0))
-        y = (S(F(1, 3), 2.0), S(0, 1.0))
-        cache: dict = {}
-        v1 = f.evaluate(y, cache)
-        assert (0, 2) in cache and (0, 3) in cache
-        assert v1 == f.evaluate(y)
+    def test_evaluate_inverts_each_variable_once(self, monkeypatch):
+        # negative powers within one evaluation share one inverse per variable
+        exps = [(-1, 0), (-2, 1), (-3, -1)]
+        f = sum((mono(a) for a in exps), LaurentPoly.zero(2))
+        y = (S(F(1, 3), 2.0) + S(F(2, 3), 1.0), S(0, 1.0) + S(1, 0.5))
+        expected = sum((y[0] ** a * y[1] ** b for a, b in exps), NovikovScalar.zero())
+        inverted = []
+        invert = NovikovScalar.invert
+
+        def counted(s):
+            inverted.append(s)
+            return invert(s)
+
+        monkeypatch.setattr(NovikovScalar, "invert", counted)
+        v = f.evaluate(y)
+        assert inverted == list(y)
+        assert_scalar_close(v, expected)
 
     def test_change_frame_shifts_coefficients(self):
         f = mono((1, 0)) + mono((0, 1), exp=F(1, 2))

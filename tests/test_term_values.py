@@ -1,11 +1,12 @@
 """Term values against per-derivative evaluation.
 
-The Newton lift and the residue report evaluate each term c_a y^a of the
-frame-shifted potential once per point and take the residuals, the
-Jacobian, the Hessian and the critical value as integer-weighted sums of
-those values; the lift does so on dense arrays over one exponent lattice.  The oracle here builds each derivative polynomial
-theta_i theta_j PO, shifts it to the frame and evaluates it term by term
-with its own powers of y, and evaluates the critical value as the
+The residue report evaluates each term c_a y^a of the frame-shifted
+potential once per point and takes the Hessian and the critical value as
+integer-weighted sums of those values.  The Newton lift does the same on
+dense arrays over one exponent lattice, read from the potential and u, for
+its residuals and log-Jacobian.  The oracle here builds each derivative
+polynomial theta_i theta_j PO, shifts it to the frame and evaluates it term
+by term with its own powers of y, and evaluates the critical value as the
 potential at the absolute point.  Both must agree below each window.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_delzant_polytope, random_delzant_threefold
+from helpers import on_lattice, random_delzant_polytope, random_delzant_threefold
 from toriclg import (
     LaurentPoly,
     NovikovScalar,
@@ -91,17 +92,6 @@ def assert_agree(got: NovikovScalar, ref: NovikovScalar, scale: float, window):
         assert abs(got.coeff_at(e) - ref.coeff_at(e)) <= tol, (e, got, ref)
 
 
-def on_lattice(s: NovikovScalar, den: int, width: int) -> np.ndarray:
-    """Coefficients of s at T^(k/den), k < width; den is a multiple of the
-    denominator of s."""
-    d, es, cs = s.lattice()
-    out = np.zeros(width, complex)
-    for e, c in zip(es, cs):
-        if e * (den // d) < width:
-            out[e * (den // d)] = c
-    return out
-
-
 def summand_scale(values, weight) -> float:
     return max(abs(weight(a)) * t.max_abs_coeff() for a, t in values)
 
@@ -118,31 +108,33 @@ def test_term_values_match_derivative_evaluation(make):
     criticals = residue_report(pot, rep).critical_values
     for pt, crit in zip(lifted, criticals):
         ys = pt.y_local
-        pu, shifts = tropical._frame_system(pot, pt.u)
-        values = pu.term_values(ys)
+        values = g.change_frame(pt.u).term_values(ys)
         thetas = [g.log_derivative(i).change_frame(pt.u) for i in range(n)]
-        assert shifts == [min(c.valuation() for c in h.terms.values()) for h in thetas]
-        for i, r in enumerate(tropical._residuals(values, shifts, order)):
-            assert r.trunc == order
-            ref = reference_evaluate(thetas[i], ys).shift(-shifts[i])
-            assert_agree(r, ref, summand_scale(values, lambda a: a[i]), order)
+        shifts = [min(c.valuation() for c in h.terms.values()) for h in thetas]
         hess = hessian_matrix(pot, pt.u, ys)
-        # the lift's array path: the terms at y = y0 (1 + x) on its lattice,
-        # and the log-Jacobian summed from them, modulo T^w
-        seed = tuple(NovikovScalar.monomial(0, c, trunc=order) for c in pt.y_initial)
-        lat = tropical._Lattice(pu.term_values(seed), shifts, order)
+        # the lift's lattice, read from the potential and u; the terms at
+        # y = y0 (1 + x) on it, and the residuals and log-Jacobian summed
+        # from them, modulo T^w
+        lat = tropical._Lattice(pot, pt.u, pt.y_initial, order)
+        assert lat.size == order * lat.den
+        assert [F(s, lat.den) for s in lat.starts] == [s - min(shifts) for s in shifts]
         x = np.array([on_lattice(y, lat.den, lat.size) / c for y, c in zip(ys, pt.y_initial)])
         x[:, 0] -= 1
         for w in (order / 4, order / 2, order):
             yw = tuple(y.truncate(w) for y in ys)
             width = math.ceil(w * lat.den)
-            _, jac = tropical._system(lat, tropical._term_arrays(lat, x, width), width)
+            res, jac = tropical._system(lat, tropical._term_arrays(lat, x, width), width)
+            assert res.shape == (n, width)
+            # the array path prunes only its output, so neither side
+            # prunes here
             for i in range(n):
+                with configured(eps_coeff=0.0):
+                    ref = reference_evaluate(thetas[i], yw).shift(-shifts[i])
+                    got = tropical._scalar(res[i], lat.den)
+                assert_agree(got, ref, summand_scale(values, lambda a: a[i]), w)
                 for j in range(n):
                     hij = g.log_derivative(i).log_derivative(j).change_frame(pt.u)
                     scale = summand_scale(values, lambda a: a[i] * a[j])
-                    # the array path prunes only its output, so neither side
-                    # prunes here
                     with configured(eps_coeff=0.0):
                         ref = reference_evaluate(hij, yw).shift(-shifts[i])
                         got = tropical._scalar(jac[i, j], lat.den)

@@ -4,15 +4,17 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import assert_scalar_close
-from toriclg import tropical
+from helpers import assert_scalar_close, on_lattice
+from toriclg import novikov, tropical
 from toriclg import (
     BulkCoefficients,
     LaurentPoly,
     NoConvergence,
     NovikovScalar,
+    SingularInitialJacobian,
     build_potential,
     catalog,
     find_critical_points,
@@ -28,6 +30,16 @@ F = Fraction
 def potential_of(name, *params):
     entry = catalog(name, *params)
     return build_potential(entry.polytope, corrections=entry.corrections)
+
+
+def degenerate_bulk_potential():
+    """blowup1:1/3 with bulk coefficients that merge two critical points
+    into one degenerate double point."""
+    entry = catalog("blowup1", F(1, 3))
+    bulk = BulkCoefficients(
+        tuple(NovikovScalar.from_number(c) for c in (1, 1, -0.25, 0.75))
+    )
+    return build_potential(entry.polytope, bulk=bulk)
 
 
 def close(a: complex, b: complex, tol=1e-9) -> bool:
@@ -87,19 +99,31 @@ class TestInitialSystem:
         assert sum(1 for v in vals if v == low) >= 2
 
 
-def residuals(pot, u, ys, order):
-    """The lift's residuals at ys: equation i of the critical system in the
-    frame at u, divided by its leading T-power, modulo T^order."""
-    pu, shifts = tropical._frame_system(pot, u)
-    return tropical._residuals(pu.term_values(ys), shifts, order)
+def certificate(pot, u, ys, lat) -> Fraction | float:
+    """The lift's residual certificate at ys, from residuals computed by the
+    sparse oracle: equation i of the critical system in the frame at u,
+    evaluated term by term and divided by its leading T-power s_i, put on the
+    lift's lattice."""
+    thetas = [pot.change_frame(u).log_derivative(i) for i in range(len(ys))]
+    shifts = [min(c.valuation() for c in h.terms.values()) for h in thetas]
+    res = np.array(
+        [on_lattice(h.evaluate(ys).shift(-s), lat.den, lat.size) for h, s in zip(thetas, shifts)]
+    )
+    arrs = np.array([on_lattice(y, lat.den, lat.size) for y in ys])
+    return tropical._residual_valuation(lat.den, arrs, res)
 
 
-def lattice_denominator(pot, u, order) -> int:
-    """D of the lift's exponent lattice (1/D)Z: the lcm of the denominators
-    of the order, the shifts s_i and the coefficients of P_u."""
-    pu, shifts = tropical._frame_system(pot, u)
-    exps = [e for c in pu.terms.values() for e, _ in c.terms]
-    return math.lcm(*(x.denominator for x in [order, *shifts, *exps]))
+def record_lattices(monkeypatch) -> list:
+    """Every exponent lattice the lift builds from now on, in order."""
+    built = []
+    make = tropical._Lattice
+
+    def record(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    monkeypatch.setattr(tropical, "_Lattice", record)
+    return built
 
 
 def blowup_root_series(n: int) -> list[Fraction]:
@@ -181,48 +205,51 @@ class TestNewtonLift:
             ("blowup1", (F(2, 5),), (F(7, 20), F(3, 10)), (1.0, 1.0), 9, 1e-6),
         ],
     )
-    def test_perturbed_coefficient_is_reported(self, name, params, u, y0, k, size):
+    def test_perturbed_coefficient_is_reported(
+        self, monkeypatch, name, params, u, y0, k, size
+    ):
         pot = potential_of(name, *params)
         order = F(5)
+        lattices = record_lattices(monkeypatch)
         ys, resval = newton_lift(pot, u, y0, order)
         assert resval == math.inf
-        res = residuals(pot, u, ys, order)
-        assert tropical._residual_valuation(ys, res) == math.inf
+        (lat,) = lattices
+        assert certificate(pot, u, ys, lat) == math.inf
         d, es, _ = ys[0].lattice()
         e = F(es[k], d)
         bumped = (ys[0] + NovikovScalar.monomial(e, size, trunc=order), *ys[1:])
-        res = residuals(pot, u, bumped, order)
-        assert tropical._residual_valuation(bumped, res) == e
+        assert certificate(pot, u, bumped, lat) == e
 
     def test_steps_follow_the_doubling_schedule(self, monkeypatch):
         pot = potential_of("blowup1", F(2, 5))
         u, y0, order = (F(7, 20), F(3, 10)), (1.0, 1.0), F(3)
-        ys0 = tuple(NovikovScalar.monomial(0, c, trunc=order) for c in y0)
-        v = tropical._residual_valuation(ys0, residuals(pot, u, ys0, order))
-        assert 0 < v < order
-        den = lattice_denominator(pot, u, order)
+        lattices = record_lattices(monkeypatch)
         calls = []
         solve = tropical.lambda_solve
 
         def counted(jac, rhs, *args):
             assert jac.shape[2] == rhs.shape[1]
-            calls.append(F(rhs.shape[1], den))
+            calls.append(rhs.shape[1])
             return solve(jac, rhs, *args)
 
         monkeypatch.setattr(tropical, "lambda_solve", counted)
         newton_lift(pot, u, y0, order)
+        (lat,) = lattices
+        ys0 = tuple(NovikovScalar.monomial(0, c, trunc=order) for c in y0)
+        v = certificate(pot, u, ys0, lat)
+        assert 0 < v < order
         windows = []
         w = v
         while w < order:
             w = min(2 * w, order)
             windows.append(w)
-        assert calls == windows
+        assert [F(c, lat.den) for c in calls] == windows
 
     def test_one_term_evaluation_per_step(self, monkeypatch):
         # an operation count, not a timing: the lift evaluates the terms of
-        # the potential once per Newton step, only to the next window, plus
-        # once for the seed, and inverts each coordinate at most once per
-        # evaluation
+        # the potential once for the seed, when it builds its lattice, and
+        # once per Newton step, only to the next window, inverting each
+        # coordinate at most once per step
         pot = potential_of("blowup2", F(1, 2), F(1, 5))
         pt = max(
             find_critical_points(pot).points,
@@ -231,45 +258,37 @@ class TestNewtonLift:
         n = pot.polytope.dim
         steps, evaluations, widths, inside = [], [], [], []
         solve = tropical.lambda_solve
-
-        def evaluation(fn):
-            def counted(*args):
-                evaluations.append(0)
-                inside.append(True)
-                try:
-                    return fn(*args)
-                finally:
-                    inside.pop()
-
-            return counted
-
-        def inverse(fn):
-            def counted(*args):
-                if inside:
-                    evaluations[-1] += 1
-                return fn(*args)
-
-            return counted
-
         term_arrays = tropical._term_arrays
 
         def recorded(lat, x, width):
             widths.append(width)
-            return term_arrays(lat, x, width)
+            evaluations.append(0)
+            inside.append(True)
+            try:
+                return term_arrays(lat, x, width)
+            finally:
+                inside.pop()
+
+        unit_inverse = tropical._unit_inverse
+
+        def inverse(p):
+            if inside:
+                evaluations[-1] += 1
+            return unit_inverse(p)
 
         def counted_solve(jac, rhs, *args):
             steps.append(rhs.shape[1])
             return solve(jac, rhs, *args)
 
-        monkeypatch.setattr(LaurentPoly, "term_values", evaluation(LaurentPoly.term_values))
-        monkeypatch.setattr(tropical, "_term_arrays", evaluation(recorded))
-        monkeypatch.setattr(NovikovScalar, "invert", inverse(NovikovScalar.invert))
-        monkeypatch.setattr(tropical, "_unit_inverse", inverse(tropical._unit_inverse))
+        lattices = record_lattices(monkeypatch)
+        monkeypatch.setattr(tropical, "_term_arrays", recorded)
+        monkeypatch.setattr(tropical, "_unit_inverse", inverse)
         monkeypatch.setattr(tropical, "lambda_solve", counted_solve)
         ys, _ = newton_lift(pot, pt.u, pt.y_initial)
         assert ys == pt.y_local
+        assert len(lattices) == 1
         assert len(steps) >= 3
-        assert len(evaluations) == len(steps) + 1
+        assert len(evaluations) == len(steps)
         assert all(0 < k <= n for k in evaluations)
         # after a step on window W the terms are needed to min(2W, N) only
         assert widths == [min(2 * w, steps[-1]) for w in steps]
@@ -279,17 +298,48 @@ class TestNewtonLift:
         # the order, which the final measurement must refuse
         pot = potential_of("blowup1", F(2, 5))
         u, order = (F(7, 20), F(3, 10)), F(3)
-        den = lattice_denominator(pot, u, order)
+        lattices = record_lattices(monkeypatch)
         solve = tropical.lambda_solve
 
         def cut(jac, rhs, *args):
             delta = solve(jac, rhs, *args)
-            delta[:, den:] = 0  # slot den holds T^1
+            delta[:, lattices[-1].den :] = 0  # slot den holds T^1
             return delta
 
         monkeypatch.setattr(tropical, "lambda_solve", cut)
         with pytest.raises(NoConvergence, match="below the order"):
             newton_lift(pot, u, (1.0, 1.0), order=order)
+
+    @pytest.mark.parametrize(
+        "name, params, u, y0",
+        [
+            ("simplex", (1,), (F(1, 2),), (1.0,)),
+            ("blowup1", (F(2, 5),), (F(7, 20), F(3, 10)), (1.0, 1.0)),
+        ],
+    )
+    def test_no_series_arithmetic_before_the_final_scalars(
+        self, monkeypatch, name, params, u, y0
+    ):
+        # the lift reads the potential and u directly onto its lattice: no
+        # frame change, no term values, no sums or products of scalars
+        pot = potential_of(name, *params)
+        expected = newton_lift(pot, u, y0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("series arithmetic inside the lift")
+
+        for attr in ("change_frame", "term_values", "evaluate"):
+            monkeypatch.setattr(LaurentPoly, attr, forbidden)
+        for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__pow__", "invert"):
+            monkeypatch.setattr(NovikovScalar, attr, forbidden)
+        monkeypatch.setattr(novikov, "weighted_sum", forbidden)
+        assert newton_lift(pot, u, y0) == expected
+
+    def test_degenerate_root_raises_singular_initial_jacobian(self):
+        pot = degenerate_bulk_potential()
+        (degen,) = [p for p in find_critical_points(pot).points if not p.nondegenerate]
+        with pytest.raises(SingularInitialJacobian):
+            newton_lift(pot, degen.u, degen.y_initial)
 
 
 class TestCriticalPoints:
@@ -379,12 +429,7 @@ class TestCriticalPoints:
         assert [c.dimension for c in rep.cells] == [1]
 
     def test_degenerate_double_point_with_bulk(self):
-        entry = catalog("blowup1", F(1, 3))
-        bulk = BulkCoefficients(
-            tuple(NovikovScalar.from_number(c) for c in (1, 1, -0.25, 0.75))
-        )
-        pot = build_potential(entry.polytope, bulk=bulk)
-        rep = find_critical_points(pot)
+        rep = find_critical_points(degenerate_bulk_potential())
         assert len(rep.points) == 3
         degen = [p for p in rep.points if not p.nondegenerate]
         assert len(degen) == 1
