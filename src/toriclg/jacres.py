@@ -2,12 +2,17 @@
 
 For a Morse potential the Jacobian ring splits over the critical points;
 the residue pairing is diagonal with entry 1/Z at each point, where Z is
-the determinant of the logarithmic Hessian.  Each point evaluates the
-terms T_a = c_a y^a of the potential in its frame once; the Hessian
-entries sum_a a_i a_j T_a and the critical value sum_a T_a are weighted
-sums of those values.  Two checks fall out at desk scale: the traces of
-the idempotents sum to zero, and on projective space the basis built from
-powers of the hyperplane class is exactly Poincare dual to itself.
+the determinant of the logarithmic Hessian.  The residue data of a lifted
+point come from the Newton lift's final full-width system on its exponent
+lattice (``tropical.LatticeSystem``): Z = T^(sum s_i) det J from the
+log-Jacobian J by an expansion over minors, 1/Z by one unit inverse and the
+critical value from one more weight row, all on dense arrays, with the
+potential's constant term added at the end.  The residue report makes no
+term evaluation of its own.  ``hessian_matrix`` at any given point
+evaluates on the same kind of lattice.  Two checks fall out at desk scale:
+the traces of the idempotents sum to zero, and on projective space the
+basis built from powers of the hyperplane class is exactly Poincare dual to
+itself.
 """
 
 from __future__ import annotations
@@ -17,27 +22,47 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .config import get_config
 from .errors import SingularHessian
 from .laurent import Potential, build_potential
-from .novikov import INF, NovikovScalar, format_fraction, weighted_sum
+from .novikov import INF, NovikovScalar, format_fraction
 from .polytope import catalog
-from .tropical import CriticalPoint, CriticalReport
+from .tropical import CriticalPoint, CriticalReport, _Lattice, _scalar, _sums, _term_arrays
 
 
-def hessian_matrix(
-    potential: Potential, u, ys_local, values=None
-) -> list[list[NovikovScalar]]:
+def hessian_matrix(potential: Potential, u, ys_local) -> list[list[NovikovScalar]]:
     """Logarithmic Hessian  theta_i theta_j PO = sum_a a_i a_j T_a  at a
-    point given in the frame centered at u, from the term values T_a of the
-    potential in that frame; ``values`` passes them when they are at hand."""
-    if values is None:
-        values = potential.poly.change_frame(u).term_values(ys_local)
-    n = potential.polytope.dim
-    return [
-        [weighted_sum((a[i] * a[j], t) for a, t in values) for j in range(n)]
-        for i in range(n)
-    ]
+    point given in the frame centered at u by scalars of valuation 0, from
+    one evaluation of the terms on an exponent lattice at y = y0 (1 + x).
+    Entry (i, j) is known modulo T^(m + t), m the least leading power among
+    its terms and t the least truncation order of the ys (the configured
+    order when they are exact), capped as in the lift."""
+    if any(y.valuation() != 0 for y in ys_local):
+        raise ValueError("the point needs coordinates of valuation 0 in the frame at u")
+    order = min(
+        (y.trunc for y in ys_local if y.trunc is not None),
+        default=get_config().truncation_order,
+    )
+    y0 = [y.coeff_at(0) for y in ys_local]
+    lat = _Lattice(potential, u, y0, order, [y.lattice()[0] for y in ys_local])
+    x = np.zeros((len(y0), lat.size), complex)
+    for row, y, c in zip(x, ys_local, y0):
+        d, es, cs = y.lattice()
+        ks = np.array(es) * (lat.den // d)
+        keep = ks < lat.size
+        row[ks[keep]] = np.array(cs)[keep] / c
+    x[:, 0] -= 1
+    sums = _sums(lat, _term_arrays(lat, x, lat.size), lat.size)
+    n = len(y0)
+    h = [[NovikovScalar.zero()] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        m = min((p for p, a in zip(lat.place, lat.exps) if a[i] and a[j]), default=None)
+        if m is not None:
+            row = sums[1 + i * (n + 1) + 1 + j, m : m + lat.size]
+            h[i][j] = h[j][i] = _scalar(row, lat.den, m + lat.low)
+    return h
 
 
 def novikov_det(m: list[list[NovikovScalar]]) -> NovikovScalar:
@@ -60,16 +85,14 @@ def novikov_det(m: list[list[NovikovScalar]]) -> NovikovScalar:
     return total
 
 
-def z_value(
-    potential: Potential, point: CriticalPoint, values=None
-) -> NovikovScalar:
-    """Hessian determinant at a lifted critical point; ``values`` as in
-    ``hessian_matrix``."""
-    if point.y_local is None:
+def z_value(potential: Potential, point: CriticalPoint) -> NovikovScalar:
+    """Hessian determinant at a lifted critical point, from the lift's final
+    system."""
+    if point.system is None:
         raise SingularHessian(
             "no series solution stored; the point was degenerate at leading order"
         )
-    z = novikov_det(hessian_matrix(potential, point.u, point.y_local, values))
+    z = point.system.z()
     if z.is_zero():
         raise SingularHessian(f"Hessian determinant vanishes at u={point.u}")
     return z
@@ -142,6 +165,7 @@ def residue_report(
     values: list[NovikovScalar] = []
     inv: list[NovikovScalar] = []
     all_lifted = bool(report.points)
+    constant = potential.poly.terms.get((0,) * potential.polytope.dim)
     for pt in report.points:
         if pt.y_local is None:
             all_lifted = False
@@ -151,11 +175,10 @@ def residue_report(
                 "no residue data"
             )
             continue
-        terms = potential.poly.change_frame(pt.u).term_values(pt.y_local)
-        z = z_value(potential, pt, terms)
-        zs.append(z)
-        inv.append(z.invert())
-        values.append(weighted_sum((1, t) for _, t in terms))
+        zs.append(z_value(potential, pt))
+        inv.append(pt.system.z_inverse())
+        value = pt.system.critical_value()
+        values.append(value + constant if constant is not None else value)
     trace_sum = None
     trace_ok: bool | None = None
     trace_residual: float | None = None

@@ -23,9 +23,7 @@ coefficient, and ``math.inf`` for the zero scalar.  Scalars with
 nonnegative valuation form the subring on which ``exp`` and ``log`` below
 operate.
 
-``invert`` multiplies only on the window each Newton step makes correct;
-``weighted_sum`` adds integer multiples of scalars in one pass, so the
-derivatives of a polynomial at a point come from its term values.
+``invert`` multiplies only on the window each Newton step makes correct.
 """
 
 from __future__ import annotations
@@ -103,6 +101,12 @@ def _precedes(a: "NovikovScalar", b: "NovikovScalar") -> bool:
     if ka != kb:
         return ka < kb
     return [(c.real, c.imag) for c in a._c] < [(c.real, c.imag) for c in b._c]
+
+
+def _ratio(e: int, den: int) -> str:
+    """str(Fraction(e, den)) without building the Fraction."""
+    g = math.gcd(e, den)
+    return str(e // g) if g == den else f"{e // g}/{den // g}"
 
 
 def _min_order(a: int | None, b: int | None) -> int | None:
@@ -381,12 +385,13 @@ class NovikovScalar:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        d = self._den
         return {
             "terms": [
-                {"exp": str(e), "re": c.real, "im": c.imag}
-                for e, c in self.terms
+                {"exp": _ratio(e, d), "re": c.real, "im": c.imag}
+                for e, c in zip(self._e, self._c)
             ],
-            "trunc": "inf" if self._t is None else str(self.trunc),
+            "trunc": "inf" if self._t is None else _ratio(self._t, d),
         }
 
     @classmethod
@@ -426,27 +431,6 @@ def _lattice_multiply(den, ea, ca, eb, cb, tr: int | None) -> NovikovScalar:
         np.add.at(acc, inv, coeffs)
     keep = np.abs(acc) > get_config().eps_coeff
     return _make(den, es[keep].tolist(), acc[keep].tolist(), tr)
-
-
-def weighted_sum(
-    pairs: Iterable[tuple[int, NovikovScalar]], order: ExponentLike | None = None
-) -> NovikovScalar:
-    """The sum of k * x over the pairs (k, x) of an integer and a scalar,
-    modulo T^order: one pass over the terms, pruned once at the end."""
-    pairs = [(k, x) for k, x in pairs if k]
-    o = None if order is None else _as_fraction(order)
-    den = math.lcm(1 if o is None else o.denominator, *(x._den for _, x in pairs))
-    t = None if o is None else o.numerator * (den // o.denominator)
-    acc: dict[int, complex] = {}
-    for k, x in pairs:
-        es, xt = _rescaled(x, den)
-        t = _min_order(t, xt)
-        for e, c in zip(es, x._c):
-            if t is not None and e >= t:
-                break  # the exponents of x increase
-            acc[e] = acc[e] + k * c if e in acc else k * c
-    es = sorted(acc)
-    return _make(den, es, [acc[e] for e in es], t)
 
 
 def novikov_exp(x: NovikovScalar) -> NovikovScalar:

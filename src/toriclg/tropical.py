@@ -11,14 +11,16 @@ the leading-coefficient system at each candidate over the torus by exact
 elimination (``polysolve``) and lifts every initial root to a Novikov
 series by Newton steps on dense arrays over one exponent lattice, read from
 the potential and u directly, each step solved order by order from one
-inverse of the leading Jacobian.  The lift's leading Jacobian decides
-degeneracy.  A root where it is invertible is simple, and stays in the
-report without a series when its lift fails numerically (NoConvergence); at
-a degenerate root the lift raises SingularInitialJacobian, and the root
-takes its multiplicity from the exponent of its factor in the square-free
-decomposition of the exact eliminant, shared evenly by the roots over the
-same first coordinate (None when the share is uneven or the eliminant is a
-resultant of resultants).
+inverse of the leading Jacobian, to the order the potential's coefficients
+determine.  The lift's final full-width system stays with the point
+(``LatticeSystem``), and the residue data are read from it.  The lift's
+leading Jacobian decides degeneracy.  A root where it is invertible is
+simple, and stays in the report without a series when its lift fails
+numerically (NoConvergence); at a degenerate root the lift raises
+SingularInitialJacobian, and the root takes its multiplicity from the
+exponent of its factor in the square-free decomposition of the exact
+eliminant, shared evenly by the roots over the same first coordinate (None
+when the share is uneven or the eliminant is a resultant of resultants).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -335,20 +338,29 @@ class _Lattice:
     """The terms of the potential in the frame at u on one exponent lattice
     (1/den)Z, slot k holding T^(k/den).  u and the coefficients sit over one
     common integer denominator, so the frame shift <a, u> of a term is an
-    integer added to its exponent numerators; den is the least common
-    denominator of the order and the frame exponents below each term's
-    leading power plus the order, size = order*den.  Each term c_a y^a with
-    a != 0 keeps its exponent vector, its value c_a y0^a at the seed over its
-    leading T-power (size slots) and the slot of that power in ``_system``'s
-    array, where equation i starts at ``starts[i]``: the least leading slot
-    over the terms with a_i != 0, the shift s_i.  ``weights`` has the rows
-    a_i and a_i a_j of each i."""
+    integer added to its exponent numerators.
 
-    def __init__(self, potential: Potential, u, y0, order: Fraction):
+    ``order`` is the order asked for, capped at the least relative
+    truncation (truncation order minus valuation) of a coefficient of a term
+    with a != 0: past it the input does not determine the equations.  den is
+    the least common denominator of the order, the frame exponents below
+    each term's leading power plus the order and the extra denominators
+    ``dens``; size = order*den.  Each term c_a y^a with a != 0 keeps its
+    exponent vector, its value c_a y0^a at the seed over its leading T-power
+    (size slots) and the slot ``place`` of that power counted from the least
+    one, ``low``.  The shift s_i (``shifts[i]``) is the least leading slot
+    over the terms with a_i != 0, and equation i starts at
+    ``starts[i]`` = s_i - low.  ``weights`` has a row of ones, then the rows
+    a_i and a_i a_j (j = 1..n) of each i in turn."""
+
+    def __init__(self, potential: Potential, u, y0, order: Fraction, dens=()):
         terms = potential.poly.terms
+        known = [c.trunc - c.valuation() for a, c in terms.items() if any(a) and c.trunc is not None]
+        order = min([order, *known])
         uf = [Fraction(x) for x in u]
         big = math.lcm(
             order.denominator,
+            *dens,
             *(x.denominator for x in uf),
             *(c.lattice()[0] for c in terms.values()),
         )
@@ -360,12 +372,14 @@ class _Lattice:
             ks = np.array(es) * (big // d) + sum(x * e for x, e in zip(un, a))
             cut = int(np.searchsorted(ks, ks[0] + size))
             frame.append((a, ks[:cut], cs[:cut]))
-        g = math.gcd(big, size, *(int(k) for _, ks, _ in frame for k in ks))
-        self.den, self.size = big // g, size // g
-        shifts = [
+        g = math.gcd(
+            big, size, *(big // d for d in dens), *(int(k) for _, ks, _ in frame for k in ks)
+        )
+        self.order, self.den, self.size = order, big // g, size // g
+        self.shifts = tuple(
             min(int(ks[0]) for a, ks, _ in frame if a[i]) // g for i in range(len(un))
-        ]
-        low = min(shifts)
+        )
+        self.low = min(self.shifts)
         ys = [complex(y) for y in y0]
         self.exps, self.base, self.place = [], [], []
         for a, ks, cs in frame:
@@ -377,11 +391,11 @@ class _Lattice:
                 self.base.append(np.zeros(self.size, complex))
                 self.base[-1][(ks - ks[0]) // g] = cs
                 self.exps.append(a)
-                self.place.append(int(ks[0]) // g - low)
+                self.place.append(int(ks[0]) // g - self.low)
         am = np.array(self.exps, dtype=float)
         rows = np.einsum("ai,aj->ija", am, np.hstack([np.ones((len(am), 1)), am]))
-        self.weights = rows.reshape(-1, len(am))
-        self.starts = [s - low for s in shifts]
+        self.weights = np.vstack([np.ones(len(am)), rows.reshape(-1, len(am))])
+        self.starts = [s - self.low for s in self.shifts]
 
 
 def _term_arrays(lat: _Lattice, x: np.ndarray, width: int) -> list[np.ndarray]:
@@ -410,21 +424,86 @@ def _term_arrays(lat: _Lattice, x: np.ndarray, width: int) -> list[np.ndarray]:
     return out
 
 
-def _system(lat: _Lattice, terms, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals r_i = T^-s_i sum_a a_i T_a and log-Jacobian J_ij = T^-s_i
-    sum_a a_i a_j T_a modulo T^width: weighted sums of the term arrays."""
+def _sums(lat: _Lattice, terms, width: int) -> np.ndarray:
+    """The rows of ``lat.weights`` applied to the term arrays, each placed at
+    its leading slot: one matrix product.  Column k holds T^((k + low)/den);
+    a row is known modulo T^width above the least leading slot among its
+    terms."""
     g = np.zeros((len(terms), max(lat.starts + lat.place) + width), complex)
     for row, t, p in zip(g, terms, lat.place):
         row[p : p + width] = t[:width]
-    sums = (lat.weights @ g).reshape(len(lat.starts), -1, g.shape[1])
-    blocks = np.array([sums[i, :, o : o + width] for i, o in enumerate(lat.starts)])
-    return blocks[:, 0], blocks[:, 1:]
+    return lat.weights @ g
 
 
-def _scalar(arr: np.ndarray, den: int) -> NovikovScalar:
-    """sum_k arr[k] T^(k/den) modulo T^(len(arr)/den), pruned at eps_coeff."""
+def _system(lat: _Lattice, terms, width: int):
+    """Residuals r_i = T^-s_i sum_a a_i T_a, log-Jacobian J_ij = T^-s_i
+    sum_a a_i a_j T_a and the critical value T^-low sum_{a != 0} T_a, modulo
+    T^width: weighted sums of the term arrays."""
+    sums = _sums(lat, terms, width)
+    rows = sums[1:].reshape(len(lat.starts), -1, sums.shape[1])
+    blocks = np.array([rows[i, :, o : o + width] for i, o in enumerate(lat.starts)])
+    return blocks[:, 0], blocks[:, 1:], sums[0, :width]
+
+
+def _scalar(arr: np.ndarray, den: int, shift: int = 0) -> NovikovScalar:
+    """sum_k arr[k] T^((k + shift)/den) modulo T^((len(arr) + shift)/den),
+    pruned at eps_coeff."""
     keep = np.flatnonzero(np.abs(arr) > get_config().eps_coeff)
-    return NovikovScalar.from_lattice(den, keep.tolist(), arr[keep].tolist(), len(arr))
+    return NovikovScalar.from_lattice(
+        den, (keep + shift).tolist(), arr[keep].tolist(), len(arr) + shift
+    )
+
+
+def _minors_det(jac: np.ndarray) -> np.ndarray:
+    """det of an (n, n, W) array of series modulo T^W, by expansion over the
+    minors of the leading rows on each column subset: n 2^(n-1) truncated
+    products, each coefficient's rounding relative to its own summands."""
+    n, _, width = jac.shape
+    minors = {0: np.eye(1, width, dtype=complex)[0]}  # column bitmask -> minor
+    for k in range(n):
+        grown: dict[int, np.ndarray] = {}
+        for cols, m in minors.items():
+            for j in range(n):
+                if cols >> j & 1:
+                    continue
+                # row k is the last row of the minor on cols + {j}; the sign
+                # is (-1)^(k + position of column j in it) = (-1)^(columns after j)
+                t = np.convolve(jac[k, j], m)[:width]
+                key = cols | 1 << j
+                if bin(cols >> j).count("1") % 2:
+                    t = -t
+                grown[key] = grown[key] + t if key in grown else t
+        minors = grown
+    return minors[(1 << n) - 1]
+
+
+@dataclass(eq=False)
+class LatticeSystem:
+    """The lift's final full-width system at its point, on the lift's lattice
+    (slot k holds T^(k/den)): the log-Jacobian J_ij = T^-s_i theta_i theta_j PO
+    and the critical value T^-low sum_{a != 0} T_a, modulo T^order.  The
+    log-Hessian is H_ij = T^(s_i) J_ij, so Z = det H = T^(sum s_i) det J."""
+
+    den: int
+    shifts: tuple[int, ...]
+    low: int
+    jac: np.ndarray
+    value: np.ndarray
+
+    @cached_property
+    def det(self) -> np.ndarray:
+        return _minors_det(self.jac)
+
+    def z(self) -> NovikovScalar:
+        return _scalar(self.det, self.den, sum(self.shifts))
+
+    def z_inverse(self) -> NovikovScalar:
+        d = self.det
+        return _scalar(_unit_inverse(d / d[0]) / d[0], self.den, -sum(self.shifts))
+
+    def critical_value(self) -> NovikovScalar:
+        """Without the potential's constant term, which the lattice leaves out."""
+        return _scalar(self.value, self.den, self.low)
 
 
 def newton_lift(
@@ -432,10 +511,13 @@ def newton_lift(
     u,
     y0: tuple[complex, ...],
     order: Fraction | None = None,
-) -> tuple[tuple[NovikovScalar, ...], Fraction | float]:
+) -> tuple[tuple[NovikovScalar, ...], Fraction | float, LatticeSystem]:
     """Lift an initial torus root at candidate u to a series solution of the
     critical system modulo T^order, in the frame centered at u, with the
-    final residual valuation: a certificate that it reaches the order.
+    final residual valuation (a certificate that it reaches the order) and
+    the final system (``LatticeSystem``), which carries the point's residue
+    data.  The order is capped where the potential's coefficients stop being
+    known (``_Lattice``).
 
     The whole lift runs on one exponent lattice (``_Lattice``), built from
     the potential and u directly, and carries y_i = y0_i (1 + x_i).  The
@@ -452,9 +534,11 @@ def newton_lift(
     if e_order is None or e_order <= 0:
         raise ValueError("newton_lift needs a positive finite order")
     lat = _Lattice(potential, u, y0, e_order)
-    res, jac = _system(lat, lat.base, lat.size)
+    e_order = lat.order
+    res, jac, value = _system(lat, lat.base, lat.size)
     if _is_degenerate(jac[:, :, 0]):
         raise SingularInitialJacobian("leading Jacobian is singular; cannot lift")
+
     seed = np.array(y0, complex)[:, None]
     w = _residual_valuation(lat.den, seed * np.eye(1, lat.size), res)
     if w <= 0:
@@ -462,10 +546,11 @@ def newton_lift(
             f"initial root has residual of valuation {w}; not a root"
         )
     if w >= e_order:
-        return tuple(NovikovScalar.monomial(0, c, trunc=e_order) for c in y0), w
+        ys = tuple(NovikovScalar.monomial(0, c, trunc=e_order) for c in y0)
+        return ys, w, LatticeSystem(lat.den, lat.shifts, lat.low, jac, value)
     w, width = int(w * lat.den), min(int(2 * w * lat.den), lat.size)
-    res, jac = res[:, :width], jac[:, :, :width]
     inv0 = np.linalg.inv(jac[:, :, 0])
+    res, jac = res[:, :width], jac[:, :, :width]
     x = np.zeros((len(y0), lat.size), complex)
     while w < lat.size:
         # the residual is O(T^w), so this step is exact modulo T^(2w) (Hensel)
@@ -473,7 +558,7 @@ def newton_lift(
         delta = lambda_solve(jac, -res, inv0)
         x[:, :w] += delta + [np.convolve(a[:w], b)[:w] for a, b in zip(x, delta)]
         width = min(2 * w, lat.size)
-        res, jac = _system(lat, _term_arrays(lat, x, width), width)
+        res, jac, value = _system(lat, _term_arrays(lat, x, width), width)
     x[:, 0] += 1
     x *= seed
     final = _residual_valuation(lat.den, x, res)
@@ -482,7 +567,8 @@ def newton_lift(
             f"residual valuation {final} is below the order {e_order} "
             f"after the Newton steps"
         )
-    return tuple(_scalar(y, lat.den) for y in x), final
+    ys = tuple(_scalar(y, lat.den) for y in x)
+    return ys, final, LatticeSystem(lat.den, lat.shifts, lat.low, jac, value)
 
 
 # -- assembled search ---------------------------------------------------------
@@ -502,6 +588,8 @@ class CriticalPoint:
     multiplicity: int | None
     nondegenerate: bool
     residual_valuation: Fraction | float | None = None
+    # the lift's final system, from which the residue data are read
+    system: LatticeSystem | None = field(default=None, repr=False, compare=False)
 
     def y_absolute(self) -> tuple[NovikovScalar, ...] | None:
         if self.y_local is None:
@@ -588,7 +676,7 @@ def find_critical_points(
             eliminants.append(EliminantRecord(u, sol.eliminant))
         for root, mult in zip(sol.roots, sol.multiplicities):
             try:
-                ys, resval = newton_lift(potential, u, root, e_order)
+                ys, resval, system = newton_lift(potential, u, root, e_order)
             except SingularInitialJacobian:
                 # a degenerate root takes its multiplicity from the eliminant
                 points.append(
@@ -602,7 +690,7 @@ def find_critical_points(
                 )
                 continue
             except NoConvergence:  # still a simple root; only its series is missing
-                ys = resval = None
+                ys = resval = system = None
             points.append(
                 CriticalPoint(
                     u=u,
@@ -611,6 +699,7 @@ def find_critical_points(
                     multiplicity=1,
                     nondegenerate=True,
                     residual_valuation=resval,
+                    system=system,
                 )
             )
     points.sort(

@@ -1,12 +1,17 @@
 """Hessians, Z-values, residue pairing, trace identity, duality regression."""
 
 import cmath
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import random_delzant_polytope, random_delzant_threefold
+
 from toriclg import (
     BulkCoefficients,
+    Correction,
     MomentPolytope,
     NovikovScalar,
     build_potential,
@@ -176,6 +181,23 @@ class TestResidueReport:
             assert prod.coeff_at(0) == pytest.approx(1.0)
             assert all(abs(c) < 1e-9 for e, c in prod.terms if e != 0)
 
+    def test_constant_term_enters_the_critical_value(self):
+        # z1 z3 = T^(3/2) on the box [0, 1] x [0, 1/2] has exponent 0: the
+        # lift's lattice leaves the term out and the report adds it exactly
+        rows = [((1, 0), 0), ((0, 1), 0), ((-1, 0), 1), ((0, -1), F(1, 2))]
+        box = MomentPolytope.from_inequalities(rows)
+        corr = Correction(F(1, 2), (1, 0, 1, 0), NovikovScalar.from_number(3.0))
+        pot = build_potential(box, corrections=[corr])
+        assert pot.poly.terms[(0, 0)] == NovikovScalar.monomial(F(3, 2), 3.0)
+        rep = find_critical_points(pot)
+        res = residue_report(pot, rep)
+        assert len(res.critical_values) == 4
+        for pt, value in zip(rep.points, res.critical_values):
+            ref = pot.evaluate(pt.y_absolute())
+            assert value.trunc == ref.trunc
+            assert abs(value.coeff_at(F(3, 2)) - ref.coeff_at(F(3, 2))) < 1e-12
+            assert (value - ref).max_abs_coeff() < 1e-12
+
     def test_cp1_critical_values(self):
         pot = potential_of("simplex", 1)
         rep = find_critical_points(pot)
@@ -269,6 +291,82 @@ class TestResidueReport:
         res = residue_report(pot, rep)
         assert res.trace_ok is None
         assert any("cells" in note for note in res.notes)
+
+
+def intersection_sums(pot):
+    """For every set J of n distinct facets, sum_p z_J(p) / Z(p) with
+    z_J = prod_{j in J} T^(ell_j(u)) y^(v_j) at each point's lifted series,
+    in sparse arithmetic, and the largest coefficient among its summands."""
+    rep = find_critical_points(pot)
+    res = residue_report(pot, rep)
+    # a complete, fully lifted report: the sums are over every point
+    assert res.morse_mode == "equality" and res.morse_ok and res.trace_ok
+    facets = pot.polytope.facets
+    out = []
+    for subset in itertools.combinations(range(len(facets)), pot.polytope.dim):
+        total, scale = NovikovScalar.zero(), 0.0
+        for pt, inv in zip(rep.points, res.pairing_diag):
+            term = inv
+            for j in subset:
+                z = NovikovScalar.monomial(facets[j].ell(pt.u))
+                for y, e in zip(pt.y_local, facets[j].normal):
+                    z = z * y**e if e else z
+                term = term * z
+            total = total + term
+            scale = max(scale, term.max_abs_coeff())
+        out.append((subset, total, scale))
+    return out
+
+
+INTERSECTION_CASES = [
+    pytest.param(lambda n=n, p=p: potential_of(n, *p), id=f"{n}:{p}")
+    for n, p in [
+        ("simplex", (2,)),
+        ("simplex", (3,)),
+        ("blowup1", (F(1, 5),)),
+        ("blowup1", (F(1, 3),)),
+        ("blowup2", (F(1, 2), F(1, 5))),
+        ("blowup2", (F(1, 3), F(1, 3))),
+        ("hirzebruch", (1, F(1, 2))),
+        ("hirzebruch", (2, F(1, 2))),
+        ("hirzebruch", (2, F(2, 5))),
+    ]
+] + [
+    pytest.param(
+        lambda s=s: build_potential(
+            random_delzant_polytope(random.Random(s)), assume_fano=True
+        ),
+        id=f"polygon-{s}",
+    )
+    for s in (1, 8, 16, 18, 20)
+] + [
+    pytest.param(
+        lambda s=s: build_potential(
+            random_delzant_threefold(random.Random(s)), assume_fano=True
+        ),
+        id=f"threefold-{s}",
+    )
+    for s in (0, 1, 6, 7, 13)
+]
+
+
+@pytest.mark.parametrize("make", INTERSECTION_CASES)
+def test_residue_pairing_is_the_intersection_number(make):
+    # FOOO (arXiv:1009.1648): the Kodaira-Spencer map carries the residue
+    # pairing to the Poincare pairing, so <z_J, 1> is the intersection
+    # number of the divisors of J: 1 when they meet at a vertex, else 0.
+    # On a Fano space only the classical product reaches top degree, so the
+    # terms other than T^0 vanish; a nef-only space has genuine ones.
+    pot = make()
+    vertices = {v.tight for v in pot.polytope.vertices()}
+    fano = pot.polytope.fano_type() == "fano"
+    tol = get_config().tol_zero
+    for subset, total, scale in intersection_sums(pot):
+        expected = 1.0 if subset in vertices else 0.0
+        assert abs(total.coeff_at(0) - expected) <= 1e-12 * max(scale, 1.0), subset
+        if fano:
+            rest = [abs(c) for e, c in total.terms if e != 0]
+            assert max(rest, default=0.0) <= tol * scale, (subset, total)
 
 
 class TestExactnessLabels:

@@ -18,13 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_delzant_polytope, random_delzant_threefold
+from helpers import random_delzant_polytope, random_delzant_threefold, scalars_close
 from toriclg import (
+    Correction,
+    NovikovScalar,
     SingularInitialJacobian,
     build_potential,
     catalog,
     find_critical_points,
     get_config,
+    residue_report,
     tropical,
 )
 
@@ -81,6 +84,20 @@ def test_lambda_solve_refuses_a_singular_leading_term():
     jac[:, :, 1] = np.eye(2)
     with pytest.raises(SingularInitialJacobian):
         tropical.lambda_solve(jac, np.ones((2, 3), complex))
+
+
+# every catalog family; all of their coefficients are exact
+CATALOG_ENTRIES = [
+    ("simplex", (1,)),
+    ("simplex", (2,)),
+    ("simplex", (3,)),
+    ("blowup1", (F(1, 5),)),
+    ("blowup1", (F(1, 3),)),
+    ("blowup2", (F(1, 2), F(1, 5))),
+    ("blowup2", (F(1, 3), F(1, 3))),
+    ("hirzebruch", (1, F(2, 5))),
+    ("hirzebruch", (2, F(1, 2))),
+]
 
 
 def _catalog(name, *params):
@@ -146,3 +163,44 @@ def test_lifted_series_solve_the_frame_equations(make):
             for e, c in r.terms:
                 if e < order + shift:
                     assert abs(c) <= 1e-9 * scale[bisect_right(exps, e) - 1], (pt.u, i, e)
+
+
+def test_truncated_coefficient_caps_the_order():
+    # the y2^-1 coefficient T^(1/2) + T^(3/2) c with c known modulo T^(1/2)
+    # is known only modulo T^2, 3/2 above its valuation: the lift and the
+    # residue data stop there, and agree with the exact correction c = 1
+    # below it
+    entry = catalog("hirzebruch", 2, F(1, 2))
+    (corr,) = entry.corrections
+    loose = Correction(corr.extra_t, corr.z_exponents, NovikovScalar([(0, 1.0)], trunc=F(1, 2)))
+    pot = build_potential(entry.polytope, corrections=[loose])
+    exact = build_potential(entry.polytope, corrections=entry.corrections)
+    rep, ref = find_critical_points(pot), find_critical_points(exact)
+    assert len(rep.points) == len(ref.points) == 4
+    res, ref_res = residue_report(pot, rep), residue_report(exact, ref)
+    for k, (pt, ref_pt) in enumerate(zip(rep.points, ref.points)):
+        assert pt.residual_valuation >= F(3, 2)
+        for y, ref_y in zip(pt.y_local, ref_pt.y_local):
+            assert y.trunc == F(3, 2)
+            assert scalars_close(y, ref_y.truncate(F(3, 2)), tol=1e-12)
+        z = res.z_values[k]
+        assert z.trunc == z.valuation() + F(3, 2)
+        assert res.pairing_diag[k].trunc == F(3, 2) - z.valuation()
+        assert scalars_close(z, ref_res.z_values[k].truncate(z.trunc), tol=1e-12)
+        value, ref_value = res.critical_values[k], ref_res.critical_values[k]
+        assert value.trunc == value.valuation() + F(3, 2)
+        assert scalars_close(value, ref_value.truncate(value.trunc), tol=1e-12)
+    assert res.trace_ok
+
+
+@pytest.mark.parametrize("name, params", CATALOG_ENTRIES)
+def test_exact_coefficients_keep_the_full_order(name, params):
+    pot = _catalog(name, *params)
+    order = get_config().truncation_order
+    rep = find_critical_points(pot)
+    res = residue_report(pot, rep)
+    assert rep.points and len(res.z_values) == len(rep.points)
+    for pt, z in zip(rep.points, res.z_values):
+        assert all(y.trunc == order for y in pt.y_local)
+        assert pt.residual_valuation >= order
+        assert z.trunc == z.valuation() + order

@@ -358,6 +358,24 @@ class TestSerialization:
         assert back.trunc == Fraction(7, 2)
         assert back == s
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-50, max_value=50, max_denominator=360),
+                st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6),
+            ),
+            max_size=8,
+        ),
+        st.one_of(st.none(), st.fractions(min_value=-60, max_value=60, max_denominator=360)),
+    )
+    def test_json_exponents_read_as_fractions(self, terms, trunc):
+        # exponents are written from the integer lattice, byte for byte as
+        # str(Fraction) writes them: negative, integral and reduced ones too
+        s = NovikovScalar(terms, trunc)
+        d = s.to_json_dict()
+        assert [t["exp"] for t in d["terms"]] == [str(e) for e, _ in s.terms]
+        assert d["trunc"] == ("inf" if s.trunc is None else str(s.trunc))
+
 
 class TestRendering:
     def test_plain_series(self):
