@@ -17,8 +17,6 @@ from toriclg import (
     build_potential,
     catalog,
     find_critical_points,
-    novikov_det,
-    hessian_matrix,
     render_poly,
     render_scalar,
     residue_report,
@@ -45,12 +43,11 @@ for p in rep.points:
     print("  ybar2 =", render_scalar(y2.truncate(F(3, 2))),
           "  ybar1 =", render_scalar(y1.truncate(F(3, 2))))
 
-print("\nHessian determinants:")
-for p in rep.points:
-    det = novikov_det(hessian_matrix(fixed, p.u, p.y_local))
-    print("  det =", render_scalar(det.truncate(F(2))))
-
 rr = residue_report(fixed, rep)
+print("\nHessian determinants:")
+for z in rr.z_values:
+    print("  det =", render_scalar(z.truncate(F(2))))
+
 print("\ntrace of 1/Z vanishes:", rr.trace_ok,
       f"(residual {rr.trace_residual:.2e})")
 print("multiplicities:", rep.multiplicity_total(),

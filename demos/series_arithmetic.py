@@ -4,8 +4,8 @@ Working in the universal coefficient field
 
 Scalars are finite sums sum_i c_i T^{e_i} with complex c_i and exact
 rational exponents e_i, ordered by the valuation v(x) = min e_i.  Division
-and the exp/log pair work to any requested order, so the same object serves
-both exact identities and truncated numerics.
+and exp work to any requested order, so the same object serves both exact
+identities and truncated numerics.
 """
 
 from fractions import Fraction
@@ -14,7 +14,6 @@ from toriclg import (
     NovikovScalar,
     configured,
     novikov_exp,
-    novikov_log,
     render_scalar,
 )
 
@@ -34,10 +33,10 @@ with configured(truncation_order=F(3)):
     print("\n1/y to order 3 =", render_scalar(inv))
     print("y * (1/y) =", render_scalar(y * inv))
 
-    # log and exp are mutually inverse on 1 + (positive valuation)
-    lg = novikov_log(y)
-    print("log y =", render_scalar(lg))
-    print("exp log y =", render_scalar(novikov_exp(lg)))
+    # exp turns sums of positive valuation into products
+    s, t = T(F(1, 3), 1.0), T(F(1, 2), -2.0)
+    print("exp(s + t) =", render_scalar(novikov_exp(s + t)))
+    print("exp(s) exp(t) =", render_scalar(novikov_exp(s) * novikov_exp(t)))
 
 # truncated scalars carry their window along and arithmetic respects it
 a = NovikovScalar([(F(0), 1.0), (F(2), 5.0)], trunc=F(4))

@@ -16,7 +16,6 @@ from .errors import (
     NoConvergence,
     NotInLambdaZero,
     NotInterior,
-    OutsideDomain,
     ParamOutOfRange,
     PositiveDimensionalInitialLocus,
     SingularHessian,
@@ -26,15 +25,11 @@ from .errors import (
     ZeroLeadingCoefficient,
 )
 from .jacres import (
-    DualityReport,
     ResidueReport,
-    cpn_duality,
     hessian_matrix,
     morse_count_check,
-    novikov_det,
     residue_report,
     z_exactness,
-    z_valuation_consistency,
     z_value,
 )
 from .laurent import LaurentPoly, Potential, build_potential, render_poly, z_monomial
@@ -47,7 +42,7 @@ from .lte import (
     leading_term_system,
     solve_lte,
 )
-from .novikov import INF, NovikovScalar, novikov_exp, novikov_log, render_scalar
+from .novikov import INF, NovikovScalar, novikov_exp, render_scalar
 from .polytope import (
     BulkCoefficients,
     CatalogEntry,
@@ -74,7 +69,6 @@ __all__ = [
     "Correction",
     "CriticalPoint",
     "CriticalReport",
-    "DualityReport",
     "EliminationFailed",
     "Facet",
     "INF",
@@ -88,7 +82,6 @@ __all__ = [
     "NotInLambdaZero",
     "NotInterior",
     "NovikovScalar",
-    "OutsideDomain",
     "ParamOutOfRange",
     "PositiveDimensionalInitialLocus",
     "Potential",
@@ -106,7 +99,6 @@ __all__ = [
     "build_potential",
     "catalog",
     "configured",
-    "cpn_duality",
     "find_critical_points",
     "get_config",
     "hessian_matrix",
@@ -115,9 +107,7 @@ __all__ = [
     "leading_term_system",
     "morse_count_check",
     "newton_lift",
-    "novikov_det",
     "novikov_exp",
-    "novikov_log",
     "render_poly",
     "render_scalar",
     "residue_report",
@@ -127,7 +117,6 @@ __all__ = [
     "update_config",
     "z_exactness",
     "z_monomial",
-    "z_valuation_consistency",
     "z_value",
 ]
 

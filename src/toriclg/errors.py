@@ -15,7 +15,8 @@ class NotInLambdaZero(ToricLGError, ValueError):
 
 
 class ZeroLeadingCoefficient(ToricLGError, ZeroDivisionError):
-    """Inversion, exp or log hit a series whose leading data is zero."""
+    """Inversion or a leading-term query hit a series whose leading data is
+    zero."""
 
 
 class InvalidPolytope(ToricLGError, ValueError):
@@ -33,10 +34,6 @@ class ParamOutOfRange(ToricLGError, ValueError):
 
 class CorrectionNotPositive(ToricLGError, ValueError):
     """A higher-order correction term whose extra T-power is not > 0."""
-
-
-class OutsideDomain(ToricLGError, ValueError):
-    """Evaluation point whose valuation vector does not lie in the polytope."""
 
 
 class PositiveDimensionalInitialLocus(ToricLGError):

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CorrectionNotPositive, NotInterior, OutsideDomain
-from .novikov import INF, NovikovScalar, format_fraction
+from .errors import CorrectionNotPositive, NotInterior
+from .novikov import NovikovScalar, format_fraction
 from .polytope import BulkCoefficients, Correction, MomentPolytope
 
 ExpVec = tuple[int, ...]
@@ -125,16 +125,6 @@ class LaurentPoly:
             ),
         )
 
-    def valuation_at_u(self, u: Sequence) -> Fraction | float:
-        """min over terms of  v(coeff) + <a, u>: the valuation the polynomial
-        acquires on the fiber over u."""
-        uf = [Fraction(x) for x in u]
-        return min(
-            (c.valuation() + sum(x * e for x, e in zip(uf, a))
-             for a, c in self._terms.items()),
-            default=INF,
-        )
-
     def term_values(
         self, ys: Sequence[NovikovScalar]
     ) -> list[tuple[ExpVec, NovikovScalar]]:
@@ -208,18 +198,6 @@ class Potential:
     def critical_system(self) -> list[LaurentPoly]:
         """The n logarithmic-derivative equations y_i dPO/dy_i = 0."""
         return [self.poly.log_derivative(i) for i in range(self.polytope.dim)]
-
-    def evaluate(self, ys: Sequence[NovikovScalar]) -> NovikovScalar:
-        """Value at a point of the domain: every coordinate must be a nonzero
-        scalar whose valuation vector lies in the polytope."""
-        u = []
-        for y in ys:
-            if y.is_zero():
-                raise OutsideDomain("coordinate with no known terms")
-            u.append(y.valuation())
-        if not self.polytope.contains(u):
-            raise OutsideDomain(f"valuation vector {tuple(u)} outside polytope")
-        return self.poly.evaluate(ys)
 
     def change_frame(self, u: Sequence) -> LaurentPoly:
         if not self.polytope.interior_contains(u):

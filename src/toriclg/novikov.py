@@ -20,8 +20,8 @@ result stores ``0j + c``, so no stored coefficient has a negative-zero part
 
 The valuation of a scalar is the least exponent carrying a nonzero
 coefficient, and ``math.inf`` for the zero scalar.  Scalars with
-nonnegative valuation form the subring on which ``exp`` and ``log`` below
-operate.
+nonnegative valuation form the subring on which ``novikov_exp`` below
+operates.
 
 ``invert`` multiplies only on the window each Newton step makes correct.
 """
@@ -455,29 +455,6 @@ def novikov_exp(x: NovikovScalar) -> NovikovScalar:
         if power.is_zero():
             break
     return out * head
-
-
-def novikov_log(y: NovikovScalar) -> NovikovScalar:
-    """Principal-branch log of a valuation-zero scalar with nonzero leading
-    coefficient: log(c0) + log(1 + r) as a Taylor series."""
-    if y.is_zero() or y.valuation() != 0:
-        raise ZeroLeadingCoefficient("log needs valuation exactly 0")
-    c0 = y._c[0]
-    if len(y._e) == 1:
-        return _make(y._den, (0,), (cmath.log(c0),), y._t)
-    window = y.trunc if y.trunc is not None else get_config().truncation_order
-    r = NovikovScalar(((e, c / c0) for e, c in y.terms[1:]), window)
-    out = NovikovScalar.monomial(0, cmath.log(c0), window)
-    power = NovikovScalar.one().truncate(window)
-    k = 0
-    while power.valuation() < window:
-        k += 1
-        power = power * r
-        term = power * ((-1.0) ** (k + 1) / k)
-        out = out + term
-        if power.is_zero():
-            break
-    return out
 
 
 def format_fraction(e: Fraction) -> str:

@@ -497,20 +497,3 @@ def solve_torus_system(polys: list[CPoly], nvars: int) -> SystemSolution:
         [el.get((k,), 0j) / el[(top,)] for k in range(top + 1)],
         [m // share[x0] if m and m % share[x0] == 0 else None for _, x0, m in found],
     )
-
-
-def log_jacobian(polys: list[CPoly], point: tuple[complex, ...]) -> np.ndarray:
-    """Matrix of logarithmic derivatives  x_j d p_i / d x_j  at a torus point.
-    Works directly on Laurent exponents."""
-    n = len(point)
-    m = np.zeros((len(polys), n), dtype=complex)
-    for r, p in enumerate(polys):
-        for a, c in p.items():
-            term = c
-            for x, e in zip(point, a):
-                if e:
-                    term *= x ** e
-            for j in range(n):
-                if a[j]:
-                    m[r, j] += a[j] * term
-    return m

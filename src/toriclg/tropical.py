@@ -343,24 +343,22 @@ class _Lattice:
     ``order`` is the order asked for, capped at the least relative
     truncation (truncation order minus valuation) of a coefficient of a term
     with a != 0: past it the input does not determine the equations.  den is
-    the least common denominator of the order, the frame exponents below
-    each term's leading power plus the order and the extra denominators
-    ``dens``; size = order*den.  Each term c_a y^a with a != 0 keeps its
-    exponent vector, its value c_a y0^a at the seed over its leading T-power
-    (size slots) and the slot ``place`` of that power counted from the least
-    one, ``low``.  The shift s_i (``shifts[i]``) is the least leading slot
+    the least common denominator of the order and the frame exponents below
+    each term's leading power plus the order; size = order*den.  Each term
+    c_a y^a with a != 0 keeps its exponent vector, its value c_a y0^a at the
+    seed over its leading T-power (size slots) and the slot ``place`` of
+    that power counted from the least one, ``low``.  The shift s_i (``shifts[i]``) is the least leading slot
     over the terms with a_i != 0, and equation i starts at
     ``starts[i]`` = s_i - low.  ``weights`` has a row of ones, then the rows
     a_i and a_i a_j (j = 1..n) of each i in turn."""
 
-    def __init__(self, potential: Potential, u, y0, order: Fraction, dens=()):
+    def __init__(self, potential: Potential, u, y0, order: Fraction):
         terms = potential.poly.terms
         known = [c.trunc - c.valuation() for a, c in terms.items() if any(a) and c.trunc is not None]
         order = min([order, *known])
         uf = [Fraction(x) for x in u]
         big = math.lcm(
             order.denominator,
-            *dens,
             *(x.denominator for x in uf),
             *(c.lattice()[0] for c in terms.values()),
         )
@@ -372,9 +370,7 @@ class _Lattice:
             ks = np.array(es) * (big // d) + sum(x * e for x, e in zip(un, a))
             cut = int(np.searchsorted(ks, ks[0] + size))
             frame.append((a, ks[:cut], cs[:cut]))
-        g = math.gcd(
-            big, size, *(big // d for d in dens), *(int(k) for _, ks, _ in frame for k in ks)
-        )
+        g = math.gcd(big, size, *(int(k) for _, ks, _ in frame for k in ks))
         self.order, self.den, self.size = order, big // g, size // g
         self.shifts = tuple(
             min(int(ks[0]) for a, ks, _ in frame if a[i]) // g for i in range(len(un))
@@ -424,22 +420,15 @@ def _term_arrays(lat: _Lattice, x: np.ndarray, width: int) -> list[np.ndarray]:
     return out
 
 
-def _sums(lat: _Lattice, terms, width: int) -> np.ndarray:
-    """The rows of ``lat.weights`` applied to the term arrays, each placed at
-    its leading slot: one matrix product.  Column k holds T^((k + low)/den);
-    a row is known modulo T^width above the least leading slot among its
-    terms."""
-    g = np.zeros((len(terms), max(lat.starts + lat.place) + width), complex)
-    for row, t, p in zip(g, terms, lat.place):
-        row[p : p + width] = t[:width]
-    return lat.weights @ g
-
-
 def _system(lat: _Lattice, terms, width: int):
     """Residuals r_i = T^-s_i sum_a a_i T_a, log-Jacobian J_ij = T^-s_i
     sum_a a_i a_j T_a and the critical value T^-low sum_{a != 0} T_a, modulo
-    T^width: weighted sums of the term arrays."""
-    sums = _sums(lat, terms, width)
+    T^width: the rows of ``lat.weights`` applied to the term arrays, each
+    placed at its leading slot, in one matrix product."""
+    g = np.zeros((len(terms), max(lat.starts + lat.place) + width), complex)
+    for row, t, p in zip(g, terms, lat.place):
+        row[p : p + width] = t[:width]
+    sums = lat.weights @ g
     rows = sums[1:].reshape(len(lat.starts), -1, sums.shape[1])
     blocks = np.array([rows[i, :, o : o + width] for i, o in enumerate(lat.starts)])
     return blocks[:, 0], blocks[:, 1:], sums[0, :width]

@@ -1,6 +1,8 @@
-"""Shared test utilities: random polytopes, series comparisons and a
-point-by-point reference for the balanced-position scan."""
+"""Shared test utilities: random polytopes, series comparisons, a
+cofactor determinant, the closed-form residue pairing of projective space
+and a point-by-point reference for the balanced-position scan."""
 
+import cmath
 import itertools
 import random
 from fractions import Fraction
@@ -136,6 +138,52 @@ def assert_scalar_close(x: NovikovScalar, y: NovikovScalar, tol: float = 1e-9):
     d = x - y
     bad = [(e, c) for e, c in d.terms if abs(c) > tol]
     assert not bad, f"series differ by {bad}"
+
+
+def novikov_det(m: list[list[NovikovScalar]]) -> NovikovScalar:
+    """Determinant by cofactor expansion; fine for the small sizes here."""
+    n = len(m)
+    if n == 0:
+        return NovikovScalar.one()
+    if n == 1:
+        return m[0][0]
+    total = NovikovScalar.zero()
+    for j in range(n):
+        entry = m[0][j]
+        if entry.is_zero():
+            continue
+        minor = [[m[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = entry * novikov_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def cpn_duality_errors(n: int, report, residues) -> tuple[float, float]:
+    """The largest deviations of a residue report of projective n-space from
+    its closed form: the point with y_i = zeta T^(1/(n+1)), zeta an (n+1)-st
+    root of unity, has Z = (n+1) zeta^n T^(n/(n+1)), and the basis element
+    of degree 2a pairs with that of degree 2b to
+    sum_zeta zeta^(a+b)/Z T^((a+b)/(n+1)) = 1 if a + b = n, else 0.
+    Returns the errors of the Z values and of the pairing."""
+    zetas = [p.y_initial[0] for p in report.points]
+    assert len(zetas) == len(residues.z_values) == n + 1
+    for p, zeta in zip(report.points, zetas):
+        assert all(abs(y - zeta) <= 1e-9 for y in p.y_initial)
+    roots = [cmath.exp(2j * cmath.pi * k / (n + 1)) for k in range(n + 1)]
+    assert all(min(abs(zeta - r) for zeta in zetas) <= 1e-9 for r in roots)
+    z_err = max(
+        (z - NovikovScalar.monomial(Fraction(n, n + 1), (n + 1) * zeta**n)).max_abs_coeff()
+        for z, zeta in zip(residues.z_values, zetas)
+    )
+    pair_err = 0.0
+    for a, b in itertools.product(range(n + 1), repeat=2):
+        s = NovikovScalar.zero()
+        for inv, zeta in zip(residues.pairing_diag, zetas):
+            s = s + inv * NovikovScalar.from_number(zeta ** (a + b))
+        s = s.shift(Fraction(a + b, n + 1))
+        expect = NovikovScalar.from_number(1.0 if a + b == n else 0.0)
+        pair_err = max(pair_err, (s - expect).max_abs_coeff())
+    return z_err, pair_err
 
 
 def _prune(acc: dict[Fraction, complex]) -> dict[Fraction, complex]:

@@ -433,7 +433,6 @@ EXIT_CODES = {
     "UnknownName": 2,
     "ParamOutOfRange": 2,
     "CorrectionNotPositive": 2,
-    "OutsideDomain": 2,
     "PositiveDimensionalInitialLocus": 3,
     "EliminationFailed": 3,
     "SingularInitialJacobian": 3,

@@ -21,7 +21,6 @@ from toriclg import (
     ZeroLeadingCoefficient,
     configured,
     novikov_exp,
-    novikov_log,
     render_scalar,
 )
 from toriclg.novikov import format_fraction
@@ -322,21 +321,23 @@ class TestExpLog:
         s = novikov_exp(T(0, 1.0))
         assert s.coeff_at(0) == pytest.approx(math.e)
 
-    def test_exp_log_roundtrip(self):
+    def test_exp_of_monomial_is_its_power_series(self):
+        # exp(c T^e) = sum_k c^k T^(ke) / k! below the truncation order
+        c, e = 0.7 - 0.4j, Fraction(2, 3)
         with configured(truncation_order=Fraction(4)):
-            x = NovikovScalar([(0, 0.3), (Fraction(1, 2), -0.7), (1, 0.2)])
-            y = novikov_exp(x)
-            assert_scalar_close(novikov_log(y).truncate(4), x.truncate(4), tol=1e-10)
+            got = novikov_exp(T(e, c))
+        expected = NovikovScalar(
+            [(k * e, c**k / math.factorial(k)) for k in range(6)], Fraction(4)
+        )
+        assert got.trunc == Fraction(4)
+        assert [x for x, _ in got.terms] == [k * e for k in range(6)]
+        assert_scalar_close(got, expected, tol=1e-15)
 
     def test_exp_needs_lambda_zero(self):
         from toriclg import NotInLambdaZero
 
         with pytest.raises(NotInLambdaZero):
             novikov_exp(T(-1, 1.0))
-
-    def test_log_needs_valuation_zero(self):
-        with pytest.raises(ZeroLeadingCoefficient):
-            novikov_log(T(1, 1.0))
 
     def test_exp_is_multiplicative(self):
         with configured(truncation_order=Fraction(3)):

@@ -17,7 +17,6 @@ from toriclg.polysolve import (
     eval_cpoly,
     eval_magnitude,
     exact_poly,
-    log_jacobian,
     partial,
     resultant_last,
     solve_torus_system,
@@ -27,6 +26,17 @@ from toriclg.polysolve import (
 )
 
 F = Fraction
+
+
+def log_jacobian(polys, point) -> np.ndarray:
+    """Matrix of logarithmic derivatives  x_j d p_i / d x_j  at a torus point,
+    term by term on the Laurent exponents."""
+    m = np.zeros((len(polys), len(point)), dtype=complex)
+    for r, p in enumerate(polys):
+        for a, c in p.items():
+            term = c * math.prod(x**e for x, e in zip(point, a))
+            m[r] += np.array(a) * term
+    return m
 
 
 def close_sets(xs, ys, tol=1e-8):

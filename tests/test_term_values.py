@@ -4,14 +4,14 @@ The Newton lift evaluates each term c_a y^a of the frame-shifted potential
 once per step on dense arrays over one exponent lattice, read from the
 potential and u, and takes its residuals, log-Jacobian and critical value
 as integer-weighted sums of those arrays.  The residue report reads Z, 1/Z
-and the critical value off the lift's final system, and ``hessian_matrix``
-evaluates on a lattice of its own.  The oracle here builds each derivative
-polynomial theta_i theta_j PO, shifts it to the frame and evaluates it term
-by term with its own powers of y, takes Z as the cofactor determinant of
-those sparse entries, and evaluates the critical value as the potential at
-the absolute point.  Both must agree below each window.  The determinant
-over minors and the unit inverse have their own property against a
-Leibniz expansion and an order-by-order division written here.
+and the critical value off the lift's final system.  The oracle here builds
+each derivative polynomial theta_i theta_j PO, shifts it to the frame and
+evaluates it term by term with its own powers of y, takes Z as the cofactor
+determinant of those sparse entries, and evaluates the critical value as
+the potential at the absolute point.  Both must agree below each window,
+and ``hessian_matrix`` must agree with the oracle's entries.  The
+determinant over minors and the unit inverse have their own property
+against a Leibniz expansion and an order-by-order division written here.
 """
 
 import itertools
@@ -24,7 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import on_lattice, random_delzant_polytope, random_delzant_threefold
+from helpers import (
+    novikov_det,
+    on_lattice,
+    random_delzant_polytope,
+    random_delzant_threefold,
+)
 from toriclg import (
     LaurentPoly,
     NovikovScalar,
@@ -34,7 +39,6 @@ from toriclg import (
     find_critical_points,
     get_config,
     hessian_matrix,
-    novikov_det,
     residue_report,
     tropical,
 )
@@ -181,7 +185,7 @@ def compare_with_derivative_evaluation(pot):
         # rounding in 1/Z grows with the products before each slot
         scale = np.maximum.accumulate(np.convolve(abs(a), abs(b))[:width])
         assert np.all(abs(one) <= REL * scale)
-        ref = pot.evaluate(pt.y_absolute())
+        ref = pot.poly.evaluate(pt.y_absolute())
         assert crit.trunc == ref.trunc
         assert_agree(crit, ref, summand_scale(values, lambda a: 1), ref.trunc)
 
