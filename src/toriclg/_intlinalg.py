@@ -4,9 +4,9 @@ This is the package's one exact linear-algebra module.  Everything here
 runs on small dense matrices (dimension at most ~20), so the
 implementations favour clarity over asymptotics: one fraction
 Gauss-Jordan reduction (``row_reduce``) behind the rank, determinant,
-solve and canonical-span routines, and a transform-tracking Smith normal
-form used to compute saturated sublattices and to extend a partial
-lattice basis to a full one.
+solve and canonical-span routines, and one unimodular column reduction
+over the integers (``adapted_basis``) that gives a lattice basis adapted
+to a sequence of integer vectors, together with its inverse.
 """
 
 from __future__ import annotations
@@ -208,50 +208,43 @@ def smith_normal_form(
     return u, d, v, v_inv
 
 
-def saturation_basis(rows: Sequence[Sequence[int]], n: int) -> IntMatrix:
-    """Basis of the saturated lattice  Z^n  intersected with the rational
-    span of ``rows``: the first rank(rows) rows of the inverse column
-    transform of the Smith form."""
-    if not rows:
-        return []
-    _, d, _, v_inv = smith_normal_form(rows)
-    rank = sum(1 for t in range(min(len(d), n)) if d[t][t] != 0)
-    return [list(v_inv[t]) for t in range(rank)]
+def adapted_basis(
+    rows: Sequence[Sequence[int]], n: int
+) -> tuple[list[int], IntMatrix, IntMatrix]:
+    """A basis of Z^n adapted to the growing spans of ``rows``.
 
-
-def extend_basis_in_lattice(
-    partial: Sequence[Sequence[int]], lattice: Sequence[Sequence[int]]
-) -> IntMatrix:
-    """Rows completing ``partial`` to a basis of the lattice spanned by the
-    basis ``lattice``.
-
-    ``partial`` must span a saturated sublattice of the target lattice (its
-    coordinate matrix then has all elementary divisors 1, which is checked).
-    Returns only the new rows, in ambient coordinates.
+    Unimodular column operations bring the rows to lower echelon form
+    ``rows · V = H``.  Returns ``(ranks, basis, inverse)``: ``ranks[i]`` is
+    the pivot count after row i, ``basis`` is ``V⁻¹`` and ``inverse`` is
+    ``V``.  Row i of ``rows`` is the combination ``H[i]`` of the first
+    ``ranks[i]`` rows of the unimodular ``V⁻¹``, so those rows are a basis
+    of the integer points in the span of rows 0..i.  Each basis row is
+    signed so that its first nonzero entry is positive.
     """
-    from .errors import IntegralityFailure
-
-    r = len(lattice)
-    if not partial:
-        return [list(row) for row in lattice]
-    coords: IntMatrix = []
-    for row in partial:
-        sol = frac_solve([[lattice[i][j] for i in range(r)] for j in range(len(row))], row)
-        if sol is None or sol[1]:
-            raise IntegralityFailure("partial basis does not sit inside the lattice")
-        vec, _ = sol
-        if any(x.denominator != 1 for x in vec):
-            raise IntegralityFailure("partial basis has fractional lattice coordinates")
-        coords.append([x.numerator for x in vec])
-    _, d, _, v_inv = smith_normal_form(coords)
-    k = len(coords)
-    if any(abs(d[t][t]) != 1 for t in range(k)):
-        raise IntegralityFailure("partial basis is not saturated in the lattice")
-    out: IntMatrix = []
-    for t in range(k, r):
-        row = v_inv[t]
-        out.append([
-            sum(row[i] * lattice[i][j] for i in range(r))
-            for j in range(len(lattice[0]))
-        ])
-    return out
+    # cols[j] is column j of H followed by column j of V
+    cols = [[row[j] for row in rows] + e for j, e in enumerate(_identity(n))]
+    v_inv = _identity(n)
+    ranks: list[int] = []
+    r = 0
+    for i in range(len(rows)):
+        while r < n:
+            nonzero = [j for j in range(r, n) if cols[j][i]]
+            if not nonzero:
+                break
+            p = min(nonzero, key=lambda j: abs(cols[j][i]))
+            cols[r], cols[p] = cols[p], cols[r]
+            v_inv[r], v_inv[p] = v_inv[p], v_inv[r]
+            if len(nonzero) == 1:
+                r += 1
+                break
+            for j in range(r + 1, n):
+                q = cols[j][i] // cols[r][i]
+                if q:  # col_j -= q col_r, so row_r += q row_j in V⁻¹
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[r])]
+                    v_inv[r] = [x + q * y for x, y in zip(v_inv[r], v_inv[j])]
+        ranks.append(r)
+    for t, b in enumerate(v_inv):
+        if next(x for x in b if x) < 0:
+            v_inv[t] = [-x for x in b]
+            cols[t] = [-x for x in cols[t]]
+    return ranks, v_inv, [list(row) for row in zip(*(c[len(rows):] for c in cols))]

@@ -194,8 +194,8 @@ def cmd_critical_points(args) -> int:
 
 def cmd_lte(args) -> int:
     pot = _build_potential(args)
-    if args.u is None and args.grid is None:
-        raise InvalidPolytope("lte needs --u or --grid")
+    if (args.u is None) == (args.grid is None):
+        raise InvalidPolytope("lte needs exactly one of --u or --grid")
     if args.u is not None:
         res = solve_lte(pot, args.u)
         lines = [f"levels at u={_fmt_u(args.u)}:"]

@@ -21,8 +21,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._intlinalg import det_int, extend_basis_in_lattice, frac_solve, saturation_basis
-from .config import get_config
+# frac_solve is not called here; bench/tracer.py binds it in this module
+from ._intlinalg import adapted_basis, frac_solve  # noqa: F401
 from .errors import (
     IntegralityFailure,
     LevelUnderdetermined,
@@ -119,51 +119,24 @@ def order_levels(potential: Potential, u) -> list[tuple[Fraction, list[int]]]:
 def adapted_frame(potential: Potential, u) -> AdaptedFrame:
     p = potential.polytope
     uf = tuple(Fraction(x) for x in u)
-    n = p.dim
     grouped = order_levels(potential, uf)
-    levels: list[Level] = []
-    basis: list[tuple[int, ...]] = []
-    cumulative: list[tuple[int, ...]] = []
-    depth = 0
-    for value, idxs in grouped:
-        if depth:
-            # the basis is full: later levels gain no rank
-            levels.append(Level(value, tuple(idxs), 0))
-            continue
-        cumulative.extend(p.facets[j].normal for j in idxs)
-        sat = saturation_basis(cumulative, n)
-        gained = len(sat) - len(basis)
-        levels.append(Level(value, tuple(idxs), gained))
-        if gained > 0:
-            basis = basis + extend_basis_in_lattice(basis, sat)
-            if len(basis) == n:
-                depth = len(levels)
-    if depth == 0:
+    ranks, basis, inverse = adapted_basis(
+        [p.facets[j].normal for _, idxs in grouped for j in idxs], p.dim
+    )
+    ends = itertools.accumulate(len(idxs) for _, idxs in grouped)
+    reached = [ranks[end - 1] for end in ends]  # the rank after each level
+    if reached[-1] < p.dim:
         raise IntegralityFailure("facet normals do not span the lattice")
-    d = det_int(basis)
-    if d not in (1, -1):
-        raise IntegralityFailure(f"adapted basis has determinant {d}")
-    inverse = _int_inverse(basis)
     return AdaptedFrame(
         u=uf,
-        levels=tuple(levels),
-        depth=depth,
-        basis=tuple(basis),
-        inverse=inverse,
+        levels=tuple(
+            Level(value, tuple(idxs), r - q)
+            for (value, idxs), r, q in zip(grouped, reached, [0, *reached])
+        ),
+        depth=reached.index(p.dim) + 1,
+        basis=tuple(map(tuple, basis)),
+        inverse=tuple(map(tuple, inverse)),
     )
-
-
-def _int_inverse(rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    n = len(rows)
-    cols = []
-    for i in range(n):
-        sol = frac_solve(rows, [int(k == i) for k in range(n)])
-        if sol is None:
-            raise IntegralityFailure("adapted basis is singular")
-        if any(x.denominator != 1 for x in sol[0]):
-            raise IntegralityFailure("adapted basis inverse is not integral")
-        cols.append([int(x) for x in sol[0]])
-    return tuple(zip(*cols))
 
 
 def leading_term_system(
@@ -181,16 +154,10 @@ def leading_term_system(
     p = potential.polytope
     leading = potential.bulk.leading()
     polys: list[CPoly] = []
-    introduced = 0
     for lv in frame.levels[: frame.depth]:
-        introduced += lv.new_rank
         poly: CPoly = {}
         for j in lv.facet_indices:
             c = frame.coords(p.facets[j].normal)
-            if any(c[i] != 0 for i in range(introduced, p.dim)):
-                raise IntegralityFailure(
-                    f"facet {j} leaves the span of its level"
-                )
             poly[c] = poly.get(c, 0j) + leading[j]
         polys.append(poly)
     if potential.corrections:

@@ -111,11 +111,10 @@ class MomentPolytope:
             if sol is None or sol[1]:
                 continue
             point = tuple(sol[0])
-            if all(v >= 0 for v in self.support_values(point)):
+            values = self.support_values(point)
+            if all(v >= 0 for v in values):
                 tight = seen.setdefault(point, set())
-                tight.update(
-                    j for j, v in enumerate(self.support_values(point)) if v == 0
-                )
+                tight.update(j for j, v in enumerate(values) if v == 0)
         verts = tuple(
             Vertex(p, tuple(sorted(t))) for p, t in sorted(seen.items())
         )

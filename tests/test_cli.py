@@ -371,6 +371,14 @@ class TestExitCodes:
         assert code == 2
         assert "--u or --grid" in err
 
+    def test_lte_rejects_both_targets(self, capsys):
+        code, out, err = run(
+            capsys, "lte", "--catalog", "simplex:2", "--u", "1/3,1/3", "--grid", "6"
+        )
+        assert code == 2
+        assert err == "invalid input: lte needs exactly one of --u or --grid\n"
+        assert out == ""
+
     def test_grid_below_one_rejected(self, capsys):
         for grid in ("--grid=-3", "--grid=0"):
             code, out, err = run(capsys, "lte", "--catalog", "simplex:2", grid)

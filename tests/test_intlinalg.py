@@ -5,15 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toriclg import IntegralityFailure
 from toriclg._intlinalg import (
+    adapted_basis,
     canonical_affine,
     det_int,
-    extend_basis_in_lattice,
     frac_rank,
     frac_solve,
-    saturation_basis,
     smith_normal_form,
 )
 
@@ -221,59 +221,44 @@ class TestSmith:
                     assert x == 0
 
 
-class TestSaturation:
+class TestAdaptedBasis:
     def test_scaled_row_saturates_to_primitive(self):
-        assert saturation_basis([[2, 0]], 2) == [[1, 0]]
-
-    def test_full_rank_lattice(self):
-        basis = saturation_basis([[2, 1], [0, 3]], 2)
-        # index-6 sublattice of Z^2 saturates to all of Z^2
-        assert abs(det_int(basis)) == 1
+        ranks, basis, _ = adapted_basis([[2, 0]], 2)
+        assert ranks == [1]
+        assert basis[0] == [1, 0]
 
     def test_line_with_fractional_direction_content(self):
-        basis = saturation_basis([[4, 6]], 2)
-        assert basis == [[2, 3]] or basis == [[-2, -3]]
+        ranks, basis, _ = adapted_basis([[4, 6]], 2)
+        assert ranks == [1]
+        assert basis[0] == [2, 3]
 
-    def test_random_spans_agree(self):
-        rng = random.Random(9)
-        for _ in range(30):
-            rows = [
-                [rng.randint(-4, 4) for _ in range(3)]
-                for _ in range(rng.randint(1, 3))
-            ]
-            sat = saturation_basis(rows, 3)
-            assert len(sat) == frac_rank(rows)
-            for r in rows:
-                # original rows are integer combinations of the saturation
-                sol = frac_solve([list(col) for col in zip(*sat)], r)
-                assert sol is not None
-                assert all(x.denominator == 1 for x in sol[0])
+    def test_full_rank_lattice(self):
+        # an index-6 sublattice of Z^2 still gets a basis of all of Z^2
+        ranks, basis, inverse = adapted_basis([[2, 1], [0, 3]], 2)
+        assert ranks == [1, 2]
+        assert _matmul(basis, inverse) == [[1, 0], [0, 1]]
 
-
-class TestExtendBasis:
-    def test_completion_is_unimodular_in_lattice_coords(self):
-        lattice = [[1, 0], [0, 1]]
-        new = extend_basis_in_lattice([[1, 0]], lattice)
-        assert len(new) == 1
-        assert abs(det_int([[1, 0], new[0]])) == 1
-
-    def test_returns_only_new_rows(self):
-        lattice = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        new = extend_basis_in_lattice([[0, 1, 0]], lattice)
-        assert len(new) == 2
-        assert abs(det_int([[0, 1, 0]] + new)) == 1
-
-    def test_unsaturated_partial_is_rejected(self):
-        with pytest.raises(IntegralityFailure):
-            extend_basis_in_lattice([[2, 0]], [[1, 0], [0, 1]])
-
-    def test_sublattice_target(self):
-        # complete inside the even-in-first-coordinate lattice
-        lattice = [[2, 0], [0, 1]]
-        new = extend_basis_in_lattice([[2, 0]], lattice)
-        assert len(new) == 1
-        stacked = [[2, 0], new[0]]
-        # the completion stays inside the target lattice
-        sol = frac_solve([list(c) for c in zip(*lattice)], new[0])
-        assert sol is not None and all(x.denominator == 1 for x in sol[0])
-        assert abs(det_int(stacked)) == abs(det_int(lattice))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                    max_size=8,
+                ),
+            )
+        )
+    )
+    def test_echelon_transform_and_saturated_spans(self, case):
+        n, rows = case
+        ranks, basis, inverse = adapted_basis(rows, n)
+        assert _matmul(basis, inverse) == [
+            [1 if i == j else 0 for j in range(n)] for i in range(n)
+        ]
+        for i, row in enumerate(_matmul(rows, inverse)):
+            assert all(x == 0 for x in row[ranks[i]:])
+            assert ranks[i] == frac_rank(rows[: i + 1])
+            assert frac_rank(rows[: i + 1] + basis[: ranks[i]]) == ranks[i]
+        for b in basis:
+            assert next(x for x in b if x) > 0
