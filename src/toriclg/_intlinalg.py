@@ -3,10 +3,12 @@
 This is the package's one exact linear-algebra module.  Everything here
 runs on small dense matrices (dimension at most ~20), so the
 implementations favour clarity over asymptotics: one fraction
-Gauss-Jordan reduction (``row_reduce``) behind the rank, determinant,
-solve and canonical-span routines, and one unimodular column reduction
-over the integers (``adapted_basis``) that gives a lattice basis adapted
-to a sequence of integer vectors, together with its inverse.
+Gauss-Jordan reduction (``row_reduce``) behind the solve and
+canonical-span routines, one fraction-free Gauss-Jordan reduction over
+the integers (``adjugate``) for determinants and inverses of integer
+matrices, and one unimodular column reduction over the integers
+(``adapted_basis``) that gives a lattice basis adapted to a sequence of
+integer vectors, together with its inverse.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ def row_reduce(m: list[Row], ncols: int) -> tuple[list[int], int, Fraction]:
     return pivots, sign, product
 
 
-def frac_rank(rows: Sequence[Sequence]) -> int:
-    m = frac_matrix(rows)
-    return len(row_reduce(m, len(m[0]) if m else 0)[0])
-
-
 def frac_solve(
     a: Sequence[Sequence], b: Sequence
 ) -> tuple[Row, list[Row]] | None:
@@ -117,23 +114,40 @@ def canonical_affine(
     return tuple(tuple(r) for r in basis), tuple(p)
 
 
-def det_int(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a small integer matrix, exact."""
-    m = frac_matrix(a)
-    n = len(m)
-    pivots, sign, product = row_reduce(m, n)
-    if len(pivots) < n:
-        return 0
-    det = sign * product
-    assert det.denominator == 1
-    return det.numerator
-
-
 IntMatrix = list[list[int]]
 
 
 def _identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    """Determinant and adjugate of a square integer matrix.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) of ``[a | I]``: every
+    division is exact, and after the last pivot ``d`` the left block is
+    ``d·I`` and the right block ``d·a⁻¹``, where ``d`` is the determinant
+    of the row-permuted matrix.  Returns ``(det, adj)`` with
+    ``a · adj = det · I``, or ``(0, [])`` when ``a`` is singular.
+    """
+    n = len(a)
+    m = [[int(x) for x in row] + e for row, e in zip(a, _identity(n))]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return 0, []
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        prow = m[k]
+        p = prow[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def smith_normal_form(

@@ -3,7 +3,10 @@
 A polytope is stored by its facet data: integer inward normals v_j and
 rational constants lambda_j, defining ell_j(u) = <v_j, u> + lambda_j >= 0.
 Validation checks boundedness, simplicity, the unimodularity of vertex
-normal sets, and facet non-redundancy, all in exact rational arithmetic.
+normal sets, and facet non-redundancy, all in exact arithmetic.  The
+vertices, edges and walls come from one walk of the vertex graph on
+integer support values (Avis-Fukuda pivoting): each vertex is left along
+its edges, and a ratio test over the facets finds the next vertex.
 
 The built-in catalog covers the projective spaces, the one- and two-point
 blow-ups of the projective plane, and the Hirzebruch surfaces; for the
@@ -13,17 +16,31 @@ attached.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from itertools import combinations
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
-from ._intlinalg import det_int, frac_rank, frac_solve
+# frac_solve is not called here; bench/tracer.py binds it in this module
+from ._intlinalg import adapted_basis, adjugate, frac_solve  # noqa: F401
 from .errors import InvalidPolytope, ParamOutOfRange, UnknownName
 from .novikov import NovikovScalar
 
 Point = tuple[Fraction, ...]
+
+
+def _over_common_denominator(u: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of the coordinates of u over their least common
+    denominator."""
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in u]
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -33,10 +50,8 @@ class Facet:
     name: str = ""
 
     def ell(self, u: Sequence) -> Fraction:
-        return sum(
-            (Fraction(n) * Fraction(x) for n, x in zip(self.normal, u)),
-            start=self.constant,
-        )
+        nums, den = _over_common_denominator(u)
+        return Fraction(_dot(self.normal, nums), den) + self.constant
 
 
 @dataclass(frozen=True)
@@ -52,6 +67,23 @@ class ValidationReport:
     vertex_count: int
 
 
+class _Edge(NamedTuple):
+    direction: tuple[int, ...]
+    off: int | None  # the first facet met at the far end; None for a ray
+
+
+class _Corner(NamedTuple):
+    vertex: Vertex
+    det: int | None  # of the tight normals in index order, when simple
+    edges: tuple[_Edge, ...]
+
+
+class _VertexGraph(NamedTuple):
+    corners: tuple[_Corner, ...]  # in increasing order of the point
+    spans: bool  # the normals span R^n
+    walls: tuple[int, ...]  # <m_p, v_off> over the walls at unimodular corners
+
+
 class MomentPolytope:
     def __init__(self, dim: int, facets: Iterable[Facet]):
         self.dim = int(dim)
@@ -61,7 +93,13 @@ class MomentPolytope:
         for f in self.facets:
             if len(f.normal) != self.dim:
                 raise InvalidPolytope(f"normal {f.normal} has wrong length")
-        self._vertices: tuple[Vertex, ...] | None = None
+        # D ell_j(u) = <v_j, D u> + c_j with integers c_j over one denominator D
+        self._den = lcm(*(f.constant.denominator for f in self.facets))
+        self._consts = [
+            f.constant.numerator * (self._den // f.constant.denominator)
+            for f in self.facets
+        ]
+        self._graph: _VertexGraph | None = None
         self._report: ValidationReport | None = None
         self._fano_type: str | None = None
 
@@ -70,6 +108,8 @@ class MomentPolytope:
     @classmethod
     def from_inequalities(cls, rows: Sequence[tuple[Sequence[int], object]],
                           names: Sequence[str] | None = None) -> "MomentPolytope":
+        if not rows:
+            raise InvalidPolytope("no inequalities: the dimension is unknown")
         dim = len(rows[0][0])
         facets = []
         for j, (normal, const) in enumerate(rows):
@@ -86,46 +126,149 @@ class MomentPolytope:
     def ell(self, j: int, u: Sequence) -> Fraction:
         return self.facets[j].ell(u)
 
+    def _scaled_support(self, u: Sequence) -> tuple[list[int], int]:
+        """Integer numerators of every ell_j(u) over one positive denominator."""
+        nums, den = _over_common_denominator(u)
+        return [
+            _dot(f.normal, nums) * self._den + c * den
+            for f, c in zip(self.facets, self._consts)
+        ], den * self._den
+
     def support_values(self, u: Sequence) -> list[Fraction]:
-        return [f.ell(u) for f in self.facets]
+        values, den = self._scaled_support(u)
+        return [Fraction(v, den) for v in values]
 
     def contains(self, u: Sequence) -> bool:
-        return all(v >= 0 for v in self.support_values(u))
+        return all(v >= 0 for v in self._scaled_support(u)[0])
 
     def interior_contains(self, u: Sequence) -> bool:
-        return all(v > 0 for v in self.support_values(u))
+        return all(v > 0 for v in self._scaled_support(u)[0])
 
     # -- combinatorics ---------------------------------------------------------
 
     def vertices(self) -> tuple[Vertex, ...]:
-        """All 0-faces with their incident facet sets, by exhaustive
-        intersection of dim-subsets of facet hyperplanes."""
-        if self._vertices is not None:
-            return self._vertices
-        n = self.dim
-        seen: dict[Point, set[int]] = {}
-        for subset in itertools.combinations(range(self.nfacets), n):
-            a = [list(self.facets[j].normal) for j in subset]
-            b = [-self.facets[j].constant for j in subset]
-            sol = frac_solve(a, b)
-            if sol is None or sol[1]:
-                continue
-            point = tuple(sol[0])
-            values = self.support_values(point)
-            if all(v >= 0 for v in values):
-                tight = seen.setdefault(point, set())
-                tight.update(j for j, v in enumerate(values) if v == 0)
-        verts = tuple(
-            Vertex(p, tuple(sorted(t))) for p, t in sorted(seen.items())
-        )
-        self._vertices = verts
-        return verts
+        """All 0-faces with their incident facet sets, in increasing order
+        of the point, from one walk of the vertex graph."""
+        return tuple(c.vertex for c in self._vertex_graph().corners)
 
     def total_betti(self) -> int:
         """Rank of the rational cohomology of the toric manifold: the number
         of vertices (= number of maximal cones of the normal fan)."""
         self.require_valid()
         return len(self.vertices())
+
+    def _vertex_graph(self) -> _VertexGraph:
+        if self._graph is None:
+            self._graph = self._walk()
+        return self._graph
+
+    def _walk(self) -> _VertexGraph:
+        """Every vertex with its tight set and edges, by pivoting.
+
+        Points are x = D u, kept as integer numerators X over a positive
+        denominator g, so the support values at a point are the integers
+        s_j = <v_j, X> + g c_j over g D.  The first vertex is the first
+        n-subset of facets, in index order, whose intersection point is
+        feasible.  From each vertex every edge direction e gets a ratio
+        test: the least s_j / -<v_j, e> over the facets with <v_j, e> < 0
+        gives the next vertex and the first facet that blocks the edge,
+        which is the wall's off-facet on a simple polytope; an edge that
+        no facet blocks is a ray.  The graph of a polyhedron with a
+        vertex is connected (Balinski), so the walk finds every vertex.
+        """
+        n, consts = self.dim, self._consts
+        normals = [f.normal for f in self.facets]
+
+        def slacks(X, g):
+            return [_dot(v, X) + g * c for v, c in zip(normals, consts)]
+
+        spans, start = False, None
+        for basis in combinations(range(self.nfacets), n):
+            det, adj = adjugate([normals[j] for j in basis])
+            if not det:
+                continue
+            spans = True
+            # <v_j, x> = -c_j on the basis: x = -adj c / det
+            c = [consts[j] for j in basis]
+            X, g = _reduced([-_dot(row, c) for row in adj], det)
+            if all(s >= 0 for s in slacks(X, g)):
+                start = (X, g)
+                break
+        corners: list[_Corner] = []
+        walls: list[int] = []
+        seen = {start}
+        todo = [start] if start else []
+        while todo:
+            X, g = todo.pop()
+            s = slacks(X, g)
+            tight = tuple(j for j, x in enumerate(s) if x == 0)
+            det, directions = self._edge_directions(tight)
+            edges, rates_of = [], []
+            for e in directions:
+                rates = [_dot(v, e) for v in normals]  # <v_j, e> for every j
+                rates_of.append(rates)
+                off, best_s, best_r = None, 0, 1
+                for j, r in enumerate(rates):
+                    if r < 0 and (off is None or s[j] * best_r < best_s * -r):
+                        off, best_s, best_r = j, s[j], -r
+                edges.append(_Edge(e, off))
+                if off is not None:
+                    # x + t e with t = best_s / (g best_r)
+                    nxt = _reduced(
+                        [x * best_r + best_s * y for x, y in zip(X, e)],
+                        g * best_r,
+                    )
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+            if det in (1, -1):
+                # m_p = sum of the edge directions solves <v_t, m_p> = 1 on
+                # the tight facets; each wall adds <m_p, v_off>
+                walls += [
+                    sum(rates[edge.off] for rates in rates_of)
+                    for edge in edges
+                    if edge.off is not None
+                ]
+            point = tuple(Fraction(x, g * self._den) for x in X)
+            corners.append(_Corner(Vertex(point, tight), det, tuple(edges)))
+        corners.sort(key=lambda c: c.vertex.point)
+        return _VertexGraph(tuple(corners), spans, tuple(walls))
+
+    def _edge_directions(
+        self, tight: Sequence[int]
+    ) -> tuple[int | None, list[tuple[int, ...]]]:
+        """Edge directions of the cone {d : <v_j, d> >= 0 for j in tight}.
+
+        Each is the null direction of a rank-(n-1) subset of the tight
+        normals that keeps every tight facet >= 0, listed in the
+        combination order of the subsets (with the subset's direction
+        taken before its negative).  With exactly n tight facets, the
+        directions are the columns of the adjugate, and their determinant
+        comes back too (None otherwise).
+        """
+        n, normals = self.dim, [self.facets[j].normal for j in tight]
+        if len(tight) == n:
+            det, adj = adjugate(normals)
+            sign = 1 if det > 0 else -1
+            # column k frees facet tight[k]; the last column comes first
+            return det, [
+                tuple(sign * row[k] for row in adj) for k in reversed(range(n))
+            ]
+        directions: list[tuple[int, ...]] = []
+        for sub in combinations(normals, n - 1):
+            d = _null_direction(sub, n)
+            if d is None:
+                continue
+            dots = [_dot(v, d) for v in normals]
+            if all(x <= 0 for x in dots) and any(dots):
+                d = [-x for x in d]
+            elif not all(x >= 0 for x in dots):
+                continue
+            h = gcd(*d)
+            d = tuple(x // h for x in d)
+            if d not in directions:
+                directions.append(d)
+        return None, directions
 
     # -- validation ------------------------------------------------------------
 
@@ -137,86 +280,77 @@ class MomentPolytope:
     def _validation_report(self) -> ValidationReport:
         issues: list[str] = []
         n = self.dim
-        normals = [list(f.normal) for f in self.facets]
         for j, f in enumerate(self.facets):
             if all(x == 0 for x in f.normal):
                 issues.append(f"facet {j}: zero normal")
-            else:
-                g = 0
-                for x in f.normal:
-                    g = gcd(g, abs(x))
-                if g != 1:
-                    issues.append(f"facet {j}: normal {f.normal} not primitive")
+            elif gcd(*f.normal) != 1:
+                issues.append(f"facet {j}: normal {f.normal} not primitive")
         if len({f.normal for f in self.facets}) < self.nfacets:
             issues.append("duplicate facet normals")
-        if frac_rank(normals) < n:
+        graph = self._vertex_graph()
+        corners = graph.corners
+        rays = any(e.off is None for c in corners for e in c.edges)
+        if not graph.spans:
             issues.append("normals do not span; polytope unbounded or degenerate")
-        elif ray := self._recession_ray():
+        elif (rays or not corners) and (ray := self._recession_ray()):
             issues.append(f"unbounded: recession direction {ray}")
-        verts = self.vertices()
-        if not verts:
+        if not corners:
             issues.append("no vertices; polytope empty or unbounded")
-        for v in verts:
-            if len(v.tight) != n:
+        for c in corners:
+            if c.det is None:
                 issues.append(
-                    f"vertex {v.point}: {len(v.tight)} facets meet (not simple)"
+                    f"vertex {c.vertex.point}: "
+                    f"{len(c.vertex.tight)} facets meet (not simple)"
                 )
-                continue
-            d = det_int([list(self.facets[j].normal) for j in v.tight])
-            if abs(d) != 1:
+            elif abs(c.det) != 1:
                 issues.append(
-                    f"vertex {v.point}: normal determinant {d} (not unimodular)"
+                    f"vertex {c.vertex.point}: "
+                    f"normal determinant {c.det} (not unimodular)"
                 )
-        if verts:
-            pts = [v.point for v in verts]
-            diffs = [
-                [p[i] - pts[0][i] for i in range(n)] for p in pts[1:]
+        if corners:
+            # the vertices of a face are joined by its bounded edges, so the
+            # face's affine dimension is the rank of their directions; a
+            # simple corner with n bounded edges spans every face through it
+            bounded = [
+                (c, e) for c in corners for e in c.edges if e.off is not None
             ]
-            if frac_rank(diffs) < n:
+            full = [
+                c for c in corners
+                if c.det and all(e.off is not None for e in c.edges)
+            ]
+            if not full and _rank([e.direction for _, e in bounded], n) < n:
                 issues.append("polytope is not full-dimensional (empty interior)")
-            for j in range(self.nfacets):
-                on_facet = [v.point for v in verts if j in v.tight]
-                if not on_facet:
+            touched = {j for c in corners for j in c.vertex.tight}
+            spanned = {j for c in full for j in c.vertex.tight}
+            for j, f in enumerate(self.facets):
+                if j not in touched:
                     issues.append(f"facet {j}: redundant (touches no vertex)")
-                    continue
-                fd = [
-                    [p[i] - on_facet[0][i] for i in range(n)]
-                    for p in on_facet[1:]
-                ]
-                if frac_rank(fd) < n - 1:
+                elif j not in spanned and _rank(
+                    [
+                        e.direction
+                        for c, e in bounded
+                        if j in c.vertex.tight and not _dot(f.normal, e.direction)
+                    ],
+                    n,
+                ) < n - 1:
                     issues.append(
                         f"facet {j}: tight set has dimension < {n - 1} (redundant)"
                     )
-        return ValidationReport(not issues, tuple(issues), len(verts))
+        return ValidationReport(not issues, tuple(issues), len(corners))
 
-    def _recession_ray(self) -> tuple | None:
-        """A nonzero direction d with <v_j, d> >= 0 for all j, if one exists.
-        Extreme rays of the recession cone satisfy dim-1 independent equalities,
-        so scanning those subsets is exhaustive once the normals span."""
-        n = self.dim
-        normals = [list(f.normal) for f in self.facets]
-        if n == 1:
-            for d in ((Fraction(1),), (Fraction(-1),)):
-                if all(Fraction(v[0]) * d[0] >= 0 for v in normals):
-                    return d
+    def _recession_ray(self) -> tuple[Fraction, ...] | None:
+        """The first edge direction of the recession cone {d : <v_j, d> >= 0},
+        whose apex has every facet tight, scaled so that its last nonzero
+        entry is +-1; None when the cone is the origin.  Edges come in the
+        order of the (n-1)-subsets of facets that cut them out, so this is
+        the ray an exhaustive scan of those subsets meets first.  It runs
+        only when the walk found a ray or no vertex."""
+        directions = self._edge_directions(range(self.nfacets))[1]
+        if not directions:
             return None
-        for subset in itertools.combinations(range(self.nfacets), n - 1):
-            a = [normals[j] for j in subset]
-            sol = frac_solve(a, [0] * (n - 1))
-            if sol is None:
-                continue
-            _, null = sol
-            if len(null) != 1:
-                continue
-            d = tuple(null[0])
-            for cand in (d, tuple(-x for x in d)):
-                vals = [
-                    sum(Fraction(vj) * x for vj, x in zip(v, cand))
-                    for v in normals
-                ]
-                if all(val >= 0 for val in vals):
-                    return cand
-        return None
+        d = directions[0]
+        last = next(abs(x) for x in reversed(d) if x)
+        return tuple(Fraction(x, last) for x in d)
 
     def require_valid(self) -> None:
         report = self.validate()
@@ -229,9 +363,9 @@ class MomentPolytope:
         """Strict convexity of the anticanonical support function across the
         walls of the normal fan.
 
-        For each pair of adjacent vertices, take the linear functional m_p
-        equal to 1 on the normals at vertex p and evaluate it on the one
-        normal of the neighbour not shared with p.  With inward normals,
+        Each edge of the polytope from vertex p is a wall: take the linear
+        functional m_p equal to 1 on the normals at p and evaluate it on
+        the normal of the facet that blocks the edge.  With inward normals,
         values < 1 at every wall mean the function is strictly convex
         (fano); equality somewhere means nef-only; a value > 1 breaks
         convexity (neither).  The orientation is fixed by the catalog:
@@ -239,37 +373,12 @@ class MomentPolytope:
         Hirzebruch surface is nef-only.
         """
         if self._fano_type is None:
-            self._fano_type = self._fano_type_of_fan()
+            self.require_valid()
+            top = max(self._vertex_graph().walls)
+            self._fano_type = (
+                "neither" if top > 1 else "nef-only" if top == 1 else "fano"
+            )
         return self._fano_type
-
-    def _fano_type_of_fan(self) -> str:
-        self.require_valid()
-        verts = self.vertices()
-        n = self.dim
-        functionals: dict[int, list[Fraction]] = {}
-        for i, v in enumerate(verts):
-            a = [list(self.facets[j].normal) for j in v.tight]
-            sol = frac_solve(a, [1] * n)
-            assert sol is not None and not sol[1]
-            functionals[i] = sol[0]
-        strict = True
-        for i, p in enumerate(verts):
-            for k, q in enumerate(verts):
-                if i == k:
-                    continue
-                shared = set(p.tight) & set(q.tight)
-                if len(shared) != n - 1:
-                    continue
-                (off,) = set(q.tight) - shared
-                value = sum(
-                    Fraction(m) * Fraction(x)
-                    for m, x in zip(functionals[i], self.facets[off].normal)
-                )
-                if value > 1:
-                    return "neither"
-                if value == 1:
-                    strict = False
-        return "fano" if strict else "nef-only"
 
     # -- bounds ------------------------------------------------------------------
 
@@ -339,6 +448,27 @@ class MomentPolytope:
             f"{f.name}: <{list(f.normal)},u>+{f.constant}>=0" for f in self.facets
         )
         return f"MomentPolytope(dim={self.dim}, {rows})"
+
+
+def _reduced(x: list[int], g: int) -> tuple[tuple[int, ...], int]:
+    """The point x / g as coprime numerators over a positive denominator."""
+    h = gcd(g, *x) * (1 if g > 0 else -1)
+    return tuple(v // h for v in x), g // h
+
+
+def _null_direction(rows: Sequence[Sequence[int]], n: int) -> list[int] | None:
+    """A nonzero integer vector orthogonal to n-1 rows of length n, or None
+    when their rank is below n-1.  The last adjugate column of the rows
+    completed by any unit vector is their (generalised) cross product."""
+    for i in range(n):
+        det, adj = adjugate([*rows, [int(k == i) for k in range(n)]])
+        if det:
+            return [row[-1] for row in adj]
+    return None
+
+
+def _rank(rows: list[tuple[int, ...]], n: int) -> int:
+    return adapted_basis(rows, n)[0][-1] if rows else 0
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,26 @@
-"""Shared test utilities: random polytopes, series comparisons, a
-cofactor determinant, the closed-form residue pairing of projective space
-and a point-by-point reference for the balanced-position scan."""
+"""Shared test utilities: random polytopes, the exhaustive polytope
+combinatorics that the vertex walk is checked against, series
+comparisons, the closed-form residue pairing of projective space and a
+point-by-point reference for the balanced-position scan."""
 
 import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
 from toriclg import (
+    InvalidPolytope,
     LevelUnderdetermined,
     MomentPolytope,
     NovikovScalar,
     get_config,
     is_strongly_balanced,
 )
+from toriclg._intlinalg import frac_matrix, frac_solve, row_reduce
+from toriclg.polytope import ValidationReport, Vertex
 
 _SIDES = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
 _CUTS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
@@ -105,6 +110,131 @@ def random_delzant_threefold(
         if q is not None and q.validate().ok:
             p = q
     return p
+
+
+# -- exhaustive polytope combinatorics ------------------------------------------
+# The brute-force enumeration the library used before its vertex walk: every
+# n-subset of facets for the vertices, every (n-1)-subset for a recession
+# ray and every pair of vertices for the walls.  Tests compare the walk's
+# report, vertices and Fano type with these.
+
+
+def frac_rank(rows) -> int:
+    m = frac_matrix(rows)
+    return len(row_reduce(m, len(m[0]) if m else 0)[0])
+
+
+def det_int(a) -> int:
+    """Determinant of a small integer matrix, exact."""
+    m = frac_matrix(a)
+    n = len(m)
+    pivots, sign, product = row_reduce(m, n)
+    if len(pivots) < n:
+        return 0
+    det = sign * product
+    assert det.denominator == 1
+    return det.numerator
+
+
+def exhaustive_vertices(p: MomentPolytope) -> tuple[Vertex, ...]:
+    n = p.dim
+    seen: dict[tuple, set[int]] = {}
+    for subset in itertools.combinations(range(p.nfacets), n):
+        a = [list(p.facets[j].normal) for j in subset]
+        b = [-p.facets[j].constant for j in subset]
+        sol = frac_solve(a, b)
+        if sol is None or sol[1]:
+            continue
+        point = tuple(sol[0])
+        values = p.support_values(point)
+        if all(v >= 0 for v in values):
+            tight = seen.setdefault(point, set())
+            tight.update(j for j, v in enumerate(values) if v == 0)
+    return tuple(Vertex(q, tuple(sorted(t))) for q, t in sorted(seen.items()))
+
+
+def _exhaustive_recession_ray(p: MomentPolytope) -> tuple | None:
+    n = p.dim
+    normals = [list(f.normal) for f in p.facets]
+    if n == 1:
+        for d in ((Fraction(1),), (Fraction(-1),)):
+            if all(Fraction(v[0]) * d[0] >= 0 for v in normals):
+                return d
+        return None
+    for subset in itertools.combinations(range(p.nfacets), n - 1):
+        sol = frac_solve([normals[j] for j in subset], [0] * (n - 1))
+        if sol is None or len(sol[1]) != 1:
+            continue
+        d = tuple(sol[1][0])
+        for cand in (d, tuple(-x for x in d)):
+            if all(sum(vj * x for vj, x in zip(v, cand)) >= 0 for v in normals):
+                return cand
+    return None
+
+
+def exhaustive_report(p: MomentPolytope) -> ValidationReport:
+    issues: list[str] = []
+    n = p.dim
+    normals = [list(f.normal) for f in p.facets]
+    for j, f in enumerate(p.facets):
+        if all(x == 0 for x in f.normal):
+            issues.append(f"facet {j}: zero normal")
+        elif math.gcd(*f.normal) != 1:
+            issues.append(f"facet {j}: normal {f.normal} not primitive")
+    if len({f.normal for f in p.facets}) < p.nfacets:
+        issues.append("duplicate facet normals")
+    if frac_rank(normals) < n:
+        issues.append("normals do not span; polytope unbounded or degenerate")
+    elif ray := _exhaustive_recession_ray(p):
+        issues.append(f"unbounded: recession direction {ray}")
+    verts = exhaustive_vertices(p)
+    if not verts:
+        issues.append("no vertices; polytope empty or unbounded")
+    for v in verts:
+        if len(v.tight) != n:
+            issues.append(f"vertex {v.point}: {len(v.tight)} facets meet (not simple)")
+            continue
+        d = det_int([normals[j] for j in v.tight])
+        if abs(d) != 1:
+            issues.append(f"vertex {v.point}: normal determinant {d} (not unimodular)")
+    if verts:
+        pts = [v.point for v in verts]
+        if frac_rank([[a - b for a, b in zip(q, pts[0])] for q in pts[1:]]) < n:
+            issues.append("polytope is not full-dimensional (empty interior)")
+        for j in range(p.nfacets):
+            on_facet = [v.point for v in verts if j in v.tight]
+            if not on_facet:
+                issues.append(f"facet {j}: redundant (touches no vertex)")
+            elif frac_rank(
+                [[a - b for a, b in zip(q, on_facet[0])] for q in on_facet[1:]]
+            ) < n - 1:
+                issues.append(
+                    f"facet {j}: tight set has dimension < {n - 1} (redundant)"
+                )
+    return ValidationReport(not issues, tuple(issues), len(verts))
+
+
+def exhaustive_fano_type(p: MomentPolytope) -> str:
+    """The value of m_p on the off-facet normal of every pair of vertices
+    that share n-1 facets."""
+    report = exhaustive_report(p)
+    if not report.ok:
+        raise InvalidPolytope("; ".join(report.issues))
+    verts = exhaustive_vertices(p)
+    n = p.dim
+    strict = True
+    for v in verts:
+        m, _ = frac_solve([list(p.facets[j].normal) for j in v.tight], [1] * n)
+        for w in verts:
+            shared = set(v.tight) & set(w.tight)
+            if w is v or len(shared) != n - 1:
+                continue
+            (off,) = set(w.tight) - shared
+            value = sum(a * b for a, b in zip(m, p.facets[off].normal))
+            if value > 1:
+                return "neither"
+            strict = strict and value != 1
+    return "fano" if strict else "nef-only"
 
 
 def random_scalar(rng: random.Random, nterms: int = 4, den: int = 6) -> NovikovScalar:

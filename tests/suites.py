@@ -8,7 +8,7 @@ import math
 import random
 from fractions import Fraction
 
-from helpers import random_delzant_polytope, random_scalar
+from helpers import det_int, random_delzant_polytope, random_scalar
 from toriclg import (
     INF,
     LaurentPoly,
@@ -20,7 +20,6 @@ from toriclg import (
     initial_system,
     solve_lte,
 )
-from toriclg._intlinalg import det_int
 from toriclg.polysolve import solve_torus_system
 from toriclg.errors import PositiveDimensionalInitialLocus
 

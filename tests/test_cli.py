@@ -165,7 +165,7 @@ class TestExactWorkRunsOnce:
     def test_analyze_validates_once(self, capsys, monkeypatch):
         from toriclg.polytope import MomentPolytope
 
-        calls = {"_validation_report": 0, "_fano_type_of_fan": 0}
+        calls = {"_walk": 0, "_validation_report": 0}
         for name in calls:
             body = getattr(MomentPolytope, name)
 
@@ -178,7 +178,7 @@ class TestExactWorkRunsOnce:
             capsys, "analyze", "--catalog", "blowup1:1/3", "--format", "json"
         )
         assert code == 0
-        assert calls == {"_validation_report": 1, "_fano_type_of_fan": 1}
+        assert calls == {"_walk": 1, "_validation_report": 1}
         doc = json.loads(out)
         assert doc["validation"] == {"ok": True, "issues": [], "vertices": 4}
         assert doc["fano_type"] == "fano"

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import det_int, frac_rank
 from toriclg._intlinalg import (
     adapted_basis,
+    adjugate,
     canonical_affine,
-    det_int,
-    frac_rank,
     frac_solve,
     smith_normal_form,
 )
@@ -109,6 +109,34 @@ class TestDetInt:
             m = _unimodular(rng, n)
             assert det_int(m) == _cofactor(m) in (1, -1)
             assert det_int(_matmul(m, a)) == det_int(m) * _cofactor(a)
+
+
+class TestAdjugate:
+    def test_known_values(self):
+        assert adjugate([[2, 3], [1, 2]]) == (1, [[2, -3], [-1, 2]])
+        assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+        assert adjugate([[1, 2], [2, 4]]) == (0, [])
+        assert adjugate([[5]]) == (5, [[1]])
+
+    def test_random_matches_cofactors(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            if rng.random() < 0.3:  # thin products make singular matrices
+                k = rng.randint(1, n)
+                m = _matmul(
+                    [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)],
+                    [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)],
+                )
+            else:
+                m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            det, adj = adjugate(m)
+            assert det == _cofactor(m)
+            if det:
+                scaled = [[det if i == j else 0 for j in range(n)] for i in range(n)]
+                assert _matmul(m, adj) == scaled == _matmul(adj, m)
+            else:
+                assert adj == []
 
 
 class TestRankAgainstMinors:

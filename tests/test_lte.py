@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    det_int,
     random_delzant_polytope,
     random_delzant_threefold,
     reference_balanced_positions,
@@ -25,7 +26,6 @@ from toriclg import (
     leading_term_system,
     solve_lte,
 )
-from toriclg._intlinalg import det_int
 
 F = Fraction
 

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_delzant_polytope
+from helpers import (
+    exhaustive_fano_type,
+    exhaustive_report,
+    exhaustive_vertices,
+    random_delzant_polytope,
+    random_delzant_threefold,
+)
 from toriclg import (
     BulkCoefficients,
     Correction,
@@ -98,6 +104,34 @@ class TestValidation:
                 [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)],
                 ["no vertices; polytope empty or unbounded"],
             ),
+            (
+                # square pyramid: the apex lies on four facets
+                [
+                    ((0, 0, 1), 0),
+                    ((1, 0, -1), 1),
+                    ((-1, 0, -1), 1),
+                    ((0, 1, -1), 1),
+                    ((0, -1, -1), 1),
+                ],
+                [
+                    "vertex (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)): "
+                    "4 facets meet (not simple)",
+                ],
+            ),
+            (
+                [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -2), 2)],
+                [
+                    "vertex (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)): "
+                    "normal determinant -2 (not unimodular)",
+                ],
+            ),
+            (
+                [((1,), 0)],
+                [
+                    "unbounded: recession direction (Fraction(1, 1),)",
+                    "polytope is not full-dimensional (empty interior)",
+                ],
+            ),
         ],
     )
     def test_cached_report_keeps_issues_and_message(self, rows, issues):
@@ -110,10 +144,108 @@ class TestValidation:
                 p.require_valid()
             assert str(exc.value) == "; ".join(issues)
 
+    def test_no_inequalities(self):
+        with pytest.raises(InvalidPolytope):
+            MomentPolytope.from_inequalities([])
+
     def test_random_chops_stay_valid(self):
         rng = random.Random(21)
         for _ in range(25):
             assert random_delzant_polytope(rng).validate().ok
+
+
+def _invalid_rows(rng: random.Random, rows: list) -> list:
+    """One defect applied to the facet rows of a valid polytope."""
+    rows = list(rows)
+    n = len(rows[0][0])
+    j = rng.randrange(len(rows))
+    v, c = rows[j]
+    kind = rng.choice(
+        ("non-primitive", "duplicate", "redundant", "non-unimodular",
+         "unbounded", "empty", "through-vertex", "zero", "random")
+    )
+    if kind == "non-primitive":
+        rows[j] = (tuple(2 * x for x in v), 2 * c)
+    elif kind == "duplicate":
+        rows.insert(rng.randrange(len(rows) + 1), (v, c + rng.choice((0, F(1, 2)))))
+    elif kind == "redundant":
+        rows.append((tuple(rng.randint(-2, 2) for _ in range(n)), F(rng.randint(5, 9))))
+    elif kind == "non-unimodular":
+        w, d = rows[(j + 1) % len(rows)]
+        rows.append((tuple(2 * x + y for x, y in zip(v, w)), 2 * c + d - F(1, 4)))
+    elif kind == "unbounded":
+        del rows[j]
+    elif kind == "empty":
+        rows.append((tuple(-x for x in v), -c - F(1, 2)))
+    elif kind == "through-vertex":
+        vertices = exhaustive_vertices(MomentPolytope.from_inequalities(rows))
+        point = rng.choice(vertices).point
+        w = tuple(rng.randint(-2, 2) for _ in range(n))
+        rows.append((w, -sum(a * b for a, b in zip(w, point))))
+    elif kind == "zero":
+        rows.append(((0,) * n, F(rng.randint(-1, 1))))
+    else:
+        rows = [
+            (tuple(rng.randint(-1, 1) for _ in range(n)), F(rng.choice((0, 1, 2, -1))))
+            for _ in range(rng.randint(n, n + 3))
+        ]
+    return rows
+
+
+class TestWalkAgainstExhaustive:
+    """The vertex walk gives the report, vertices and Fano type of the
+    exhaustive enumeration, on valid polytopes and on broken ones."""
+
+    @staticmethod
+    def _fano(p, fano_type):
+        try:
+            return fano_type(p)
+        except InvalidPolytope as exc:
+            return str(exc)
+
+    def _assert_same(self, rows):
+        p = MomentPolytope.from_inequalities(rows)
+        q = MomentPolytope.from_inequalities(rows)
+        assert p.validate() == exhaustive_report(q), rows
+        assert p.vertices() == exhaustive_vertices(q), rows
+        assert self._fano(p, MomentPolytope.fano_type) == self._fano(
+            q, exhaustive_fano_type
+        ), rows
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_polytopes(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            generate = rng.choice((random_delzant_polytope, random_delzant_threefold))
+            rows = [(f.normal, f.constant) for f in generate(rng).facets]
+            self._assert_same(rows)
+            for _ in range(2):
+                self._assert_same(_invalid_rows(rng, rows))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [((-1,), 3)],
+            [((1,), 0), ((-1,), 2)],
+            [((2,), 0), ((-1,), 2)],
+            [((1,), 0), ((1,), 1)],
+            [((1,), 0), ((-1,), -1)],
+            [((0,), 0), ((1,), 0), ((-1,), 1)],
+            [((1, 0), 0), ((-1, 0), 1)],
+            [((1, 0), 0), ((0, 1), 0), ((-1, 0), 1), ((0, -1), 0)],
+        ],
+    )
+    def test_small_cases(self, rows):
+        self._assert_same(rows)
+
+    def test_catalog(self):
+        for spec in (
+            [("simplex", k) for k in range(1, 6)]
+            + [("blowup1", F(1, 3)), ("blowup2", F(1, 2), F(1, 5))]
+            + [("hirzebruch", k, F(1, 2)) for k in (1, 2, 3)]
+        ):
+            p = catalog(*spec).polytope
+            self._assert_same([(f.normal, f.constant) for f in p.facets])
 
 
 class TestGeometry:
