@@ -128,6 +128,10 @@ class MomentPolytope:
 
     def _scaled_support(self, u: Sequence) -> tuple[list[int], int]:
         """Integer numerators of every ell_j(u) over one positive denominator."""
+        if len(u) != self.dim:
+            raise ValueError(
+                f"point has {len(u)} coordinates, the polytope has dimension {self.dim}"
+            )
         nums, den = _over_common_denominator(u)
         return [
             _dot(f.normal, nums) * self._den + c * den

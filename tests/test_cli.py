@@ -397,6 +397,53 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["potential", "lte"])
+    @pytest.mark.parametrize("u, n", [("1/3,1/3,9", 3), ("1/3,1/3,1/3", 3), ("1/3", 1)])
+    def test_u_length_must_match_dimension(self, capsys, command, u, n):
+        code, out, err = run(capsys, command, "--catalog", "simplex:2", "--u", u)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"invalid input: point has {n} coordinates,"
+            " the polytope has dimension 2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5", "TORICLG_CONFIG file must hold a JSON object, got int"),
+            ('"truncation"', "TORICLG_CONFIG file must hold a JSON object, got str"),
+            ('{"eps_coeff": [1]}', "TORICLG_CONFIG eps_coeff must be a number, got list"),
+        ],
+        ids=["number", "string", "eps-list"],
+    )
+    def test_malformed_env_config(self, capsys, tmp_path, monkeypatch, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        monkeypatch.setenv("TORICLG_CONFIG", str(cfg))
+        code, out, err = run(capsys, "potential", "--catalog", "simplex:1")
+        assert code == 2
+        assert out == ""
+        assert err == f"invalid input: {message}\n"
+
+    @pytest.mark.parametrize("command", ["potential", "analyze", "critical-points"])
+    @pytest.mark.parametrize("order", ["-1", "0"])
+    def test_truncation_must_be_positive(
+        self, capsys, tmp_path, monkeypatch, command, order
+    ):
+        argv = [command, "--catalog", "simplex:1"]
+        code, out, err = run(capsys, *argv, f"--truncation={order}")
+        assert (code, out) == (2, "")
+        assert err == f"invalid input: --truncation must be positive, got {order}\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"truncation": int(order)}))
+        monkeypatch.setenv("TORICLG_CONFIG", str(cfg))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"invalid input: TORICLG_CONFIG truncation must be positive, got {order}\n"
+        )
+
     @pytest.mark.parametrize(
         "polytope, corrections",
         [
