@@ -84,13 +84,10 @@ def _load_env_config() -> None:
         )
     updates = {}
     if "truncation" in data:
-        order = data["truncation"]
-        if order is not None:
-            order = _positive_truncation(
-                Fraction(str(_config_number(data, "truncation"))),
-                f"{CONFIG_ENV} truncation",
-            )
-        updates["truncation_order"] = order
+        updates["truncation_order"] = _positive_truncation(
+            Fraction(str(_config_number(data, "truncation"))),
+            f"{CONFIG_ENV} truncation",
+        )
     for key in ("eps_coeff", "eps_sol", "eps_degenerate", "tol_zero"):
         if key in data:
             updates[key] = float(_config_number(data, key))

@@ -195,10 +195,6 @@ class Potential:
             )
         return total
 
-    def critical_system(self) -> list[LaurentPoly]:
-        """The n logarithmic-derivative equations y_i dPO/dy_i = 0."""
-        return [self.poly.log_derivative(i) for i in range(self.polytope.dim)]
-
     def change_frame(self, u: Sequence) -> LaurentPoly:
         if not self.polytope.interior_contains(u):
             raise NotInterior(f"{tuple(Fraction(x) for x in u)} is not interior")

@@ -192,14 +192,6 @@ def _warn_reaching_corrections(
 
 
 @dataclass
-class LTEBranch:
-    """One branch of the cascade: assigned values with None marking a
-    variable that stayed free."""
-
-    values: list
-
-
-@dataclass
 class LTEResult:
     frame: AdaptedFrame
     level_polys: list[CPoly]
@@ -269,16 +261,18 @@ def solve_lte(potential: Potential, u) -> LTEResult:
     frame, polys = leading_term_system(potential, u)
     n = potential.polytope.dim
     blocks = frame.blocks()
-    branches: list[LTEBranch] = [LTEBranch(values=[None] * n)]
+    # one list of values per branch of the cascade, None marking a variable
+    # that stayed free
+    branches: list[list] = [[None] * n]
     underdetermined = False
     for poly, block in zip(polys, blocks):
         eqs = [_theta(poly, r) for r in block]
-        next_branches: list[LTEBranch] = []
+        next_branches: list[list] = []
         for br in branches:
             reduced: list[CPoly] = []
             hit_free = False
             for q in eqs:
-                rq, free = _substitute(q, br.values, block)
+                rq, free = _substitute(q, br, block)
                 if free:
                     hit_free = True
                     break
@@ -294,9 +288,9 @@ def solve_lte(potential: Potential, u) -> LTEResult:
                 continue  # a surviving monomial equation kills the branch
             if len(block) == 1:  # one equation per block variable
                 for r in univariate_roots({a[0]: c for a, c in reduced[0].items()}):
-                    vals = br.values[:]
+                    vals = br[:]
                     vals[block[0]] = r
-                    next_branches.append(LTEBranch(values=vals))
+                    next_branches.append(vals)
                 continue
             if len(reduced) < len(block):
                 underdetermined = True
@@ -307,15 +301,15 @@ def solve_lte(potential: Potential, u) -> LTEResult:
                 underdetermined = True
                 continue
             for root in sol.roots:
-                vals = br.values[:]
+                vals = br[:]
                 for i, r in zip(block, root):
                     vals[i] = r
-                next_branches.append(LTEBranch(values=vals))
+                next_branches.append(vals)
         branches = next_branches
     result = LTEResult(frame=frame, level_polys=polys)
     for br in branches:
-        result.witnesses_w.append(tuple(br.values))
-        result.free_masks.append(tuple(v is None for v in br.values))
+        result.witnesses_w.append(tuple(br))
+        result.free_masks.append(tuple(v is None for v in br))
     if result.witnesses_w:
         result.status = "solvable"
     elif underdetermined:

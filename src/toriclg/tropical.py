@@ -1,16 +1,17 @@
 """Locating critical fibers of a potential over the Novikov field.
 
-The search runs in two stages.  The tropical stage works with exact
-rational arithmetic on term valuations: a point u inside the polytope can
-carry a critical point only if, in the frame centered at u, every partial
-of the potential has its minimal T-power attained by at least two terms.
+The search runs in two stages, and both read the potential's terms in the
+frame centered at u from one integer frame (``_Frame``): exponents as
+integer numerators over one denominator, with each equation's least leading
+numerator.  The tropical stage asks that at u every log-derivative
+y_i dPO/dy_i have its minimal T-power attained by at least two terms.
 Candidate points come from equating valuation pairs, one pair per
 equation; rank-deficient pair choices yield affine candidate subspaces
 that are subdivided along their breakpoints.  The algebraic stage solves
 the leading-coefficient system at each candidate over the torus by exact
 elimination (``polysolve``) and lifts every initial root to a Novikov
-series by Newton steps on dense arrays over one exponent lattice, read from
-the potential and u directly, each step solved order by order from one
+series by Newton steps on dense arrays over one exponent lattice, the
+frame at u put on (1/D)Z, each step solved order by order from one
 inverse of the leading Jacobian, to the order the potential's coefficients
 determine.  The lift's final full-width system stays with the point
 (``LatticeSystem``), and the residue data are read from it.  The lift's
@@ -41,7 +42,7 @@ from .errors import (
     PositiveDimensionalInitialLocus,
     SingularInitialJacobian,
 )
-from .laurent import LaurentPoly, Potential
+from .laurent import Potential
 from .novikov import INF, NovikovScalar, format_fraction
 from .polysolve import CPoly, solve_torus_system
 
@@ -49,41 +50,50 @@ ExpVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
 
 
-# -- term bookkeeping ---------------------------------------------------------
+# -- the frame at u -----------------------------------------------------------
 
 
-def _equation_terms(g: LaurentPoly) -> list[tuple[ExpVec, Fraction, complex]]:
-    """(exponent, coefficient valuation, leading complex coefficient) per term."""
-    out = []
-    for a, c in g.terms.items():
-        v = c.valuation()
-        out.append((a, v, c.coeff_at(v)))
-    return out
+class _Frame:
+    """The terms of the potential in the frame centered at u, on integers.
 
+    Each term c_a y^a of ``potential.poly``, the constant one included,
+    keeps its exponent vector a, the numerators over ``den`` of the
+    exponents of c_a T^<a, u> (increasing) and its coefficients; den is the
+    least common denominator of u and the coefficients' exponents.  ``s[i]``
+    is the least leading numerator over the terms with a_i != 0: the
+    valuation of y_i dPO/dy_i at u, times den (None when no term has
+    a_i != 0)."""
 
-def _val_at(term: tuple[ExpVec, Fraction, complex], u: FracVec) -> Fraction:
-    a, v, _ = term
-    return v + sum(Fraction(x) * y for x, y in zip(a, u))
+    def __init__(self, potential: Potential, u):
+        uf = [Fraction(x) for x in u]
+        terms = potential.poly.terms
+        self.den = den = math.lcm(
+            *(x.denominator for x in uf), *(c.lattice()[0] for c in terms.values())
+        )
+        un = [x.numerator * (den // x.denominator) for x in uf]
+        self.terms: list[tuple[ExpVec, list[int], tuple[complex, ...]]] = []
+        for a, c in terms.items():
+            d, es, cs = c.lattice()
+            shift = sum(x * e for x, e in zip(un, a))
+            self.terms.append((a, [e * (den // d) + shift for e in es], cs))
+        self.s = [
+            min((ks[0] for a, ks, _ in self.terms if a[i]), default=None)
+            for i in range(potential.polytope.dim)
+        ]
 
-
-def _argmin_count(terms, u: FracVec) -> int:
-    vals = [_val_at(t, u) for t in terms]
-    m = min(vals)
-    return sum(1 for v in vals if v == m)
+    def leading(self, i: int) -> list[tuple[ExpVec, complex]]:
+        """The terms of y_i dPO/dy_i at its least valuation: (a, a_i c_a,lead)."""
+        s = self.s[i]
+        return [(a, cs[0] * a[i]) for a, ks, cs in self.terms if a[i] and ks[0] == s]
 
 
 def balanced_at(potential: Potential, u) -> bool:
-    """True when every equation of the critical system has its minimal
-    valuation at u attained by at least two terms."""
-    uf = tuple(Fraction(x) for x in u)
-    if not potential.polytope.interior_contains(uf):
+    """True when every equation y_i dPO/dy_i = 0 has its minimal valuation
+    at u attained by at least two terms."""
+    if not potential.polytope.interior_contains(u):
         return False
-    for g in potential.critical_system():
-        if not g.terms:
-            return False
-        if _argmin_count(_equation_terms(g), uf) < 2:
-            return False
-    return True
+    frame = _Frame(potential, u)
+    return all(len(frame.leading(i)) >= 2 for i in range(len(frame.s)))
 
 
 def initial_system(
@@ -91,22 +101,11 @@ def initial_system(
 ) -> tuple[list[CPoly], list[Fraction]]:
     """Leading-coefficient system of the critical equations in the frame
     centered at u, together with the leading valuation of each equation."""
-    uf = tuple(Fraction(x) for x in u)
-    if not potential.polytope.interior_contains(uf):
+    if not potential.polytope.interior_contains(u):
         raise NotInterior(f"{u} is not an interior point")
-    polys: list[CPoly] = []
-    svals: list[Fraction] = []
-    for g in potential.critical_system():
-        terms = _equation_terms(g)
-        vals = [_val_at(t, uf) for t in terms]
-        s = min(vals)
-        p: CPoly = {}
-        for (a, _, lead), v in zip(terms, vals):
-            if v == s:
-                p[a] = p.get(a, 0j) + lead
-        polys.append(p)
-        svals.append(s)
-    return polys, svals
+    frame = _Frame(potential, u)
+    polys: list[CPoly] = [dict(frame.leading(i)) for i in range(len(frame.s))]
+    return polys, [Fraction(s, frame.den) for s in frame.s]
 
 
 # -- tropical candidates ------------------------------------------------------
@@ -166,25 +165,23 @@ def _point_on(p: FracVec, d: FracVec, t: Fraction) -> FracVec:
 def tropical_candidates(
     potential: Potential,
 ) -> tuple[list[FracVec], list[TropicalCell]]:
-    """Isolated candidate points and positive-dimensional candidate cells."""
-    eqs = [_equation_terms(g) for g in potential.critical_system()]
-    n = potential.polytope.dim
-    if any(len(terms) < 2 for terms in eqs):
-        return [], []
+    """Isolated candidate points and positive-dimensional candidate cells.
+
+    Each pair of terms of an equation, with their valuations at u = 0,
+    gives one affine equation in u where the two valuations agree; a choice
+    of one pair equation per critical equation is solved exactly, and the
+    solutions are kept where ``balanced_at`` holds."""
+    frame = _Frame(potential, (0,) * potential.polytope.dim)
     pair_eqs: list[list[tuple[FracVec, Fraction]]] = []
-    for terms in eqs:
+    for i in range(len(frame.s)):
+        terms = [(a, Fraction(ks[0], frame.den)) for a, ks, _ in frame.terms if a[i]]
         seen: dict[tuple, tuple[FracVec, Fraction]] = {}
-        for (a, va, _), (b, vb, _) in itertools.combinations(terms, 2):
+        for (a, va), (b, vb) in itertools.combinations(terms, 2):
             row = tuple(Fraction(x - y) for x, y in zip(a, b))
             rhs = vb - va
-            if all(x == 0 for x in row):
-                continue  # same exponent cannot happen after merging
-            scale = next(x for x in row if x != 0)
-            key = (tuple(x / scale for x in row), rhs / scale)
-            seen[key] = (row, rhs)
+            scale = next(x for x in row if x != 0)  # a != b: terms are merged
+            seen[(tuple(x / scale for x in row), rhs / scale)] = (row, rhs)
         pair_eqs.append(list(seen.values()))
-    if any(not pe for pe in pair_eqs):
-        return [], []
 
     points: dict[FracVec, None] = {}
     subspaces: dict[tuple, tuple[FracVec, list[FracVec]]] = {}
@@ -201,12 +198,7 @@ def tropical_candidates(
             key = canonical_affine(particular, nullspace)
             subspaces.setdefault(key, (key[1], [tuple(v) for v in key[0]]))
 
-    def ok(u: FracVec) -> bool:
-        return potential.polytope.interior_contains(u) and all(
-            _argmin_count(terms, u) >= 2 for terms in eqs
-        )
-
-    candidates = {u: None for u in points if ok(u)}
+    candidates = {u: None for u in points if balanced_at(potential, u)}
     cells: list[TropicalCell] = []
 
     for particular, basis in subspaces.values():
@@ -216,32 +208,24 @@ def tropical_candidates(
             if interval is None:
                 continue
             lo, hi = interval
+            # where the line crosses the tie of a pair of terms
             breaks: set[Fraction] = set()
-            for terms in eqs:
-                for (a, va, _), (bb, vb, _) in itertools.combinations(terms, 2):
-                    slope = sum(
-                        Fraction(x - y) * z for x, y, z in zip(a, bb, d)
-                    )
-                    base = (
-                        va
-                        + sum(Fraction(x) * y for x, y in zip(a, particular))
-                        - vb
-                        - sum(Fraction(x) * y for x, y in zip(bb, particular))
-                    )
-                    if slope != 0:
-                        t = -base / slope
-                        if lo < t < hi:
-                            breaks.add(t)
+            for row, rhs in itertools.chain(*pair_eqs):
+                slope = sum(x * z for x, z in zip(row, d))
+                if slope != 0:
+                    t = (rhs - sum(x * y for x, y in zip(row, particular))) / slope
+                    if lo < t < hi:
+                        breaks.add(t)
             ts = sorted(breaks)
             for t in ts:
                 u = _point_on(particular, d, t)
-                if ok(u):
+                if balanced_at(potential, u):
                     candidates.setdefault(u, None)
             edges = [lo] + ts + [hi]
             for a_t, b_t in zip(edges, edges[1:]):
                 mid = (a_t + b_t) / 2
                 u = _point_on(particular, d, mid)
-                if ok(u):
+                if balanced_at(potential, u):
                     cells.append(
                         TropicalCell(
                             dimension=1,
@@ -258,7 +242,7 @@ def tropical_candidates(
                     p + sum(t * v[i] for t, v in zip(tv, basis))
                     for i, p in enumerate(particular)
                 )
-                if ok(u):
+                if balanced_at(potential, u):
                     hits.append(u)
             if hits:
                 cells.append(
@@ -335,46 +319,37 @@ def _unit_inverse(p: np.ndarray) -> np.ndarray:
 
 
 class _Lattice:
-    """The terms of the potential in the frame at u on one exponent lattice
-    (1/den)Z, slot k holding T^(k/den).  u and the coefficients sit over one
-    common integer denominator, so the frame shift <a, u> of a term is an
-    integer added to its exponent numerators.
+    """The frame at u (``_Frame``) on one exponent lattice (1/den)Z, slot k
+    holding T^(k/den), for the Newton lift.
 
     ``order`` is the order asked for, capped at the least relative
     truncation (truncation order minus valuation) of a coefficient of a term
     with a != 0: past it the input does not determine the equations.  den is
-    the least common denominator of the order and the frame exponents below
-    each term's leading power plus the order; size = order*den.  Each term
-    c_a y^a with a != 0 keeps its exponent vector, its value c_a y0^a at the
-    seed over its leading T-power (size slots) and the slot ``place`` of
-    that power counted from the least one, ``low``.  The shift s_i (``shifts[i]``) is the least leading slot
-    over the terms with a_i != 0, and equation i starts at
-    ``starts[i]`` = s_i - low.  ``weights`` has a row of ones, then the rows
-    a_i and a_i a_j (j = 1..n) of each i in turn."""
+    the least common denominator of the order and the frame's exponents
+    (the constant term's included) below each term's leading power plus the
+    order; size = order*den.  Each term c_a y^a with a != 0 keeps its
+    exponent vector, its value c_a y0^a at the seed over its leading T-power
+    (size slots) and the slot ``place`` of that power counted from the least
+    one, ``low``.  The shift s_i (``shifts[i]``) is the frame's s_i on this
+    lattice, and equation i starts at ``starts[i]`` = s_i - low.
+    ``weights`` has a row of ones, then the rows a_i and a_i a_j
+    (j = 1..n) of each i in turn."""
 
     def __init__(self, potential: Potential, u, y0, order: Fraction):
         terms = potential.poly.terms
         known = [c.trunc - c.valuation() for a, c in terms.items() if any(a) and c.trunc is not None]
         order = min([order, *known])
-        uf = [Fraction(x) for x in u]
-        big = math.lcm(
-            order.denominator,
-            *(x.denominator for x in uf),
-            *(c.lattice()[0] for c in terms.values()),
-        )
-        un = [x.numerator * (big // x.denominator) for x in uf]
+        fr = _Frame(potential, u)
+        big = math.lcm(order.denominator, fr.den)
         size = order.numerator * (big // order.denominator)
         frame = []
-        for a, c in terms.items():
-            d, es, cs = c.lattice()
-            ks = np.array(es) * (big // d) + sum(x * e for x, e in zip(un, a))
+        for a, ks, cs in fr.terms:
+            ks = np.array(ks) * (big // fr.den)
             cut = int(np.searchsorted(ks, ks[0] + size))
             frame.append((a, ks[:cut], cs[:cut]))
         g = math.gcd(big, size, *(int(k) for _, ks, _ in frame for k in ks))
         self.order, self.den, self.size = order, big // g, size // g
-        self.shifts = tuple(
-            min(int(ks[0]) for a, ks, _ in frame if a[i]) // g for i in range(len(un))
-        )
+        self.shifts = tuple(s * (big // fr.den) // g for s in fr.s)
         self.low = min(self.shifts)
         ys = [complex(y) for y in y0]
         self.exps, self.base, self.place = [], [], []

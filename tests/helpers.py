@@ -1,7 +1,8 @@
 """Shared test utilities: random polytopes, the exhaustive polytope
 combinatorics that the vertex walk is checked against, series
-comparisons, the closed-form residue pairing of projective space and a
-point-by-point reference for the balanced-position scan."""
+comparisons, the closed-form residue pairing of projective space, the
+Fraction derivation of initial systems and a point-by-point reference for
+the balanced-position scan."""
 
 import cmath
 import itertools
@@ -354,6 +355,39 @@ def reference_product(a: NovikovScalar, b: NovikovScalar):
             if trunc is None or ea + eb < trunc:
                 acc[ea + eb] = acc.get(ea + eb, 0j) + ca * cb
     return _prune(acc), trunc
+
+
+# -- tropical reference -----------------------------------------------------------
+# The Fraction derivation the tropical stage used before its integer frame:
+# each equation y_i dPO/dy_i from poly.log_derivative(i), its terms valued
+# at u with Fractions.  Tests compare initial_system and balanced_at with it.
+
+
+def reference_initial_system(potential, u):
+    """Leading-coefficient system and leading valuations of the equations
+    y_i dPO/dy_i = 0 in the frame at u."""
+    uf = tuple(Fraction(x) for x in u)
+    polys, svals = [], []
+    for i in range(potential.polytope.dim):
+        g = potential.poly.log_derivative(i)
+        vals = {
+            a: c.valuation() + sum(x * y for x, y in zip(a, uf))
+            for a, c in g.terms.items()
+        }
+        s = min(vals.values())
+        polys.append(
+            {a: g.terms[a].leading()[1] for a, v in vals.items() if v == s}
+        )
+        svals.append(s)
+    return polys, svals
+
+
+def reference_balanced_at(potential, u) -> bool:
+    """u is interior and every equation's least valuation there is tied."""
+    if not potential.polytope.interior_contains(tuple(Fraction(x) for x in u)):
+        return False
+    polys, _ = reference_initial_system(potential, u)
+    return all(len(p) >= 2 for p in polys)
 
 
 def reference_balanced_positions(potential, grid: int, extra=None):

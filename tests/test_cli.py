@@ -414,8 +414,9 @@ class TestExitCodes:
             ("5", "TORICLG_CONFIG file must hold a JSON object, got int"),
             ('"truncation"', "TORICLG_CONFIG file must hold a JSON object, got str"),
             ('{"eps_coeff": [1]}', "TORICLG_CONFIG eps_coeff must be a number, got list"),
+            ('{"truncation": null}', "TORICLG_CONFIG truncation must be a number, got NoneType"),
         ],
-        ids=["number", "string", "eps-list"],
+        ids=["number", "string", "eps-list", "truncation-null"],
     )
     def test_malformed_env_config(self, capsys, tmp_path, monkeypatch, text, message):
         cfg = tmp_path / "cfg.json"

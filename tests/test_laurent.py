@@ -171,11 +171,10 @@ class TestBuildPotential:
 
 
 class TestPotential:
-    def test_critical_system_size(self):
+    def test_every_log_derivative_is_nonzero(self):
         pot = build_potential(catalog("simplex", 3).polytope)
-        sys = pot.critical_system()
-        assert len(sys) == 3
-        assert all(not f.is_zero() for f in sys)
+        assert pot.polytope.dim == 3
+        assert all(not pot.poly.log_derivative(i).is_zero() for i in range(3))
 
     def test_evaluate_inside_domain(self):
         pot = build_potential(catalog("simplex", 1).polytope)

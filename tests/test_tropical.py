@@ -1,18 +1,29 @@
 """Tropical candidate search, initial systems, and Newton lifting."""
 
 import cmath
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import assert_scalar_close, on_lattice
+from helpers import (
+    assert_scalar_close,
+    on_lattice,
+    random_delzant_polytope,
+    random_delzant_threefold,
+    reference_balanced_at,
+    reference_initial_system,
+)
 from toriclg import tropical
 from toriclg import (
     BulkCoefficients,
+    Correction,
     LaurentPoly,
     NoConvergence,
+    NotInterior,
     NovikovScalar,
     SingularInitialJacobian,
     build_potential,
@@ -97,6 +108,111 @@ class TestInitialSystem:
         vals = pot.polytope.support_values(u)
         low = min(vals)
         assert sum(1 for v in vals if v == low) >= 2
+
+
+def oracle_potential(seed: int):
+    """A seeded polygon (seeds below 12) or threefold with multi-term bulk
+    coefficients, a correction whose monomial is constant, one that merges
+    with a facet monomial and one on the sum of two facet normals."""
+    rng = random.Random(seed)
+    if seed < 12:
+        p = random_delzant_polytope(rng)
+    else:
+        p = random_delzant_threefold(rng, max_chops=1)
+    m, normals = p.nfacets, [f.normal for f in p.facets]
+    bulk = BulkCoefficients(
+        tuple(
+            NovikovScalar(
+                [
+                    (0, rng.choice([1, 2, -0.5])),
+                    (F(rng.randint(1, 6), rng.randint(1, 5)), rng.uniform(-2, 2)),
+                ]
+            )
+            for _ in range(m)
+        )
+    )
+    # facets whose normals sum to zero: the monomial is the constant y^0
+    zero = next(
+        ks
+        for k in range(2, p.dim + 2)
+        for ks in itertools.combinations(range(m), k)
+        if not any(map(sum, zip(*(normals[j] for j in ks))))
+    )
+    j, l = rng.sample(range(m), 2)
+
+    def corr(t, js, c):
+        return Correction(t, tuple(js.count(i) for i in range(m)), NovikovScalar.from_number(c))
+
+    corrections = [
+        corr(F(1, rng.randint(2, 7)), list(zero), 1.5),
+        corr(F(rng.randint(1, 4), 3), [j], -0.75),
+        corr(F(1, 2), [j, l], 0.5 + 1j),
+    ]
+    return build_potential(p, bulk=bulk, corrections=corrections)
+
+
+def oracle_points(pot, rng) -> list:
+    """The candidates and cell samples, random interior points (strict
+    convex combinations of the vertices), a vertex and a point outside."""
+    cands, cells = tropical_candidates(pot)
+    verts = [v.point for v in pot.polytope.vertices()]
+    points = list(cands) + [c.sample_u for c in cells]
+    for _ in range(6):
+        w = [rng.randint(1, 5) for _ in verts]
+        points.append(tuple(sum(x * c for x, c in zip(col, w)) / sum(w) for col in zip(*verts)))
+    points.append(verts[0])
+    points.append(tuple(x - 1 for x in verts[0]))
+    return points
+
+
+class TestFrameOracle:
+    """initial_system and balanced_at against the Fraction derivation from
+    poly.log_derivative(i) (tests/helpers.py)."""
+
+    def test_oracle_potentials_carry_the_awkward_terms(self):
+        for seed in (0, 12):
+            terms = oracle_potential(seed).poly.terms
+            zero = (0,) * len(next(iter(terms)))
+            assert zero in terms
+            assert sum(len(c.terms) > 1 for a, c in terms.items() if any(a)) >= 2
+
+    @pytest.mark.parametrize("seed", range(18))
+    def test_initial_system_and_balance_match_the_fraction_derivation(self, seed):
+        pot = oracle_potential(seed)
+        rng = random.Random(100 + seed)
+        balanced = []
+        for u in oracle_points(pot, rng):
+            ok = tropical.balanced_at(pot, u)
+            assert ok == reference_balanced_at(pot, u), u
+            balanced.append(ok)
+            if not pot.polytope.interior_contains(u):
+                with pytest.raises(NotInterior):
+                    initial_system(pot, u)
+                continue
+            polys, vals = initial_system(pot, u)
+            ref_polys, ref_vals = reference_initial_system(pot, u)
+            assert vals == ref_vals, u
+            assert polys == ref_polys, u
+        assert any(balanced) and not all(balanced)
+
+    def test_candidates_are_balanced_on_the_oracle_potentials(self):
+        found = 0
+        for seed in range(12):
+            pot = oracle_potential(seed)
+            cands, _ = tropical_candidates(pot)
+            assert all(reference_balanced_at(pot, u) for u in cands)
+            found += len(cands)
+        assert found > 0
+
+    def test_constant_term_stays_on_the_lift_lattice(self):
+        # the constant term's T-power (denominator 7) is not an exponent of
+        # any equation, yet it fixes the lattice width and the rounding
+        entry = catalog("simplex", 2)
+        p = entry.polytope
+        pot = build_potential(p, corrections=[Correction(F(1, 7), (1, 1, 1))])
+        assert pot.poly.terms[(0, 0)].valuation() == sum(f.constant for f in p.facets) + F(1, 7)
+        lat = tropical._Lattice(pot, (F(1, 3), F(1, 3)), (1, 1), F(2))
+        assert lat.den % 7 == 0
 
 
 def certificate(pot, u, ys, lat) -> Fraction | float:
