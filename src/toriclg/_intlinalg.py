@@ -2,73 +2,78 @@
 
 This is the package's one exact linear-algebra module.  Everything here
 runs on small dense matrices (dimension at most ~20), so the
-implementations favour clarity over asymptotics: one fraction
-Gauss-Jordan reduction (``row_reduce``) behind the solve and
-canonical-span routines, one fraction-free Gauss-Jordan reduction over
-the integers (``adjugate``) for determinants and inverses of integer
-matrices, and one unimodular column reduction over the integers
-(``adapted_basis``) that gives a lattice basis adapted to a sequence of
-integer vectors, together with its inverse.
+implementations favour clarity over asymptotics.  One fraction-free
+Gauss-Jordan elimination over the integers (``_eliminate``, Bareiss) does
+every row reduction: the rational solve (``frac_solve``), the canonical
+form of an affine span (``canonical_affine``) and the determinant and
+adjugate of an integer matrix (``adjugate``).  Rational inputs enter it as
+integer rows, each scaled by the least common denominator of its entries
+(``over_common_denominator``), and ``Fraction`` is used only to read those
+inputs and to build the returned values.  One unimodular column reduction
+over the integers (``adapted_basis``) gives a lattice basis adapted to a
+sequence of integer vectors, together with its inverse.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-Row = list[Fraction]
+IntMatrix = list[list[int]]
 
 
-def frac_matrix(rows: Sequence[Sequence]) -> list[Row]:
-    return [[Fraction(x) for x in row] for row in rows]
+def over_common_denominator(u: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of the rationals u over their least common
+    denominator, and that denominator."""
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in u]
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def row_reduce(m: list[Row], ncols: int) -> tuple[list[int], int, Fraction]:
-    """Bring ``m`` to reduced row echelon form in place.
+def _eliminate(m: IntMatrix, ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the integer rows
+    ``m`` in place.
 
     Pivots are taken in the first ``ncols`` columns only; any further
-    columns (a right-hand side) are carried along.  Returns
-    ``(pivots, sign, pivot_product)``: the pivot column of each leading
-    row, the sign of the row permutation, and the product of the pivots
-    before normalisation, so that a square full-rank matrix has
-    determinant ``sign * pivot_product``.  Rows past ``len(pivots)`` are
-    zero in the pivoting columns.
+    columns (a right-hand side, an identity block) are carried along.  Each
+    step scales every other row by the new pivot and divides by the one
+    before, and every division is exact, since each entry stays a minor of
+    the input.  Returns ``(pivots, sign, d)``: the pivot column of each
+    leading row, the sign of the row permutation and the last pivot ``d``.
+    The leading rows then hold ``d`` times the reduced row echelon form of
+    ``m``, and ``d`` is the determinant of the pivot rows and columns of the
+    row-permuted input, so a square full-rank matrix has determinant
+    ``sign * d``.  Rows past ``len(pivots)`` are zero in the pivoting
+    columns.
     """
     nrows = len(m)
     pivots: list[int] = []
-    sign = 1
-    product = Fraction(1)
-    row = 0
+    sign, d = 1, 1
     for col in range(ncols):
-        if row == nrows:
+        r = len(pivots)
+        if r == nrows:
             break
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
         if piv is None:
             continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        pv = m[row][col]
-        product *= pv
-        # entries left of col are zero in every row not yet used as a
-        # pivot; zero entries are skipped, which keeps Fraction work small
-        prow = m[row]
-        if pv != 1:
-            prow = m[row] = prow[:col] + [x / pv if x else x for x in prow[col:]]
-        for r in range(nrows):
-            f = m[r][col]
-            if r != row and f:
-                m[r] = m[r][:col] + [
-                    x - f * y if y else x for x, y in zip(m[r][col:], prow[col:])
-                ]
+        prow = m[r]
+        p = prow[col]
+        for i in range(nrows):
+            if i != r:
+                f = m[i][col]
+                m[i] = [(p * x - f * y) // d for x, y in zip(m[i], prow)]
+        d = p
         pivots.append(col)
-        row += 1
-    return pivots, sign, product
+    return pivots, sign, d
 
 
 def frac_solve(
     a: Sequence[Sequence], b: Sequence
-) -> tuple[Row, list[Row]] | None:
+) -> tuple[list[Fraction], list[list[Fraction]]] | None:
     """Solve a x = b over the rationals.
 
     Returns ``(particular, nullspace_basis)``, or ``None`` when inconsistent.
@@ -78,21 +83,21 @@ def frac_solve(
     the solution is unique.
     """
     ncols = len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    pivots, _, _ = row_reduce(m, ncols)
-    if any(m[r][ncols] != 0 for r in range(len(pivots), len(m))):
+    m = [over_common_denominator([*row, y])[0] for row, y in zip(a, b)]
+    pivots, _, d = _eliminate(m, ncols)
+    if any(m[r][ncols] for r in range(len(pivots), len(m))):
         return None
     particular = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
-        particular[col] = m[r][ncols]
-    nullspace: list[Row] = []
+        particular[col] = Fraction(m[r][ncols], d)
+    nullspace: list[list[Fraction]] = []
     for fc in range(ncols):
         if fc in pivots:
             continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for r, col in enumerate(pivots):
-            vec[col] = -m[r][fc]
+            vec[col] = Fraction(-m[r][fc], d)
         nullspace.append(vec)
     return particular, nullspace
 
@@ -104,17 +109,19 @@ def canonical_affine(
     the nonzero rows of the reduced echelon form of the directions, and
     the point moved to zero in their pivot coordinates.  Two descriptions
     of the same affine space give the same pair."""
-    basis = frac_matrix(directions)
-    pivots, _, _ = row_reduce(basis, len(point))
+    basis = [over_common_denominator(v)[0] for v in directions]
+    pivots, _, d = _eliminate(basis, len(point))
     del basis[len(pivots):]
-    p = [Fraction(x) for x in point]
-    for row, col in zip(basis, pivots):
-        f = p[col]
-        p = [a - f * b for a, b in zip(p, row)]
-    return tuple(tuple(r) for r in basis), tuple(p)
-
-
-IntMatrix = list[list[int]]
+    # p - sum_r p[pivot r] * (row r / d), with p = nums / den
+    nums, den = over_common_denominator(point)
+    moved = [
+        d * x - sum(nums[col] * row[j] for row, col in zip(basis, pivots))
+        for j, x in enumerate(nums)
+    ]
+    return (
+        tuple(tuple(Fraction(x, d) for x in row) for row in basis),
+        tuple(Fraction(x, d * den) for x in moved),
+    )
 
 
 def _identity(n: int) -> IntMatrix:
@@ -124,30 +131,17 @@ def _identity(n: int) -> IntMatrix:
 def adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     """Determinant and adjugate of a square integer matrix.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) of ``[a | I]``: every
-    division is exact, and after the last pivot ``d`` the left block is
-    ``d·I`` and the right block ``d·a⁻¹``, where ``d`` is the determinant
-    of the row-permuted matrix.  Returns ``(det, adj)`` with
-    ``a · adj = det · I``, or ``(0, [])`` when ``a`` is singular.
+    The elimination of ``[a | I]`` leaves ``d·I`` in the left block and
+    ``d·a⁻¹`` in the right one, where ``d`` is the determinant of the
+    row-permuted matrix.  Returns ``(det, adj)`` with ``a · adj = det · I``,
+    or ``(0, [])`` when ``a`` is singular.
     """
     n = len(a)
     m = [[int(x) for x in row] + e for row, e in zip(a, _identity(n))]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            return 0, []
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        prow = m[k]
-        p = prow[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
-        prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in m]
+    pivots, sign, d = _eliminate(m, n)
+    if len(pivots) < n:
+        return 0, []
+    return sign * d, [[sign * x for x in row[n:]] for row in m]
 
 
 def smith_normal_form(
@@ -157,7 +151,9 @@ def smith_normal_form(
 
     Returns ``(u, d, v, v_inv)`` with ``u a v = d``, ``u`` and ``v``
     unimodular, and ``d`` diagonal (entries not necessarily forming a
-    divisibility chain, which none of the callers need).
+    divisibility chain, which none of the callers need).  No pipeline
+    stage calls it; it is kept for the benchmark's ``intlinalg.smith``
+    tracer binding (``bench/tracer.py``).
     """
     d: IntMatrix = [[int(x) for x in row] for row in a]
     k = len(d)

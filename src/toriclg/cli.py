@@ -90,7 +90,13 @@ def _load_env_config() -> None:
         )
     for key in ("eps_coeff", "eps_sol", "eps_degenerate", "tol_zero"):
         if key in data:
-            updates[key] = float(_config_number(data, key))
+            value = float(_config_number(data, key))
+            if not (isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{CONFIG_ENV} {key} must be a finite non-negative number,"
+                    f" got {json.dumps(data[key])}"
+                )
+            updates[key] = value
     if updates:
         update_config(**updates)
 

@@ -1,12 +1,14 @@
 """Leading term equations and the balancing test for torus fibers.
 
 At an interior point u the support values ell_j(u) sort into levels
-S_1 < S_2 < ... .  The normals of the first levels span larger and larger
-sublattices; K is the first level at which they span everything.  An
-integral basis adapted to this filtration (each initial segment is a
-basis of the saturation of the corresponding normal span) turns the
-level-wise leading parts of the potential into honest Laurent polynomials
-in new variables w_1..w_n, introduced d(l) at a time.  The leading term
+S_1 < S_2 < ... , grouped exactly on their integer numerators over one
+denominator (``MomentPolytope._scaled_support``).  The normals of the
+first levels span larger and larger sublattices; K is the first level at
+which they span everything.  An integral basis adapted to this filtration
+(each initial segment is a basis of the saturation of the corresponding
+normal span) turns the level-wise leading parts of the potential into
+honest Laurent polynomials in new variables w_1..w_n, introduced d(l) at
+a time.  The leading term
 system asks each level's part to be critical in its own new variables;
 the fiber at u is strongly balanced (bulk-balanced for nontrivial bulk
 coefficients) exactly when that cascade has a solution with every
@@ -108,18 +110,15 @@ def _group_levels(values) -> list:
     return sorted(groups.items())
 
 
-def order_levels(potential: Potential, u) -> list[tuple[Fraction, list[int]]]:
-    """Distinct support values at u in increasing order with facet indices."""
-    values = potential.polytope.support_values(tuple(Fraction(x) for x in u))
-    if any(v <= 0 for v in values):
-        raise NotInterior(f"{u} is not an interior point")
-    return _group_levels(values)
-
-
 def adapted_frame(potential: Potential, u) -> AdaptedFrame:
+    """The levels at u, grouped on the integer support values of the
+    polytope (numerators over one denominator), and the adapted basis."""
     p = potential.polytope
     uf = tuple(Fraction(x) for x in u)
-    grouped = order_levels(potential, uf)
+    values, den = p._scaled_support(uf)
+    if any(v <= 0 for v in values):
+        raise NotInterior(f"{uf} is not an interior point")
+    grouped = _group_levels(values)
     ranks, basis, inverse = adapted_basis(
         [p.facets[j].normal for _, idxs in grouped for j in idxs], p.dim
     )
@@ -130,7 +129,7 @@ def adapted_frame(potential: Potential, u) -> AdaptedFrame:
     return AdaptedFrame(
         u=uf,
         levels=tuple(
-            Level(value, tuple(idxs), r - q)
+            Level(Fraction(value, den), tuple(idxs), r - q)
             for (value, idxs), r, q in zip(grouped, reached, [0, *reached])
         ),
         depth=reached.index(p.dim) + 1,
@@ -161,10 +160,10 @@ def leading_term_system(
             poly[c] = poly.get(c, 0j) + leading[j]
         polys.append(poly)
     if potential.corrections:
+        # every facet sits in one level, which holds its support value
+        support = {j: lv.value for lv in frame.levels for j in lv.facet_indices}
         _warn_reaching_corrections(
-            potential,
-            p.support_values(frame.u),
-            frame.levels[frame.depth - 1].value,
+            potential, support, frame.levels[frame.depth - 1].value
         )
     return frame, polys
 

@@ -35,8 +35,6 @@ from fractions import Fraction
 from numbers import Number
 from typing import Iterable, Union
 
-import numpy as np
-
 from .config import get_config
 from .errors import NotInLambdaZero, ZeroLeadingCoefficient
 
@@ -267,12 +265,9 @@ class NovikovScalar:
             None if ta is None or low_b is None else ta + low_b,
             None if tb is None or low_a is None else tb + low_a,
         )
-        ca, cb = a._c, b._c
-        if len(ca) * len(cb) > 64:
-            return _lattice_multiply(den, ea, ca, eb, cb, tr)
         out: dict[int, complex] = {}
-        for e1, c1 in zip(ea, ca):
-            for e2, c2 in zip(eb, cb):
+        for e1, c1 in zip(ea, a._c):
+            for e2, c2 in zip(eb, b._c):
                 e = e1 + e2
                 if tr is not None and e >= tr:
                     break  # eb is increasing
@@ -404,33 +399,6 @@ class NovikovScalar:
 
     def __repr__(self) -> str:
         return render_scalar(self)
-
-
-def _lattice_multiply(den, ea, ca, eb, cb, tr: int | None) -> NovikovScalar:
-    """Large products: let numpy accumulate the convolution of the exponent
-    numerators (all over ``den``)."""
-    exps = (np.array(ea, dtype=np.int64)[:, None] + np.array(eb, dtype=np.int64)).ravel()
-    coeffs = (np.array(ca, dtype=complex)[:, None] * np.array(cb, dtype=complex)).ravel()
-    if tr is not None:
-        keep = exps < tr
-        exps = exps[keep]
-        coeffs = coeffs[keep]
-    if len(exps) == 0:
-        return _make(den, (), (), tr)
-    lo = int(exps.min())
-    width = int(exps.max()) - lo + 1
-    if width <= 4 * len(exps):
-        shifted = exps - lo
-        acc = np.bincount(shifted, weights=coeffs.real) + 1j * (
-            np.bincount(shifted, weights=coeffs.imag)
-        )
-        es = np.arange(lo, lo + width)
-    else:
-        es, inv = np.unique(exps, return_inverse=True)
-        acc = np.zeros(len(es), dtype=complex)
-        np.add.at(acc, inv, coeffs)
-    keep = np.abs(acc) > get_config().eps_coeff
-    return _make(den, es[keep].tolist(), acc[keep].tolist(), tr)
 
 
 def novikov_exp(x: NovikovScalar) -> NovikovScalar:

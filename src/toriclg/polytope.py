@@ -24,19 +24,16 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 # frac_solve is not called here; bench/tracer.py binds it in this module
-from ._intlinalg import adapted_basis, adjugate, frac_solve  # noqa: F401
+from ._intlinalg import (  # noqa: F401
+    adapted_basis,
+    adjugate,
+    frac_solve,
+    over_common_denominator,
+)
 from .errors import InvalidPolytope, ParamOutOfRange, UnknownName
 from .novikov import NovikovScalar
 
 Point = tuple[Fraction, ...]
-
-
-def _over_common_denominator(u: Sequence) -> tuple[list[int], int]:
-    """Integer numerators of the coordinates of u over their least common
-    denominator."""
-    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in u]
-    den = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -50,7 +47,7 @@ class Facet:
     name: str = ""
 
     def ell(self, u: Sequence) -> Fraction:
-        nums, den = _over_common_denominator(u)
+        nums, den = over_common_denominator(u)
         return Fraction(_dot(self.normal, nums), den) + self.constant
 
 
@@ -132,7 +129,7 @@ class MomentPolytope:
             raise ValueError(
                 f"point has {len(u)} coordinates, the polytope has dimension {self.dim}"
             )
-        nums, den = _over_common_denominator(u)
+        nums, den = over_common_denominator(u)
         return [
             _dot(f.normal, nums) * self._den + c * den
             for f, c in zip(self.facets, self._consts)

@@ -6,7 +6,9 @@ integer numerators over one denominator, with each equation's least leading
 numerator.  The tropical stage asks that at u every log-derivative
 y_i dPO/dy_i have its minimal T-power attained by at least two terms.
 Candidate points come from equating valuation pairs, one pair per
-equation; rank-deficient pair choices yield affine candidate subspaces
+equation: each tie is a primitive integer vector read from the frame at
+u = 0, and each choice of ties is solved by the integer elimination of
+``_intlinalg``; rank-deficient choices yield affine candidate subspaces
 that are subdivided along their breakpoints.  The algebraic stage solves
 the leading-coefficient system at each candidate over the torus by exact
 elimination (``polysolve``) and lifts every initial root to a Novikov
@@ -172,23 +174,25 @@ def tropical_candidates(
     of one pair equation per critical equation is solved exactly, and the
     solutions are kept where ``balanced_at`` holds."""
     frame = _Frame(potential, (0,) * potential.polytope.dim)
-    pair_eqs: list[list[tuple[FracVec, Fraction]]] = []
+    den = frame.den
+    # the tie <a - b, u> = (k_b - k_a)/den of a pair of terms, as the
+    # primitive integer vector (den (a - b), k_b - k_a) whose first nonzero
+    # entry (a != b: terms are merged) is positive; proportional ties give
+    # one vector, kept where it first appears
+    pair_eqs: list[list[tuple[int, ...]]] = []
     for i in range(len(frame.s)):
-        terms = [(a, Fraction(ks[0], frame.den)) for a, ks, _ in frame.terms if a[i]]
-        seen: dict[tuple, tuple[FracVec, Fraction]] = {}
-        for (a, va), (b, vb) in itertools.combinations(terms, 2):
-            row = tuple(Fraction(x - y) for x, y in zip(a, b))
-            rhs = vb - va
-            scale = next(x for x in row if x != 0)  # a != b: terms are merged
-            seen[(tuple(x / scale for x in row), rhs / scale)] = (row, rhs)
-        pair_eqs.append(list(seen.values()))
+        terms = [(a, ks[0]) for a, ks, _ in frame.terms if a[i]]
+        seen: dict[tuple[int, ...], None] = {}
+        for (a, ka), (b, kb) in itertools.combinations(terms, 2):
+            tie = [den * (x - y) for x, y in zip(a, b)] + [kb - ka]
+            g = math.gcd(*tie) * (1 if next(x for x in tie if x) > 0 else -1)
+            seen[tuple(x // g for x in tie)] = None
+        pair_eqs.append(list(seen))
 
     points: dict[FracVec, None] = {}
     subspaces: dict[tuple, tuple[FracVec, list[FracVec]]] = {}
     for combo in itertools.product(*pair_eqs):
-        a = [list(row) for row, _ in combo]
-        b = [rhs for _, rhs in combo]
-        sol = frac_solve(a, b)
+        sol = frac_solve([tie[:-1] for tie in combo], [tie[-1] for tie in combo])
         if sol is None:
             continue
         particular, nullspace = sol
@@ -210,7 +214,7 @@ def tropical_candidates(
             lo, hi = interval
             # where the line crosses the tie of a pair of terms
             breaks: set[Fraction] = set()
-            for row, rhs in itertools.chain(*pair_eqs):
+            for *row, rhs in itertools.chain(*pair_eqs):
                 slope = sum(x * z for x, z in zip(row, d))
                 if slope != 0:
                     t = (rhs - sum(x * y for x, y in zip(row, particular))) / slope

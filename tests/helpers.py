@@ -1,8 +1,9 @@
 """Shared test utilities: random polytopes, the exhaustive polytope
 combinatorics that the vertex walk is checked against, series
 comparisons, the closed-form residue pairing of projective space, the
-Fraction derivation of initial systems and a point-by-point reference for
-the balanced-position scan."""
+Fraction derivation of initial systems, a point-by-point reference for
+the balanced-position scan and a ``Fraction`` row reduction that the
+library's integer elimination is checked against."""
 
 import cmath
 import itertools
@@ -20,7 +21,6 @@ from toriclg import (
     get_config,
     is_strongly_balanced,
 )
-from toriclg._intlinalg import frac_matrix, frac_solve, row_reduce
 from toriclg.polytope import ValidationReport, Vertex
 
 _SIDES = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
@@ -113,11 +113,88 @@ def random_delzant_threefold(
     return p
 
 
-# -- exhaustive polytope combinatorics ------------------------------------------
-# The brute-force enumeration the library used before its vertex walk: every
-# n-subset of facets for the vertices, every (n-1)-subset for a recession
-# ray and every pair of vertices for the walls.  Tests compare the walk's
-# report, vertices and Fano type with these.
+# -- reference row reduction ----------------------------------------------------
+# The Fraction Gauss-Jordan reduction the library used before its integer
+# elimination.  The exhaustive polytope oracles below solve with it, so the
+# vertex walk is not checked against its own arithmetic, and the property
+# tests compare frac_solve, canonical_affine and adjugate with it.
+
+
+def frac_matrix(rows) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def row_reduce(m: list[list[Fraction]], ncols: int) -> tuple[list[int], int, Fraction]:
+    """Bring ``m`` to reduced row echelon form in place.
+
+    Pivots are taken in the first ``ncols`` columns only; further columns
+    are carried along.  Returns ``(pivots, sign, pivot_product)``: the
+    pivot column of each leading row, the sign of the row permutation, and
+    the product of the pivots before normalisation, so that a square
+    full-rank matrix has determinant ``sign * pivot_product``.
+    """
+    nrows = len(m)
+    pivots: list[int] = []
+    sign = 1
+    product = Fraction(1)
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            sign = -sign
+        pv = m[row][col]
+        product *= pv
+        m[row] = [x / pv for x in m[row]]
+        for r in range(nrows):
+            f = m[r][col]
+            if r != row and f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+    return pivots, sign, product
+
+
+def reference_solve(a, b):
+    """``(particular, nullspace)`` of a x = b from the reduced echelon form
+    of ``[a | b]``, or None when inconsistent (the contract of
+    ``frac_solve``)."""
+    ncols = len(a[0]) if a else 0
+    m = frac_matrix([*row, y] for row, y in zip(a, b))
+    pivots, _, _ = row_reduce(m, ncols)
+    if any(m[r][ncols] != 0 for r in range(len(pivots), len(m))):
+        return None
+    particular = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        particular[col] = m[r][ncols]
+    nullspace = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -m[r][fc]
+        nullspace.append(vec)
+    return particular, nullspace
+
+
+def reference_canonical_affine(point, directions):
+    """The nonzero reduced echelon rows of the directions and the point
+    moved to zero in their pivot coordinates (the contract of
+    ``canonical_affine``)."""
+    basis = frac_matrix(directions)
+    pivots, _, _ = row_reduce(basis, len(point))
+    del basis[len(pivots):]
+    p = [Fraction(x) for x in point]
+    for row, col in zip(basis, pivots):
+        f = p[col]
+        p = [a - f * b for a, b in zip(p, row)]
+    return tuple(tuple(r) for r in basis), tuple(p)
 
 
 def frac_rank(rows) -> int:
@@ -137,13 +214,20 @@ def det_int(a) -> int:
     return det.numerator
 
 
+# -- exhaustive polytope combinatorics ------------------------------------------
+# The brute-force enumeration the library used before its vertex walk: every
+# n-subset of facets for the vertices, every (n-1)-subset for a recession
+# ray and every pair of vertices for the walls.  Tests compare the walk's
+# report, vertices and Fano type with these.
+
+
 def exhaustive_vertices(p: MomentPolytope) -> tuple[Vertex, ...]:
     n = p.dim
     seen: dict[tuple, set[int]] = {}
     for subset in itertools.combinations(range(p.nfacets), n):
         a = [list(p.facets[j].normal) for j in subset]
         b = [-p.facets[j].constant for j in subset]
-        sol = frac_solve(a, b)
+        sol = reference_solve(a, b)
         if sol is None or sol[1]:
             continue
         point = tuple(sol[0])
@@ -163,7 +247,7 @@ def _exhaustive_recession_ray(p: MomentPolytope) -> tuple | None:
                 return d
         return None
     for subset in itertools.combinations(range(p.nfacets), n - 1):
-        sol = frac_solve([normals[j] for j in subset], [0] * (n - 1))
+        sol = reference_solve([normals[j] for j in subset], [0] * (n - 1))
         if sol is None or len(sol[1]) != 1:
             continue
         d = tuple(sol[1][0])
@@ -225,7 +309,7 @@ def exhaustive_fano_type(p: MomentPolytope) -> str:
     n = p.dim
     strict = True
     for v in verts:
-        m, _ = frac_solve([list(p.facets[j].normal) for j in v.tight], [1] * n)
+        m, _ = reference_solve([list(p.facets[j].normal) for j in v.tight], [1] * n)
         for w in verts:
             shared = set(v.tight) & set(w.tight)
             if w is v or len(shared) != n - 1:

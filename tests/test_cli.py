@@ -415,8 +415,18 @@ class TestExitCodes:
             ('"truncation"', "TORICLG_CONFIG file must hold a JSON object, got str"),
             ('{"eps_coeff": [1]}', "TORICLG_CONFIG eps_coeff must be a number, got list"),
             ('{"truncation": null}', "TORICLG_CONFIG truncation must be a number, got NoneType"),
+            ('{"tol_zero": -1}', "TORICLG_CONFIG tol_zero must be a finite non-negative number, got -1"),
+            ('{"tol_zero": Infinity}', "TORICLG_CONFIG tol_zero must be a finite non-negative number, got Infinity"),
+            ('{"eps_coeff": NaN}', "TORICLG_CONFIG eps_coeff must be a finite non-negative number, got NaN"),
+            ('{"eps_sol": -Infinity}', "TORICLG_CONFIG eps_sol must be a finite non-negative number, got -Infinity"),
+            ('{"eps_degenerate": "-1e-8"}', 'TORICLG_CONFIG eps_degenerate must be a finite non-negative number, got "-1e-8"'),
+            ('{"tol_zero": "1e999"}', 'TORICLG_CONFIG tol_zero must be a finite non-negative number, got "1e999"'),
         ],
-        ids=["number", "string", "eps-list", "truncation-null"],
+        ids=[
+            "number", "string", "eps-list", "truncation-null", "tol-negative",
+            "tol-infinity", "eps-nan", "eps-sol-minus-infinity",
+            "eps-degenerate-negative-string", "tol-overflowing-string",
+        ],
     )
     def test_malformed_env_config(self, capsys, tmp_path, monkeypatch, text, message):
         cfg = tmp_path / "cfg.json"

@@ -8,12 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import det_int, frac_rank
+from helpers import (
+    det_int,
+    frac_matrix,
+    frac_rank,
+    reference_canonical_affine,
+    reference_solve,
+    row_reduce,
+)
 from toriclg._intlinalg import (
+    _eliminate,
     adapted_basis,
     adjugate,
     canonical_affine,
     frac_solve,
+    over_common_denominator,
     smith_normal_form,
 )
 
@@ -221,6 +230,89 @@ class TestCanonicalForm:
             assert all(point[next(i for i, c in enumerate(r) if c)] == 0 for r in basis)
             checked += 1
         assert checked >= 30
+
+
+class TestAgainstFractionReference:
+    """The integer elimination gives what the Fraction reduction of
+    ``helpers.row_reduce`` gives, on random rational systems: rectangular,
+    rank-deficient, inconsistent, with mixed denominators."""
+
+    @staticmethod
+    def _rational(rng):
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 4, 6)))
+
+    def _matrix(self, rng, rows, cols):
+        k = rng.randint(0, min(rows, cols) + 1)
+        if k > min(rows, cols):  # generic
+            return [[self._rational(rng) for _ in range(cols)] for _ in range(rows)]
+        if k == 0:
+            return [[Fraction(0)] * cols for _ in range(rows)]
+        # a product of thin factors has rank at most k
+        left = [[self._rational(rng) for _ in range(k)] for _ in range(rows)]
+        right = [[self._rational(rng) for _ in range(cols)] for _ in range(k)]
+        return _matmul(left, right)
+
+    def _system(self, rng):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = self._matrix(rng, rows, cols)
+        if rng.random() < 0.6:  # consistent: b from a rational point
+            x = [self._rational(rng) for _ in range(cols)]
+            b = [sum(c * y for c, y in zip(row, x)) for row in a]
+        else:
+            b = [self._rational(rng) for _ in range(rows)]
+        return a, b
+
+    def test_solve_and_canonical_form(self):
+        rng = random.Random(29)
+        kinds = {"unique": 0, "affine": 0, "inconsistent": 0}
+        for _ in range(3000):
+            a, b = self._system(rng)
+            sol = frac_solve(a, b)
+            assert sol == reference_solve(a, b)
+            if sol is None:
+                kinds["inconsistent"] += 1
+                continue
+            x, null = sol
+            assert all(isinstance(v, Fraction) for v in [*x, *itertools.chain(*null)])
+            kinds["affine" if null else "unique"] += 1
+            if null:
+                assert canonical_affine(x, null) == reference_canonical_affine(x, null)
+            # any rows as directions, zero and dependent ones included
+            point = [self._rational(rng) for _ in range(len(a[0]))]
+            assert canonical_affine(point, a) == reference_canonical_affine(point, a)
+        assert min(kinds.values()) >= 300, kinds
+
+    def test_eliminate_leaves_pivot_times_reduced_form(self):
+        rng = random.Random(31)
+        for _ in range(3000):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+            a = self._matrix(rng, rows, cols)
+            ncols = rng.randint(0, cols)  # later columns are carried along
+            m = [over_common_denominator(row)[0] for row in a]
+            pivots, _, d = _eliminate(m, ncols)
+            ref = frac_matrix(a)
+            assert pivots == row_reduce(ref, ncols)[0]
+            assert d != 0
+            assert [[Fraction(x, d) for x in row] for row in m[: len(pivots)]] == ref[: len(pivots)]
+            assert all(x == 0 for row in m[len(pivots):] for x in row[:ncols])
+
+    def test_adjugate(self):
+        rng = random.Random(37)
+        singular = 0
+        for _ in range(2000):
+            n = rng.randint(1, 5)
+            # entries have denominators dividing 144, so this keeps the rank
+            m = [[int(x * 144) for x in row] for row in self._matrix(rng, n, n)]
+            det, adj = adjugate(m)
+            ref = frac_matrix([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+            pivots, sign, product = row_reduce(ref, n)
+            if len(pivots) < n:
+                singular += 1
+                assert (det, adj) == (0, [])
+                continue
+            assert det == sign * product
+            assert adj == [[det * x for x in row[n:]] for row in ref]
+        assert 200 <= singular <= 1800
 
 
 class TestSmith:

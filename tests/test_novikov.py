@@ -106,8 +106,8 @@ class TestArithmetic:
         assert (3 * T(1, 2.0)).terms == ((Fraction(1), 6 + 0j),)
 
     def test_large_products_match_naive(self):
-        # products past the size gate run on the integer exponent lattice;
-        # both paths must agree to the coefficient tolerance
+        # long operands (over 64 term pairs) agree with the naive sum of
+        # products to the coefficient tolerance
         rng = random.Random(11)
         a = random_scalar(rng, nterms=15, den=8)
         b = random_scalar(rng, nterms=15, den=8)
@@ -161,8 +161,8 @@ def _mixed_scalars(min_size: int, max_size: int, exponents=_mixed_exponents):
 
 
 _mixed = _mixed_scalars(0, 6)
-# products of two long scalars are mostly past the size gate of the numpy
-# path: sparse on a fine lattice, or dense on the lattice (1/4)Z
+# long scalars, for products of many term pairs: sparse on a fine lattice,
+# or dense on the lattice (1/4)Z
 _long = st.one_of(
     _mixed_scalars(9, 16),
     _mixed_scalars(9, 16, st.integers(-4, 24).map(lambda k: Fraction(k, 4))),
