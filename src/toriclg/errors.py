@@ -33,7 +33,9 @@ class ParamOutOfRange(ToricLGError, ValueError):
 
 
 class CorrectionNotPositive(ToricLGError, ValueError):
-    """A higher-order correction term whose extra T-power is not > 0."""
+    """A higher-order correction term not of the form
+    T^rho * coeff * prod z_j^{k_j} with rho > 0, every k_j >= 0 and coeff of
+    valuation >= 0; the leading term system may leave out only such terms."""
 
 
 class PositiveDimensionalInitialLocus(ToricLGError):

@@ -209,7 +209,8 @@ def build_potential(
 ) -> Potential:
     """Assemble the potential of a polytope.
 
-    Correction terms must carry a strictly positive extra T-power.  When the
+    Correction terms must have the form T^rho * coeff * prod z_j^{k_j} with
+    rho > 0, every k_j >= 0 and coeff of valuation >= 0.  When the
     polytope is not detectably fano and no corrections are supplied, the
     leading part may differ from the true potential by unknown higher-order
     terms; a warning records that the fano assumption is in force.
@@ -223,6 +224,14 @@ def build_potential(
         if corr.extra_t <= 0:
             raise CorrectionNotPositive(
                 f"correction with extra T-power {corr.extra_t} <= 0"
+            )
+        if any(k < 0 for k in corr.z_exponents):
+            raise CorrectionNotPositive(
+                f"correction with negative z-exponent in {list(corr.z_exponents)}"
+            )
+        if corr.coeff.valuation() < 0:
+            raise CorrectionNotPositive(
+                f"correction coefficient of valuation {corr.coeff.valuation()} < 0"
             )
         if len(corr.z_exponents) != p.nfacets:
             raise ValueError("correction monomial arity does not match facets")

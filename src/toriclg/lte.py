@@ -12,14 +12,15 @@ a time.  The leading term
 system asks each level's part to be critical in its own new variables;
 the fiber at u is strongly balanced (bulk-balanced for nontrivial bulk
 coefficients) exactly when that cascade has a solution with every
-coordinate nonzero.
+coordinate nonzero.  Higher-order correction terms never enter the
+system (see ``leading_term_system``), so the verdicts read only the facet
+terms and their leading bulk coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -145,9 +146,11 @@ def leading_term_system(
 
     Returns one Laurent polynomial per level up to the spanning depth,
     written in the w variables (full-length exponent vectors, nonzero only
-    in the coordinates already introduced).  Correction terms whose
-    valuation at u reaches into these levels are not supported and are
-    ignored with a warning.
+    in the coordinates already introduced).  Only the facet terms enter: a
+    correction c T^rho prod z_j^{k_j} (rho > 0, k_j >= 0, c of valuation
+    >= 0; ``build_potential`` checks all three) lies above ell_j(u) for
+    every j with k_j > 0, so its exponent lies in the span of strictly lower
+    levels and no level equation theta_r P_l sees it.
     """
     frame = adapted_frame(potential, u)
     p = potential.polytope
@@ -159,35 +162,7 @@ def leading_term_system(
             c = frame.coords(p.facets[j].normal)
             poly[c] = poly.get(c, 0j) + leading[j]
         polys.append(poly)
-    if potential.corrections:
-        # every facet sits in one level, which holds its support value
-        support = {j: lv.value for lv in frame.levels for j in lv.facet_indices}
-        _warn_reaching_corrections(
-            potential, support, frame.levels[frame.depth - 1].value
-        )
     return frame, polys
-
-
-def _warn_reaching_corrections(
-    potential: Potential, support, s_top, scale: int = 1
-) -> None:
-    """Warn once per correction term whose valuation at a point reaches
-    the top leading level ``s_top``; the warning names the caller of the
-    function that runs the test.
-
-    ``support`` holds the point's support values; it and ``s_top`` may
-    both be multiplied by one positive integer ``scale``.
-    """
-    for corr in potential.corrections:
-        val = corr.extra_t * scale + sum(
-            k * support[j] for j, k in enumerate(corr.z_exponents)
-        )
-        if val <= s_top:
-            warnings.warn(
-                "correction term reaches the leading levels at this point "
-                "and is ignored by the leading term system",
-                stacklevel=3,
-            )
 
 
 @dataclass
@@ -351,9 +326,7 @@ def balanced_positions(
     through their leading parts.  So the cascade runs once per pattern, on
     the first point in scan order that has it, and later points with that
     pattern take its verdict.  Support values are computed once per point,
-    as integers over one common denominator.  The correction-term warning
-    of ``leading_term_system`` depends on u itself and is tested at every
-    point.
+    as integers over one common denominator.
     """
     if grid < 1:
         raise ValueError(f"grid must be a positive integer, got {grid}")
@@ -386,22 +359,12 @@ def balanced_positions(
             if all(x > 0 for x in values):
                 support[num] = values
 
-    known: dict[tuple[tuple[int, ...], ...], tuple[str, int]] = {}
+    known: dict[tuple[tuple[int, ...], ...], str] = {}
     out: list[tuple[FracVec, str]] = []
     for num in sorted(support):
         u = tuple(Fraction(x, den) for x in num)
-        levels = _group_levels(support[num])
-        pattern = tuple(tuple(idxs) for _, idxs in levels)
-        if pattern in known:
-            verdict, depth = known[pattern]
-            _warn_reaching_corrections(
-                potential, support[num], levels[depth - 1][0], den
-            )
-        else:
-            res = solve_lte(potential, u)
-            verdict, depth = known[pattern] = (
-                _VERDICTS[res.status],
-                res.frame.depth,
-            )
-        out.append((u, verdict))
+        pattern = tuple(tuple(idxs) for _, idxs in _group_levels(support[num]))
+        if pattern not in known:
+            known[pattern] = _VERDICTS[solve_lte(potential, u).status]
+        out.append((u, known[pattern]))
     return out

@@ -40,6 +40,14 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
+def _json_int(x, what: str) -> int:
+    """An integer field read from JSON: booleans and fractional numbers are
+    refused, anything else as ``int`` reads it."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise InvalidPolytope(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class Facet:
     normal: tuple[int, ...]
@@ -428,13 +436,13 @@ class MomentPolytope:
         try:
             facets = [
                 Facet(
-                    tuple(int(x) for x in fd["normal"]),
+                    tuple(_json_int(x, "normal entry") for x in fd["normal"]),
                     Fraction(fd["constant"]),
                     fd.get("name", f"ell{j}"),
                 )
                 for j, fd in enumerate(d["facets"])
             ]
-            p = cls(int(d["dim"]), facets)
+            p = cls(_json_int(d["dim"], "dim"), facets)
             corrections = [
                 Correction.from_json_dict(cd) for cd in d.get("corrections", [])
             ]
@@ -530,7 +538,9 @@ class Correction:
             else:
                 coeff = NovikovScalar.from_number(complex(raw))
             return cls(
-                Fraction(d["extra_T"]), tuple(int(x) for x in d["monomial_z"]), coeff
+                Fraction(d["extra_T"]),
+                tuple(_json_int(x, "monomial_z entry") for x in d["monomial_z"]),
+                coeff,
             )
         except KeyError as exc:
             raise InvalidPolytope(f"correction JSON lacks key {exc}") from None

@@ -291,17 +291,12 @@ def _is_degenerate(jac: np.ndarray) -> bool:
     return abs(np.linalg.det(jac)) <= get_config().eps_degenerate * max(scale, 1e-30)
 
 
-def lambda_solve(jac: np.ndarray, rhs: np.ndarray, inv0=None) -> np.ndarray:
+def lambda_solve(jac: np.ndarray, rhs: np.ndarray, inv0: np.ndarray) -> np.ndarray:
     """Solve jac . delta = rhs modulo T^W order by order, for an (n, n, W)
     and an (n, W) array whose slot k holds the coefficient of T^(k/D):
-    delta_m = J_0^-1 (rhs_m - sum_{k=1..m} J_k delta_{m-k}), J_k = jac[..., k].
-    ``inv0`` passes J_0^-1; without it SingularInitialJacobian is raised
-    when J_0 is singular."""
+    delta_m = J_0^-1 (rhs_m - sum_{k=1..m} J_k delta_{m-k}), J_k = jac[..., k],
+    with ``inv0`` = J_0^-1."""
     n, width = rhs.shape
-    if inv0 is None:
-        if _is_degenerate(jac[:, :, 0]):
-            raise SingularInitialJacobian("leading Jacobian is singular")
-        inv0 = np.linalg.inv(jac[:, :, 0])
     higher = jac[:, :, 1:].transpose(0, 2, 1).reshape(n, -1)  # [J_1 | J_2 | ...]
     rev = np.zeros((width, n), complex)  # row width-1-m holds delta_m
     for m in range(width):

@@ -18,6 +18,14 @@ HIRZ = {
         {"normal": [0, -1], "constant": "1/2"},
     ],
 }
+TRIANGLE = {
+    "dim": 2,
+    "facets": [
+        {"normal": [1, 0], "constant": "0"},
+        {"normal": [0, 1], "constant": "0"},
+        {"normal": [-1, -1], "constant": "1"},
+    ],
+}
 HIRZ_CORR = [
     {"monomial_z": [0, 0, 0, 1], "extra_T": "1", "coeff": {"re": 1.0, "im": 0.0}}
 ]
@@ -463,8 +471,20 @@ class TestExitCodes:
             ({**HIRZ, "facets": [{"normal": [1, 0], "constant": [1]}, *HIRZ["facets"][1:]]}, None),
             ({**HIRZ, "corrections": [5]}, None),
             (HIRZ, 5),
+            ({**TRIANGLE, "facets": [{"normal": [1.7, 0], "constant": "0"}, *TRIANGLE["facets"][1:]]}, None),
+            ({**TRIANGLE, "facets": [{"normal": [True, 0], "constant": "0"}, *TRIANGLE["facets"][1:]]}, None),
+            ({**TRIANGLE, "dim": 2.5}, None),
+            ({"dim": True, "facets": [{"normal": [1], "constant": "0"}, {"normal": [-1], "constant": "1"}]}, None),
+            ({**HIRZ, "corrections": [{"monomial_z": [0.9, 0, 0, 1], "extra_T": "1"}]}, None),
+            (HIRZ, [{"monomial_z": [0, 0, 0, False], "extra_T": "1"}]),
+            (HIRZ, [{"monomial_z": [0, 0, -1, 1], "extra_T": "1/2"}]),
+            (HIRZ, [{"monomial_z": [0, 0, 0, 1], "extra_T": "1/2", "coeff": {"terms": [{"exp": "-1/2", "re": 1.0, "im": 0.0}], "trunc": "inf"}}]),
         ],
-        ids=["facet-number", "normal-number", "constant-list", "correction-number", "corrections-file-number"],
+        ids=[
+            "facet-number", "normal-number", "constant-list", "correction-number", "corrections-file-number",
+            "normal-fractional", "normal-bool", "dim-fractional", "dim-bool", "monomial-fractional",
+            "monomial-bool", "correction-negative-exponent", "correction-negative-valuation",
+        ],
     )
     def test_malformed_polytope_json(self, capsys, tmp_path, polytope, corrections):
         path = tmp_path / "p.json"
@@ -478,6 +498,23 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("invalid input: ") and err.count("\n") == 1
+
+    def test_json_integers_read_without_loss_still_work(self, capsys, tmp_path):
+        exact = {**HIRZ, "corrections": HIRZ_CORR}
+        written = {
+            "dim": "2",
+            "facets": [
+                {**f, "normal": [float(x) for x in f["normal"]]} for f in HIRZ["facets"]
+            ],
+            "corrections": [{**HIRZ_CORR[0], "monomial_z": [0.0, "0", 0, 1.0]}],
+        }
+        outs = []
+        for k, polytope in enumerate((exact, written)):
+            path = tmp_path / f"p{k}.json"
+            path.write_text(json.dumps(polytope))
+            outs.append(run(capsys, "analyze", "--polytope", str(path), "--format", "json"))
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0]
 
     def test_numerical_failure_maps_to_three(self, capsys, monkeypatch):
         def boom(*a, **k):

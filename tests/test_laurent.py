@@ -153,6 +153,27 @@ class TestBuildPotential:
                 assume_fano=True,
             )
 
+    @pytest.mark.parametrize(
+        "corr",
+        [
+            Correction(F(1, 2), (0, 0, -1, 1)),
+            Correction(F(1, 2), (0, 0, 0, 1), S(-1)),
+            Correction(F(1, 2), (0, 0, 0, 1), NovikovScalar([(F(-1, 3), 1.0), (0, 1.0)])),
+        ],
+        ids=["negative-exponent", "negative-valuation", "negative-valuation-series"],
+    )
+    def test_correction_must_be_a_positive_product_of_facet_terms(self, corr):
+        p = catalog("hirzebruch", 2, F(1, 2)).polytope
+        with pytest.raises(CorrectionNotPositive):
+            build_potential(p, corrections=[corr])
+
+    def test_correction_of_positive_coefficient_valuation_is_accepted(self):
+        p = catalog("hirzebruch", 2, F(1, 2)).polytope
+        corr = Correction(F(1, 2), (0, 0, 0, 2), S(F(1, 3), 2.0))
+        pot = build_potential(p, corrections=[corr])
+        # z4^2 = T y2^-2; the correction is 2 T^(1 + 1/2 + 1/3) y2^-2
+        assert dict(pot.poly.sorted_terms())[(0, -2)] == S(F(11, 6), 2.0)
+
     def test_nonfano_without_corrections_warns(self):
         p = catalog("hirzebruch", 2, F(1, 2)).polytope
         with pytest.warns(UserWarning, match="fano"):

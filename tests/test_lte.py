@@ -18,6 +18,7 @@ from helpers import (
 from toriclg import (
     Correction,
     NotInterior,
+    NovikovScalar,
     adapted_frame,
     balanced_positions,
     build_potential,
@@ -291,7 +292,13 @@ def level_pattern(p, u):
     )
 
 
-@pytest.mark.filterwarnings("ignore:correction term reaches")
+def interior_grid(p, grid):
+    """The interior points of the grid scanned by ``balanced_positions``."""
+    box = p.bounding_box()
+    axes = [[lo + F(k, grid) * (hi - lo) for k in range(1, grid)] for lo, hi in box]
+    return [u for u in itertools.product(*axes) if p.interior_contains(u)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), grid=st.integers(4, 10))
 def test_points_with_one_level_pattern_share_the_cascade(seed, grid):
@@ -305,12 +312,9 @@ def test_points_with_one_level_pattern_share_the_cascade(seed, grid):
         tuple(rng.randint(0, 1) for _ in p.facets),
     )
     pot = build_potential(p, corrections=[corr])
-    box = p.bounding_box()
-    axes = [[lo + F(k, grid) * (hi - lo) for k in range(1, grid)] for lo, hi in box]
     by_pattern: dict = {}
-    for u in itertools.product(*axes):
-        if p.interior_contains(u):
-            by_pattern.setdefault(level_pattern(p, u), []).append(u)
+    for u in interior_grid(p, grid):
+        by_pattern.setdefault(level_pattern(p, u), []).append(u)
     for pattern, us in by_pattern.items():
         if len(us) < 2:
             continue
@@ -319,27 +323,82 @@ def test_points_with_one_level_pattern_share_the_cascade(seed, grid):
         assert first.status == other.status, pattern
 
 
-def test_scan_warns_at_every_point_the_reference_does():
-    """The correction-term warning depends on u, not only on the level
-    pattern; the scan must raise it at the same points as the reference."""
-    entry = catalog("simplex", 2)
-    pot = build_potential(
-        entry.polytope, corrections=[Correction(F(1, 10), (1, 0, 0))]
-    )
-    grid = 20
-    with warnings.catch_warnings(record=True) as ref_log:
-        warnings.simplefilter("always")
-        expected = reference_balanced_positions(pot, grid)
-    # the fixture is only useful if one pattern has warned and quiet points
-    warned: dict = {}
-    for u, _ in expected:
-        with warnings.catch_warnings(record=True) as log:
-            warnings.simplefilter("always")
-            solve_lte(pot, u)
-        warned.setdefault(level_pattern(pot.polytope, u), set()).add(bool(log))
-    assert {True, False} in warned.values()
-    with warnings.catch_warnings(record=True) as scan_log:
-        warnings.simplefilter("always")
-        assert balanced_positions(pot, grid) == expected
-    assert len(ref_log) > 0
-    assert [str(w.message) for w in scan_log] == [str(w.message) for w in ref_log]
+def random_corrections(rng, p, count=3):
+    """Corrections T^rho * c * prod z_j^{k_j} with small rho > 0, mostly
+    zero k_j in {0, 1, 2} and c of valuation 0 or just above, so that many
+    of them reach the leading levels."""
+    return [
+        Correction(
+            F(1, rng.randint(2, 24)),
+            tuple(rng.choice((0, 0, 0, 1, 2)) for _ in p.facets),
+            NovikovScalar.monomial(
+                F(rng.randint(0, 1), rng.randint(4, 12)), complex(rng.uniform(-2, 2), 1)
+            ),
+        )
+        for _ in range(count)
+    ]
+
+
+def corrections_stay_out(pot, grid):
+    """Check at every interior grid point that each correction whose
+    valuation reaches the top level has zero adapted coordinates in every
+    block whose level value is at or above that valuation, and that the
+    level polynomials and the cascade are the same without the corrections.  Returns the
+    number of (point, correction) pairs that reached the top level."""
+    p = pot.polytope
+    bare = build_potential(p, assume_fano=True)
+    reached = 0
+    for u in interior_grid(p, grid):
+        res = solve_lte(pot, u)
+        frame = res.frame
+        ell = p.support_values(u)
+        top = frame.levels[frame.depth - 1].value
+        for corr in pot.corrections:
+            val = (
+                corr.extra_t
+                + corr.coeff.valuation()
+                + sum(k * e for k, e in zip(corr.z_exponents, ell))
+            )
+            if val > top:
+                continue
+            reached += 1
+            a = tuple(
+                sum(k * f.normal[i] for k, f in zip(corr.z_exponents, p.facets))
+                for i in range(p.dim)
+            )
+            coords = frame.coords(a)
+            for lv, block in zip(frame.levels, frame.blocks()):
+                if lv.value >= val:
+                    assert all(coords[r] == 0 for r in block), (u, corr)
+        other = solve_lte(bare, u)
+        assert res.level_polys == other.level_polys, u
+        assert (res.status, res.witnesses_w) == (other.status, other.witnesses_w), u
+    return reached
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), grid=st.integers(3, 8))
+def test_corrections_stay_out_of_the_cascade_on_random_polygons(seed, grid):
+    rng = random.Random(seed)
+    p = random_delzant_polytope(rng, max_chops=4)
+    pot = build_potential(p, corrections=random_corrections(rng, p), assume_fano=True)
+    corrections_stay_out(pot, grid)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), grid=st.integers(3, 5))
+def test_corrections_stay_out_of_the_cascade_on_random_threefolds(seed, grid):
+    rng = random.Random(seed)
+    p = random_delzant_threefold(rng)
+    pot = build_potential(p, corrections=random_corrections(rng, p), assume_fano=True)
+    corrections_stay_out(pot, grid)
+
+
+def test_a_correction_reaching_the_levels_leaves_the_scan_unchanged():
+    """T^(1/10) z_1 on the projective plane reaches the top level at many
+    grid points; the check above is not vacuous there, and the scan gives
+    the verdicts of the bare potential."""
+    p = catalog("simplex", 2).polytope
+    pot = build_potential(p, corrections=[Correction(F(1, 10), (1, 0, 0))])
+    assert corrections_stay_out(pot, 20) > 0
+    assert balanced_positions(pot, 20) == balanced_positions(build_potential(p), 20)
