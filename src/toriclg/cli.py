@@ -82,13 +82,20 @@ def _load_env_config() -> None:
         raise ValueError(
             f"{CONFIG_ENV} file must hold a JSON object, got {type(data).__name__}"
         )
+    tolerances = ("eps_coeff", "eps_sol", "eps_degenerate", "tol_zero")
+    unknown = sorted(set(data) - {"truncation", *tolerances})
+    if unknown:
+        raise ValueError(
+            f"{CONFIG_ENV} has unknown keys {', '.join(map(json.dumps, unknown))};"
+            f" it reads truncation, {', '.join(tolerances)}"
+        )
     updates = {}
     if "truncation" in data:
         updates["truncation_order"] = _positive_truncation(
             Fraction(str(_config_number(data, "truncation"))),
             f"{CONFIG_ENV} truncation",
         )
-    for key in ("eps_coeff", "eps_sol", "eps_degenerate", "tol_zero"):
+    for key in tolerances:
         if key in data:
             value = float(_config_number(data, key))
             if not (isfinite(value) and value >= 0):

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .laurent import Potential
 from .novikov import format_fraction
-from .polysolve import CPoly, solve_torus_system, univariate_roots
+from .polysolve import EVAL_REL, CPoly, solve_torus_system, substitute, univariate_roots
 
 FracVec = tuple[Fraction, ...]
 
@@ -196,89 +196,51 @@ class LTEResult:
         }
 
 
-def _theta(poly: CPoly, r: int) -> CPoly:
+def _theta(poly: CPoly, r: int, stop: int) -> CPoly:
+    """theta_r poly on the first ``stop`` coordinates (the level's exponents
+    vanish past its block)."""
     out: CPoly = {}
     for a, c in poly.items():
         if a[r]:
-            out[a] = out.get(a, 0j) + c * a[r]
+            out[a[:stop]] = out.get(a[:stop], 0j) + c * a[r]
     return out
-
-
-def _substitute(
-    poly: CPoly, values: list, block: range
-) -> tuple[CPoly | None, bool]:
-    """Replace assigned variables by their values, keeping block variables.
-
-    Returns (reduced poly in block coordinates, hit_free) where hit_free
-    notes a nonzero exponent on a variable that stayed free earlier.
-    """
-    out: CPoly = {}
-    mag: dict[tuple[int, ...], float] = {}
-    for a, c in poly.items():
-        term = c
-        for i, e in enumerate(a):
-            if i in block or e == 0:
-                continue
-            v = values[i]
-            if v is None:
-                return None, True
-            term *= v ** e
-        key = tuple(a[i] for i in block)
-        out[key] = out.get(key, 0j) + term
-        mag[key] = mag.get(key, 0.0) + abs(term)
-    # coefficients that cancel up to the roundoff of their summands are zero
-    return {k: c for k, c in out.items() if abs(c) > 1e-9 * mag[k]}, False
 
 
 def solve_lte(potential: Potential, u) -> LTEResult:
     """Run the level cascade and collect torus witnesses."""
     frame, polys = leading_term_system(potential, u)
     n = potential.polytope.dim
-    blocks = frame.blocks()
     # one list of values per branch of the cascade, None marking a variable
     # that stayed free
     branches: list[list] = [[None] * n]
     underdetermined = False
-    for poly, block in zip(polys, blocks):
-        eqs = [_theta(poly, r) for r in block]
+    for poly, block in zip(polys, frame.blocks()):
+        eqs = [_theta(poly, r, block.stop) for r in block]
         next_branches: list[list] = []
         for br in branches:
-            reduced: list[CPoly] = []
-            hit_free = False
-            for q in eqs:
-                rq, free = _substitute(q, br, block)
-                if free:
-                    hit_free = True
-                    break
-                if rq:
-                    reduced.append(rq)
-            if hit_free:
+            free = [i for i in range(block.start) if br[i] is None]
+            if any(a[i] for q in eqs for a in q for i in free):
                 underdetermined = True
                 continue
+            # earlier levels' roots are numeric: what cancels to roundoff is zero
+            reduced = [
+                rq for q in eqs if (rq := substitute(q, br[: block.start], EVAL_REL))
+            ]
             if not reduced:
                 next_branches.append(br)  # vacuous level: block vars stay free
                 continue
-            if any(len(q) == 1 for q in reduced):
-                continue  # a surviving monomial equation kills the branch
             if len(block) == 1:  # one equation per block variable
-                for r in univariate_roots({a[0]: c for a, c in reduced[0].items()}):
-                    vals = br[:]
-                    vals[block[0]] = r
-                    next_branches.append(vals)
-                continue
-            if len(reduced) < len(block):
-                underdetermined = True
-                continue
-            try:
-                sol = solve_torus_system(reduced, len(block))
-            except PositiveDimensionalInitialLocus:
-                underdetermined = True
-                continue
-            for root in sol.roots:
-                vals = br[:]
-                for i, r in zip(block, root):
-                    vals[i] = r
-                next_branches.append(vals)
+                roots = univariate_roots({a[0]: c for a, c in reduced[0].items()})
+                solved = [(r,) for r in roots]
+            else:
+                try:
+                    solved = solve_torus_system(reduced, len(block)).roots
+                except PositiveDimensionalInitialLocus:
+                    underdetermined = True
+                    continue
+            next_branches += [
+                [*br[: block.start], *root, *br[block.stop :]] for root in solved
+            ]
         branches = next_branches
     result = LTEResult(frame=frame, level_polys=polys)
     for br in branches:

@@ -36,7 +36,7 @@ from numbers import Number
 from typing import Iterable, Union
 
 from .config import get_config
-from .errors import NotInLambdaZero, ZeroLeadingCoefficient
+from .errors import InvalidPolytope, NotInLambdaZero, ZeroLeadingCoefficient
 
 ExponentLike = Union[Fraction, int, str]
 INF = math.inf
@@ -48,6 +48,15 @@ def _as_fraction(e: ExponentLike) -> Fraction:
     if isinstance(e, (int, str)):
         return Fraction(e)
     raise TypeError(f"exponent must be rational, got {type(e).__name__}: {e!r}")
+
+
+def json_fraction(x, what: str) -> Fraction:
+    """A rational field read from JSON: a float as the decimal it is
+    written as, not its binary expansion; booleans are refused, anything
+    else as ``Fraction`` reads it."""
+    if isinstance(x, bool):
+        raise InvalidPolytope(f"{what} must be a rational number, got {x!r}")
+    return Fraction(repr(x)) if isinstance(x, float) else Fraction(x)
 
 
 def _fill(s: "NovikovScalar", den: int, es, cs, t: int | None) -> "NovikovScalar":
@@ -391,10 +400,13 @@ class NovikovScalar:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NovikovScalar":
-        trunc = None if d.get("trunc", "inf") == "inf" else Fraction(d["trunc"])
+        trunc = d.get("trunc", "inf")
         return cls(
-            ((Fraction(t["exp"]), complex(t["re"], t["im"])) for t in d["terms"]),
-            trunc,
+            (
+                (json_fraction(t["exp"], "exp"), complex(t["re"], t["im"]))
+                for t in d["terms"]
+            ),
+            None if trunc == "inf" else json_fraction(trunc, "trunc"),
         )
 
     def __repr__(self) -> str:

@@ -22,7 +22,7 @@ gcds run only where a gcd modulo a prime is not constant.  The equations
 of every level are reduced modulo each factor, after splitting the factor
 by gcds, so that a term vanishing on the fibre over the first coordinate
 is dropped by an exact test; past it the fibre equations are evaluated at
-numeric partial roots, and a coefficient that cancels to _EVAL_REL of its
+numeric partial roots, and a coefficient that cancels to EVAL_REL of its
 terms is dropped.  Only roots are numeric: those of the square-free
 factors and of the reduced fibre equations, found from companion matrices
 and polished by Newton's method on the original system.  A vanishing
@@ -51,8 +51,9 @@ _ZERO: Gauss = (0, 0)
 
 # relative residual under which a numeric root counts as a root of a fibre
 # equation (back substitution) and of the original system (after polishing),
-# and a coefficient of a fibre equation past the first level counts as zero
-_EVAL_REL = 1e-6
+# and a coefficient that cancels after numeric partial roots are substituted
+# (fibre equations past the first level here, LTE levels in ``lte``) is zero
+EVAL_REL = 1e-6
 
 
 def degree_in(p, i: int) -> int:
@@ -93,21 +94,21 @@ def partial(p: CPoly, i: int) -> CPoly:
     return out
 
 
-def substitute_last(
-    p: CPoly, values: tuple[complex, ...], rel: float = 0.0
-) -> dict[int, complex]:
-    """Fix all variables except the last; return a univariate dict without
-    the coefficients that cancel to rel of the magnitude of their terms."""
-    out: dict[int, complex] = {}
-    mag: dict[int, float] = {}
+def substitute(p: CPoly, values, rel: float = 0.0) -> CPoly:
+    """Fix the first len(values) variables; the others keep their exponents
+    as keys.  A coefficient that cancels to rel of the summed magnitude of
+    its terms is dropped (rel = 0 drops exact zeros only)."""
+    k = len(values)
+    out: CPoly = {}
+    mag: dict[tuple[int, ...], float] = {}
     for a, c in p.items():
         term = c
-        for x, e in zip(values, a[:-1]):
+        for x, e in zip(values, a):
             if e:
                 term *= x ** e
-        out[a[-1]] = out.get(a[-1], 0j) + term
-        mag[a[-1]] = mag.get(a[-1], 0.0) + abs(term)
-    return {e: c for e, c in out.items() if abs(c) > rel * mag[e]}
+        out[a[k:]] = out.get(a[k:], 0j) + term
+        mag[a[k:]] = mag.get(a[k:], 0.0) + abs(term)
+    return {a: c for a, c in out.items() if abs(c) > rel * mag[a]}
 
 
 def univariate_roots(p: dict[int, complex]) -> list[complex]:
@@ -404,21 +405,21 @@ def _eliminate(
 
 
 def _is_root(p: CPoly, point: tuple[complex, ...]) -> bool:
-    return abs(eval_cpoly(p, point)) <= _EVAL_REL * max(eval_magnitude(p, point), 1e-30)
+    return abs(eval_cpoly(p, point)) <= EVAL_REL * max(eval_magnitude(p, point), 1e-30)
 
 
-def _fibre_roots(unis: list[dict[int, complex]]) -> list[complex]:
-    """Common torus roots of the fibre equations: the roots of the lowest
-    degree nonzero one at which the others vanish."""
-    unis = sorted((u for u in unis if u), key=lambda u: max(u) - min(u))
+def _fibre_roots(unis: list[CPoly]) -> list[complex]:
+    """Common torus roots of the one-variable fibre equations: the roots of
+    the lowest degree nonzero one at which the others vanish."""
+    unis = sorted((u for u in unis if u), key=lambda u: max(u)[0] - min(u)[0])
     if not unis:
         raise PositiveDimensionalInitialLocus(
             "all equations vanish identically on this fibre"
         )
     return [
         r
-        for r in univariate_roots(unis[0])
-        if all(_is_root({(e,): c for e, c in u.items()}, (r,)) for u in unis[1:])
+        for r in univariate_roots({a[0]: c for a, c in unis[0].items()})
+        if all(_is_root(u, (r,)) for u in unis[1:])
     ]
 
 
@@ -453,11 +454,13 @@ def solve_torus_system(polys: list[CPoly], nvars: int) -> SystemSolution:
     Raises PositiveDimensionalInitialLocus when a positive-dimensional
     component is detected.
     """
-    exact = [exact_poly(p) for p in polys]
-    if any(not p for p in exact):
+    # exact reading keeps the nonzero coefficients: test their count first
+    nonzero = [sum(map(bool, p.values())) for p in polys]
+    if 0 in nonzero:
         raise PositiveDimensionalInitialLocus("identically zero equation")
-    if any(len(p) == 1 for p in exact):
+    if 1 in nonzero:
         return SystemSolution([], None, [])  # single monomial: no torus zeros
+    exact = [exact_poly(p) for p in polys]
     levels, elim, weight = _eliminate(exact, nvars)
     # a monomial coefficient vanishes at no root of a factor: the roots are nonzero
     groups = [c for level in levels for p in level for c in _x0_groups(p).values()]
@@ -475,11 +478,11 @@ def solve_torus_system(polys: list[CPoly], nvars: int) -> SystemSolution:
             for level, eqs in enumerate(fibre_eqs):
                 # past x0 the partial roots are numeric: a coefficient that
                 # cancels to roundoff there is zero
-                rel = _EVAL_REL if level else 0.0
+                rel = EVAL_REL if level else 0.0
                 partials = [
                     part + (r,)
                     for part in partials
-                    for r in _fibre_roots([substitute_last(q, part, rel) for q in eqs])
+                    for r in _fibre_roots([substitute(q, part, rel) for q in eqs])
                 ]
             for cand in partials:
                 point = _newton_polish(cleared, cand)

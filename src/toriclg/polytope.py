@@ -31,7 +31,7 @@ from ._intlinalg import (  # noqa: F401
     over_common_denominator,
 )
 from .errors import InvalidPolytope, ParamOutOfRange, UnknownName
-from .novikov import NovikovScalar
+from .novikov import NovikovScalar, json_fraction
 
 Point = tuple[Fraction, ...]
 
@@ -437,7 +437,7 @@ class MomentPolytope:
             facets = [
                 Facet(
                     tuple(_json_int(x, "normal entry") for x in fd["normal"]),
-                    Fraction(fd["constant"]),
+                    json_fraction(fd["constant"], "facet constant"),
                     fd.get("name", f"ell{j}"),
                 )
                 for j, fd in enumerate(d["facets"])
@@ -538,7 +538,7 @@ class Correction:
             else:
                 coeff = NovikovScalar.from_number(complex(raw))
             return cls(
-                Fraction(d["extra_T"]),
+                json_fraction(d["extra_T"], "extra_T"),
                 tuple(_json_int(x, "monomial_z entry") for x in d["monomial_z"]),
                 coeff,
             )

@@ -429,11 +429,16 @@ class TestExitCodes:
             ('{"eps_sol": -Infinity}', "TORICLG_CONFIG eps_sol must be a finite non-negative number, got -Infinity"),
             ('{"eps_degenerate": "-1e-8"}', 'TORICLG_CONFIG eps_degenerate must be a finite non-negative number, got "-1e-8"'),
             ('{"tol_zero": "1e999"}', 'TORICLG_CONFIG tol_zero must be a finite non-negative number, got "1e999"'),
+            (
+                '{"eps_coef": -1, "tol_zero": 0}',
+                'TORICLG_CONFIG has unknown keys "eps_coef";'
+                " it reads truncation, eps_coeff, eps_sol, eps_degenerate, tol_zero",
+            ),
         ],
         ids=[
             "number", "string", "eps-list", "truncation-null", "tol-negative",
             "tol-infinity", "eps-nan", "eps-sol-minus-infinity",
-            "eps-degenerate-negative-string", "tol-overflowing-string",
+            "eps-degenerate-negative-string", "tol-overflowing-string", "unknown-key",
         ],
     )
     def test_malformed_env_config(self, capsys, tmp_path, monkeypatch, text, message):
@@ -479,11 +484,17 @@ class TestExitCodes:
             (HIRZ, [{"monomial_z": [0, 0, 0, False], "extra_T": "1"}]),
             (HIRZ, [{"monomial_z": [0, 0, -1, 1], "extra_T": "1/2"}]),
             (HIRZ, [{"monomial_z": [0, 0, 0, 1], "extra_T": "1/2", "coeff": {"terms": [{"exp": "-1/2", "re": 1.0, "im": 0.0}], "trunc": "inf"}}]),
+            ({**TRIANGLE, "facets": [*TRIANGLE["facets"][:2], {"normal": [-1, -1], "constant": True}]}, None),
+            (HIRZ, [{"monomial_z": [0, 0, 0, 1], "extra_T": True}]),
+            (HIRZ, [{"monomial_z": [0, 0, 0, 1], "extra_T": "1/2", "coeff": {"terms": [{"exp": False, "re": 1.0, "im": 0.0}], "trunc": "inf"}}]),
+            (HIRZ, [{"monomial_z": [0, 0, 0, 1], "extra_T": "1/2", "coeff": {"terms": [{"exp": 0, "re": 1.0, "im": 0.0}], "trunc": True}}]),
+            ({**TRIANGLE, "facets": [*TRIANGLE["facets"][:2], {"normal": [-1, -1], "constant": float("inf")}]}, None),
         ],
         ids=[
             "facet-number", "normal-number", "constant-list", "correction-number", "corrections-file-number",
             "normal-fractional", "normal-bool", "dim-fractional", "dim-bool", "monomial-fractional",
             "monomial-bool", "correction-negative-exponent", "correction-negative-valuation",
+            "constant-bool", "extra-t-bool", "coeff-exp-bool", "coeff-trunc-bool", "constant-infinite",
         ],
     )
     def test_malformed_polytope_json(self, capsys, tmp_path, polytope, corrections):
@@ -515,6 +526,41 @@ class TestExitCodes:
             outs.append(run(capsys, "analyze", "--polytope", str(path), "--format", "json"))
         assert outs[0][0] == 0
         assert outs[1] == outs[0]
+
+    def test_json_float_rationals_read_as_written(self, capsys, tmp_path):
+        """0.1 in a polytope or correction file means 1/10, not the double
+        nearest to it."""
+        facets = [*TRIANGLE["facets"][:2], {"normal": [-1, -1], "constant": 0.1}]
+        tri = tmp_path / "p.json"
+        tri.write_text(json.dumps({**TRIANGLE, "facets": facets}))
+        code, out, _ = run(capsys, "potential", "--polytope", str(tri), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["terms"][2]["coeff"]["terms"][0]["exp"] == "1/10"
+        code, out, _ = run(
+            capsys, "lte", "--polytope", str(tri), "--u", "0.03,0.03", "--format", "json"
+        )
+        assert code == 0
+        levels = json.loads(out)["frame"]["levels"]
+        assert [lv["value"] for lv in levels] == ["0.03", "0.04"]
+        # extra_T and the exponents of a series coefficient: 1/2 + 1/10 and
+        # 1/2 + 1 + 1/10 on the facet with constant 1/2
+        hirz = tmp_path / "h.json"
+        hirz.write_text(json.dumps(HIRZ))
+        corr = tmp_path / "c.json"
+        series = {"terms": [{"exp": 0.1, "re": 1.0, "im": 0.0}], "trunc": "inf"}
+        corr.write_text(
+            json.dumps(
+                [
+                    {**HIRZ_CORR[0], "extra_T": 0.1},
+                    {**HIRZ_CORR[0], "extra_T": 1, "coeff": series},
+                ]
+            )
+        )
+        argv = ["--polytope", str(hirz), "--corrections", str(corr), "--format", "json"]
+        code, out, _ = run(capsys, "potential", *argv)
+        assert code == 0
+        exps = [t["exp"] for t in json.loads(out)["terms"][2]["coeff"]["terms"]]
+        assert exps == ["1/2", "3/5", "8/5"]
 
     def test_numerical_failure_maps_to_three(self, capsys, monkeypatch):
         def boom(*a, **k):

@@ -1,5 +1,6 @@
 """Leading term equations: adapted frames, cascades, and balance verdicts."""
 
+import cmath
 import itertools
 import random
 import warnings
@@ -16,13 +17,17 @@ from helpers import (
     reference_balanced_positions,
 )
 from toriclg import (
+    BulkCoefficients,
     Correction,
+    LevelUnderdetermined,
+    MomentPolytope,
     NotInterior,
     NovikovScalar,
     adapted_frame,
     balanced_positions,
     build_potential,
     catalog,
+    find_critical_points,
     is_strongly_balanced,
     leading_term_system,
     solve_lte,
@@ -163,6 +168,31 @@ class TestCascade:
             assert is_strongly_balanced(pot, (t, F(1, 4)))
         assert not is_strongly_balanced(pot, (F(5, 16), F(3, 10)))
         assert not is_strongly_balanced(pot, (F(3, 8), F(3, 16)))
+
+    def test_free_variable_in_a_later_level_is_underdetermined(self):
+        """A box cut along two edges by x + y >= 1/4 and y + z <= 5/2.  At
+        (1/4, 1/2, 1) the levels are {x, 1/2 - x}, {y, x + y - 1/4} and
+        {z, 5/2 - y - z}.  The root w1 = -1 of the first level cancels the
+        second, so w2 stays free, and the third level involves w2; the
+        root w1 = 1 leaves the monomial 2 w2, which has no torus zero."""
+        rows = [
+            ((1, 0, 0), F(0)),
+            ((-1, 0, 0), F(1, 2)),
+            ((0, 1, 0), F(0)),
+            ((0, -1, 0), F(2)),
+            ((0, 0, 1), F(0)),
+            ((0, 0, -1), F(23, 10)),
+            ((1, 1, 0), F(-1, 4)),
+            ((0, -1, -1), F(5, 2)),
+        ]
+        pot = build_potential(MomentPolytope.from_inequalities(rows), assume_fano=True)
+        u = (F(1, 4), F(1, 2), F(1))
+        res = solve_lte(pot, u)
+        assert [lv.facet_indices for lv in res.frame.levels[:3]] == [(0, 1), (2, 6), (4, 7)]
+        assert (res.status, res.witnesses_w) == ("underdetermined", [])
+        with pytest.raises(LevelUnderdetermined):
+            is_strongly_balanced(pot, u)
+        assert dict(balanced_positions(pot, 4, extra=[u]))[u] == "unknown"
 
     def test_simplex_is_balanced_only_at_center(self):
         pot = potential_of("simplex", 2)
@@ -402,3 +432,42 @@ def test_a_correction_reaching_the_levels_leaves_the_scan_unchanged():
     pot = build_potential(p, corrections=[Correction(F(1, 10), (1, 0, 0))])
     assert corrections_stay_out(pot, 20) > 0
     assert balanced_positions(pot, 20) == balanced_positions(build_potential(p), 20)
+
+
+def random_bulk(rng, m):
+    """m valuation-zero units with random leading coefficients and one
+    higher term each."""
+    return BulkCoefficients(
+        tuple(
+            NovikovScalar(
+                (
+                    (0, cmath.rect(rng.uniform(0.5, 2), rng.uniform(-3, 3))),
+                    (F(1, rng.randint(2, 4)), complex(rng.uniform(-1, 1))),
+                )
+            )
+            for _ in range(m)
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "family, seeds",
+    [
+        (lambda rng: random_delzant_polytope(rng, max_chops=4), range(40)),
+        (random_delzant_threefold, range(12)),
+    ],
+    ids=["polygons", "threefolds"],
+)
+def test_critical_fibres_with_bulk_have_solvable_cascades(family, seeds):
+    """Every critical fibre of the potential with bulk b solves the leading
+    term equation with the same b (its leading roots are a witness).  With
+    unit bulk in the cascade instead, some polygon fibres here fail."""
+    fibres = 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        p = family(rng)
+        pot = build_potential(p, bulk=random_bulk(rng, len(p.facets)), assume_fano=True)
+        for u in {pt.u for pt in find_critical_points(pot).points}:
+            fibres += 1
+            assert solve_lte(pot, u).status == "solvable", (seed, u)
+    assert fibres >= len(seeds)

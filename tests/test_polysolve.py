@@ -11,6 +11,7 @@ import pytest
 from toriclg import build_potential, catalog, initial_system, tropical_candidates
 from toriclg.errors import EliminationFailed, PositiveDimensionalInitialLocus
 from toriclg.polysolve import (
+    EVAL_REL,
     _P,
     _coprime,
     _gcd,
@@ -21,7 +22,7 @@ from toriclg.polysolve import (
     resultant_last,
     solve_torus_system,
     squarefree_decomposition,
-    substitute_last,
+    substitute,
     univariate_roots,
 )
 
@@ -131,12 +132,31 @@ class TestCPolyBasics:
         dp = partial(p, 0)
         assert dp == {(1, 1): 2 + 0j}
 
-    def test_substitute_last(self):
-        p = {(1, 2): 1 + 0j, (3, 0): -1 + 0j}
-        # fix x = 2: 2 w^2 - 8 as a univariate in the last variable
-        uni = substitute_last(p, (2.0,))
-        assert uni[2] == pytest.approx(2.0)
-        assert uni[0] == pytest.approx(-8.0)
+    def test_substitute_fixes_the_leading_variables(self):
+        # x y^2 z - x^3 + y z^-1 at x = 2: 2 y^2 z + y z^-1 - 8 in (y, z)
+        p = {(1, 2, 1): 1 + 0j, (3, 0, 0): -1 + 0j, (0, 1, -1): 1 + 0j}
+        out = substitute(p, (2.0,))
+        assert out.keys() == {(2, 1), (0, 0), (1, -1)}
+        assert out[(2, 1)] == pytest.approx(2.0)
+        assert out[(0, 0)] == pytest.approx(-8.0)
+        assert out[(1, -1)] == pytest.approx(1.0)
+        # all but the last: a one-variable poly on one-tuple keys
+        uni = substitute({(1, 2): 1 + 0j, (3, 0): -1 + 0j}, (2.0,))
+        assert uni == {(2,): 2 + 0j, (0,): -8 + 0j}
+
+    def test_substitute_drops_what_cancels_below_the_cut(self):
+        # (x - 1) + y: x - 1 is 1e-16 of |x| + |1| one ulp above 1, 1e-3 at 1.002
+        p = {(1, 0): 1 + 0j, (0, 0): -1 + 0j, (0, 1): 1 + 0j}
+        ulp = 1.0 + 2.0**-52
+        assert substitute(p, (ulp,), EVAL_REL) == {(1,): 1 + 0j}
+        kept = substitute(p, (1.002,), EVAL_REL)
+        assert kept.keys() == {(0,), (1,)}
+        assert kept[(0,)] == pytest.approx(0.002)
+
+    def test_substitute_without_a_cut_drops_exact_zeros_only(self):
+        p = {(1, 0): 1 + 0j, (0, 0): -1 + 0j, (0, 1): 1 + 0j}
+        assert substitute(p, (1.0,)) == {(1,): 1 + 0j}
+        assert substitute(p, (1.0 + 2.0**-52,)) == {(0,): 2.0**-52 + 0j, (1,): 1 + 0j}
 
 
 class TestExactInput:
