@@ -11,13 +11,15 @@ integer rows, each scaled by the least common denominator of its entries
 (``over_common_denominator``), and ``Fraction`` is used only to read those
 inputs and to build the returned values.  One unimodular column reduction
 over the integers (``adapted_basis``) gives a lattice basis adapted to a
-sequence of integer vectors, together with its inverse.
+sequence of integer vectors, together with its inverse, and alternates on
+columns and rows to diagonalise (``smith_normal_form``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 IntMatrix = list[list[int]]
@@ -144,6 +146,10 @@ def adjugate(a: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
     return sign * d, [[sign * x for x in row[n:]] for row in m]
 
 
+def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
 def smith_normal_form(
     a: Sequence[Sequence[int]],
 ) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
@@ -151,70 +157,19 @@ def smith_normal_form(
 
     Returns ``(u, d, v, v_inv)`` with ``u a v = d``, ``u`` and ``v``
     unimodular, and ``d`` diagonal (entries not necessarily forming a
-    divisibility chain, which none of the callers need).  No pipeline
-    stage calls it; it is kept for the benchmark's ``intlinalg.smith``
-    tracer binding (``bench/tracer.py``).
+    divisibility chain, which none of the callers need).  ``adapted_basis``
+    alternates on the columns and on the rows (the columns of ``dᵀ``) until
+    no entry is off the diagonal.  No pipeline stage calls it; it is kept for
+    the benchmark's ``intlinalg.smith`` tracer binding (``bench/tracer.py``).
     """
     d: IntMatrix = [[int(x) for x in row] for row in a]
-    k = len(d)
-    n = len(d[0]) if d else 0
-    u = _identity(k)
-    v = _identity(n)
-    v_inv = _identity(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def add_row(i, j, q):  # row_i += q * row_j
-        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def add_col(i, j, q):  # col_i += q * col_j  (v_inv: row_j -= q * row_i)
-        for row in d:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-        v_inv[j] = [x - q * y for x, y in zip(v_inv[j], v_inv[i])]
-
-    t = 0
-    while t < k and t < n:
-        # locate smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, k):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        swap_rows(t, i)
-        swap_cols(t, j)
-        dirty = False
-        for i in range(t + 1, k):
-            q = -(d[i][t] // d[t][t])
-            if q:
-                add_row(i, t, q)
-            if d[i][t] != 0:
-                dirty = True
-        for j in range(t + 1, n):
-            q = -(d[t][j] // d[t][t])
-            if q:
-                add_col(j, t, q)
-            if d[t][j] != 0:
-                dirty = True
-        if dirty:
-            continue  # remainders left; pick a new, smaller pivot
-        if d[t][t] < 0:
-            add_row(t, t, -2)  # row_t += -2 row_t, i.e. row_t *= -1
-        t += 1
+    k, n = len(d), len(d[0]) if d else 0
+    u, v, v_inv = _identity(k), _identity(n), _identity(n)
+    while any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+        _, back, w = adapted_basis(d, n)  # d·w is lower echelon
+        d, v, v_inv = _matmul(d, w), _matmul(v, w), _matmul(back, v_inv)
+        wt = list(zip(*adapted_basis(list(zip(*d)), k)[2]))  # wᵀ·d: upper echelon
+        d, u = _matmul(wt, d), _matmul(wt, u)
     return u, d, v, v_inv
 
 

@@ -248,8 +248,9 @@ class MomentPolytope:
     ) -> tuple[int | None, list[tuple[int, ...]]]:
         """Edge directions of the cone {d : <v_j, d> >= 0 for j in tight}.
 
-        Each is the null direction of a rank-(n-1) subset of the tight
-        normals that keeps every tight facet >= 0, listed in the
+        Each is the primitive null direction (the last column of the
+        unimodular ``adapted_basis`` inverse) of a rank-(n-1) subset of the
+        tight normals that keeps every tight facet >= 0, listed in the
         combination order of the subsets (with the subset's direction
         taken before its negative).  With exactly n tight facets, the
         directions are the columns of the adjugate, and their determinant
@@ -265,16 +266,15 @@ class MomentPolytope:
             ]
         directions: list[tuple[int, ...]] = []
         for sub in combinations(normals, n - 1):
-            d = _null_direction(sub, n)
-            if d is None:
+            ranks, _, inverse = adapted_basis(sub, n)
+            if ranks and ranks[-1] < n - 1:
                 continue
+            d = tuple(row[-1] for row in inverse)
             dots = [_dot(v, d) for v in normals]
             if all(x <= 0 for x in dots) and any(dots):
-                d = [-x for x in d]
+                d = tuple(-x for x in d)
             elif not all(x >= 0 for x in dots):
                 continue
-            h = gcd(*d)
-            d = tuple(x // h for x in d)
             if d not in directions:
                 directions.append(d)
         return None, directions
@@ -463,17 +463,6 @@ def _reduced(x: list[int], g: int) -> tuple[tuple[int, ...], int]:
     """The point x / g as coprime numerators over a positive denominator."""
     h = gcd(g, *x) * (1 if g > 0 else -1)
     return tuple(v // h for v in x), g // h
-
-
-def _null_direction(rows: Sequence[Sequence[int]], n: int) -> list[int] | None:
-    """A nonzero integer vector orthogonal to n-1 rows of length n, or None
-    when their rank is below n-1.  The last adjugate column of the rows
-    completed by any unit vector is their (generalised) cross product."""
-    for i in range(n):
-        det, adj = adjugate([*rows, [int(k == i) for k in range(n)]])
-        if det:
-            return [row[-1] for row in adj]
-    return None
 
 
 def _rank(rows: list[tuple[int, ...]], n: int) -> int:

@@ -491,7 +491,7 @@ def newton_lift(
     (Hensel), so the steps solve on the windows 2v, 4v, ... up to the order
     with ``lambda_solve`` from one inverse of J_0, each evaluating the terms
     once, to the next window only.  NoConvergence is raised when the final
-    residual has content below the order.
+    residual has content below the order, or when a step overflows.
     """
     e_order = Fraction(order) if order is not None else get_config().truncation_order
     if e_order is None or e_order <= 0:
@@ -515,13 +515,18 @@ def newton_lift(
     inv0 = np.linalg.inv(jac[:, :, 0])
     res, jac = res[:, :width], jac[:, :, :width]
     x = np.zeros((len(y0), lat.size), complex)
-    while w < lat.size:
-        # the residual is O(T^w), so this step is exact modulo T^(2w) (Hensel)
-        w = width
-        delta = lambda_solve(jac, -res, inv0)
-        x[:, :w] += delta + [np.convolve(a[:w], b)[:w] for a, b in zip(x, delta)]
-        width = min(2 * w, lat.size)
-        res, jac, value = _system(lat, _term_arrays(lat, x, width), width)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            while w < lat.size:
+                # the residual is O(T^w), so this step is exact modulo T^(2w) (Hensel)
+                w = width
+                delta = lambda_solve(jac, -res, inv0)
+                conv = [np.convolve(a[:w], b)[:w] for a, b in zip(x, delta)]
+                x[:, :w] += delta + conv
+                width = min(2 * w, lat.size)
+                res, jac, value = _system(lat, _term_arrays(lat, x, width), width)
+    except FloatingPointError as exc:
+        raise NoConvergence(f"the Newton steps overflow ({exc})") from None
     x[:, 0] += 1
     x *= seed
     final = _residual_valuation(lat.den, x, res)

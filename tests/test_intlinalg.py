@@ -315,6 +315,27 @@ class TestAgainstFractionReference:
         assert 200 <= singular <= 1800
 
 
+def _smith_inputs():
+    """Seeded integer matrices: tall, wide, zero, rank-deficient (a product
+    through a narrower inner dimension) and 1x1."""
+    rng = random.Random(19)
+
+    def rand(k, n):
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+
+    cases = []
+    for _ in range(4):
+        cases.append(rand(rng.randint(3, 5), rng.randint(1, 2)))
+        cases.append(rand(rng.randint(1, 2), rng.randint(3, 5)))
+        k, n = rng.randint(1, 4), rng.randint(1, 4)
+        cases.append([[0] * n for _ in range(k)])
+        k, n = rng.randint(2, 5), rng.randint(2, 5)
+        inner = rng.randint(1, min(k, n) - 1)
+        cases.append(_matmul(rand(k, inner), rand(inner, n)))
+        cases.append(rand(1, 1))
+    return cases
+
+
 class TestSmith:
     @pytest.mark.parametrize(
         "a",
@@ -324,6 +345,8 @@ class TestSmith:
             [[1, 2, 3], [4, 5, 6]],
             [[0, 0], [0, 0]],
             [[5]],
+            *_smith_inputs(),
+            [],
         ],
     )
     def test_transforms_diagonalize(self, a):

@@ -19,6 +19,7 @@ from helpers import (
 )
 from toriclg import tropical
 from toriclg import (
+    INF,
     BulkCoefficients,
     Correction,
     LaurentPoly,
@@ -597,6 +598,26 @@ class TestCriticalPoints:
         assert all(p.nondegenerate and p.multiplicity == 1 for p in rep.points)
         assert rep.multiplicity_total() <= poly.total_betti()
         assert [c.dimension for c in rep.cells].count(0) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_lift_keeps_the_simple_point_without_a_series(self):
+        # seed 37: the series at two points outgrow float64 before the order;
+        # the overflow ends the lift (NoConvergence) instead of certifying
+        # inf/NaN arrays
+        poly = random_delzant_polytope(random.Random(37), max_chops=4)
+        pot = build_potential(poly, assume_fano=True)
+        rep = find_critical_points(pot)
+        diverging = {(F(35, 48), F(1, 4)), (F(53, 72), F(35, 144))}
+        assert len(rep.points) == 7
+        assert {p.u for p in rep.points} >= diverging
+        for p in rep.points:
+            assert p.nondegenerate and p.multiplicity == 1
+            if p.u in diverging:
+                assert p.y_local is None and p.residual_valuation is None
+                with pytest.raises(NoConvergence):
+                    newton_lift(pot, p.u, p.y_initial)
+            else:
+                assert p.y_local is not None and p.residual_valuation == INF
 
     def test_truncation_stability(self):
         pot = potential_of("blowup1", F(2, 5))
