@@ -11,15 +11,17 @@ u = 0, and each choice of ties is solved by the integer elimination of
 ``_intlinalg``; rank-deficient choices yield affine candidate subspaces
 that are subdivided along their breakpoints.  The algebraic stage solves
 the leading-coefficient system at each candidate over the torus by exact
-elimination (``polysolve``) and lifts every initial root to a Novikov
-series by Newton steps on dense arrays over one exponent lattice, the
-frame at u put on (1/D)Z, each step solved order by order from one
-inverse of the leading Jacobian, to the order the potential's coefficients
-determine.  The lift's final full-width system stays with the point
-(``LatticeSystem``), and the residue data are read from it.  The lift's
+elimination (``polysolve``) and lifts all initial roots of the candidate
+together to Novikov series, by Newton steps on dense arrays over one
+exponent lattice, the frame at u put on (1/D)Z with one row per root; the
+roots of one seed residual valuation share each step, solved order by
+order from each root's inverse of its leading Jacobian, to the order the
+potential's coefficients determine.  The lift gives one outcome per root.
+A lifted root's final full-width system stays with the point
+(``LatticeSystem``), and the residue data are read from it.  The root's
 leading Jacobian decides degeneracy.  A root where it is invertible is
 simple, and stays in the report without a series when its lift fails
-numerically (NoConvergence); at a degenerate root the lift raises
+numerically (NoConvergence); a degenerate root's outcome is
 SingularInitialJacobian, and the root takes its multiplicity from the
 exponent of its factor in the square-free decomposition of the exact
 eliminant, shared evenly by the roots over the same first coordinate (None
@@ -285,24 +287,27 @@ def _residual_valuation(den: int, ys: np.ndarray, res: np.ndarray) -> Fraction |
     return INF
 
 
-def _is_degenerate(jac: np.ndarray) -> bool:
-    """|det jac| <= eps_degenerate times the product of its row maxima."""
-    scale = np.prod(np.abs(jac).max(axis=1))
-    return abs(np.linalg.det(jac)) <= get_config().eps_degenerate * max(scale, 1e-30)
+def _is_degenerate(jac: np.ndarray) -> np.ndarray:
+    """For each matrix of a (K, n, n) stack: |det| <= eps_degenerate times
+    the product of its row maxima."""
+    scale = np.prod(np.abs(jac).max(axis=2), axis=1)
+    bound = get_config().eps_degenerate * np.maximum(scale, 1e-30)
+    return np.abs(np.linalg.det(jac)) <= bound
 
 
 def lambda_solve(jac: np.ndarray, rhs: np.ndarray, inv0: np.ndarray) -> np.ndarray:
-    """Solve jac . delta = rhs modulo T^W order by order, for an (n, n, W)
-    and an (n, W) array whose slot k holds the coefficient of T^(k/D):
-    delta_m = J_0^-1 (rhs_m - sum_{k=1..m} J_k delta_{m-k}), J_k = jac[..., k],
-    with ``inv0`` = J_0^-1."""
-    n, width = rhs.shape
-    higher = jac[:, :, 1:].transpose(0, 2, 1).reshape(n, -1)  # [J_1 | J_2 | ...]
-    rev = np.zeros((width, n), complex)  # row width-1-m holds delta_m
+    """Solve jac . delta = rhs modulo T^W order by order, row by row of a
+    (K, n, n, W) and a (K, n, W) array whose slot k holds the coefficient of
+    T^(k/D): delta_m = J_0^-1 (rhs_m - sum_{k=1..m} J_k delta_{m-k}),
+    J_k = jac[..., k], with ``inv0`` the (K, n, n) stack of the J_0^-1.  One
+    pass over the slots serves every row."""
+    rows, n, width = rhs.shape
+    higher = jac[..., 1:].transpose(0, 1, 3, 2).reshape(rows, n, -1)  # [J_1 | J_2 | ...]
+    rev = np.zeros((rows, width * n, 1), complex)  # block width-1-m holds delta_m
     for m in range(width):
-        acc = rhs[:, m] - higher[:, : m * n] @ rev[width - m :].ravel()
-        rev[width - 1 - m] = inv0 @ acc
-    return rev[::-1].T
+        acc = rhs[:, :, m, None] - higher[:, :, : m * n] @ rev[:, (width - m) * n :]
+        rev[:, (width - 1 - m) * n : (width - m) * n] = inv0 @ acc
+    return rev.reshape(rows, width, n)[:, ::-1].transpose(0, 2, 1)
 
 
 def _unit_inverse(p: np.ndarray) -> np.ndarray:
@@ -327,14 +332,14 @@ class _Lattice:
     the least common denominator of the order and the frame's exponents
     (the constant term's included) below each term's leading power plus the
     order; size = order*den.  Each term c_a y^a with a != 0 keeps its
-    exponent vector, its value c_a y0^a at the seed over its leading T-power
-    (size slots) and the slot ``place`` of that power counted from the least
-    one, ``low``.  The shift s_i (``shifts[i]``) is the frame's s_i on this
-    lattice, and equation i starts at ``starts[i]`` = s_i - low.
-    ``weights`` has a row of ones, then the rows a_i and a_i a_j
-    (j = 1..n) of each i in turn."""
+    exponent vector and the slot ``place`` of its leading T-power counted
+    from the least one, ``low``; ``base[r, t]`` holds the value c_a y0^a of
+    term t at seed r of ``roots`` over that power (size slots).  The shift
+    s_i (``shifts[i]``) is the frame's s_i on this lattice, and equation i
+    starts at ``starts[i]`` = s_i - low.  ``weights`` has a row of ones,
+    then the rows a_i and a_i a_j (j = 1..n) of each i in turn."""
 
-    def __init__(self, potential: Potential, u, y0, order: Fraction):
+    def __init__(self, potential: Potential, u, roots, order: Fraction):
         terms = potential.poly.terms
         known = [c.trunc - c.valuation() for a, c in terms.items() if any(a) and c.trunc is not None]
         order = min([order, *known])
@@ -350,62 +355,74 @@ class _Lattice:
         self.order, self.den, self.size = order, big // g, size // g
         self.shifts = tuple(s * (big // fr.den) // g for s in fr.s)
         self.low = min(self.shifts)
-        ys = [complex(y) for y in y0]
-        self.exps, self.base, self.place = [], [], []
+        seeds = [[complex(y) for y in root] for root in roots]
+        self.exps, self.place, base = [], [], []
         for a, ks, cs in frame:
             if any(a):
-                for y, e in zip(ys, a):
-                    if e:
-                        p = y**e if e > 0 else (1 / y) ** -e
-                        cs = [c * p for c in cs]
-                self.base.append(np.zeros(self.size, complex))
-                self.base[-1][(ks - ks[0]) // g] = cs
+                vals = []
+                for ys in seeds:
+                    v = cs
+                    for y, e in zip(ys, a):
+                        if e:
+                            p = y**e if e > 0 else (1 / y) ** -e
+                            v = [c * p for c in v]
+                    vals.append(v)
+                base.append(np.zeros((len(seeds), self.size), complex))
+                base[-1][:, (ks - ks[0]) // g] = vals
                 self.exps.append(a)
                 self.place.append(int(ks[0]) // g - self.low)
+        self.base = np.stack(base, axis=1)
         am = np.array(self.exps, dtype=float)
         rows = np.einsum("ai,aj->ija", am, np.hstack([np.ones((len(am), 1)), am]))
         self.weights = np.vstack([np.ones(len(am)), rows.reshape(-1, len(am))])
         self.starts = [s - self.low for s in self.shifts]
 
 
-def _term_arrays(lat: _Lattice, x: np.ndarray, width: int) -> list[np.ndarray]:
+def _power(units: np.ndarray, powers: dict, i: int, e: int) -> np.ndarray:
+    """(1 + x_i)^e modulo the width of ``units`` (the rows 1 + x_i), memoised
+    in ``powers``: negative powers are powers of one inverse."""
+    if (i, e) not in powers:
+        step = 1 if e > 0 else -1
+        powers[i, e] = (
+            units[i] if e == 1 else _unit_inverse(units[i]) if e == -1
+            else np.convolve(_power(units, powers, i, e - step),
+                             _power(units, powers, i, step))[: units.shape[1]]
+        )
+    return powers[i, e]
+
+
+def _term_arrays(lat: _Lattice, rows: np.ndarray, x: np.ndarray, width: int) -> np.ndarray:
     """The term values c_a y^a at y = y0 (1 + x) over their leading T-power,
-    modulo T^width in slots: the seed values times powers of 1 + x_i, the
-    negative ones powers of one inverse per variable."""
-    units = x[:, :width] + np.eye(1, width)
-    powers: dict[tuple[int, int], np.ndarray] = {}
-
-    def power(i: int, e: int) -> np.ndarray:
-        if (i, e) not in powers:
-            step = 1 if e > 0 else -1
-            powers[i, e] = (
-                units[i] if e == 1 else _unit_inverse(units[i]) if e == -1
-                else np.convolve(power(i, e - step), power(i, step))[:width]
-            )
-        return powers[i, e]
-
-    out = []
-    for t, a in zip(lat.base, lat.exps):
-        t = t[:width]
-        for i, e in enumerate(a):
-            if e:
-                t = np.convolve(t, power(i, e))[:width]
-        out.append(t)
+    modulo T^width in slots, one row per seed ``rows`` of the lattice and
+    its row of x: the seed values times powers of 1 + x_i, each product a
+    direct convolution."""
+    out = np.empty((len(rows), len(lat.exps), width), complex)
+    for r, units, terms in zip(rows, x[:, :, :width] + np.eye(1, width), out):
+        powers: dict[tuple[int, int], np.ndarray] = {}
+        for t, a, o in zip(lat.base[r], lat.exps, terms):
+            t = t[:width]
+            for i, e in enumerate(a):
+                if e:
+                    t = np.convolve(t, _power(units, powers, i, e))[:width]
+            o[:] = t
     return out
 
 
-def _system(lat: _Lattice, terms, width: int):
+def _system(lat: _Lattice, terms: np.ndarray, width: int):
     """Residuals r_i = T^-s_i sum_a a_i T_a, log-Jacobian J_ij = T^-s_i
     sum_a a_i a_j T_a and the critical value T^-low sum_{a != 0} T_a, modulo
-    T^width: the rows of ``lat.weights`` applied to the term arrays, each
-    placed at its leading slot, in one matrix product."""
-    g = np.zeros((len(terms), max(lat.starts + lat.place) + width), complex)
-    for row, t, p in zip(g, terms, lat.place):
-        row[p : p + width] = t[:width]
-    sums = lat.weights @ g
-    rows = sums[1:].reshape(len(lat.starts), -1, sums.shape[1])
-    blocks = np.array([rows[i, :, o : o + width] for i, o in enumerate(lat.starts)])
-    return blocks[:, 0], blocks[:, 1:], sums[0, :width]
+    T^width, for each row of a (K, terms, >= width) array of term values:
+    the rows of ``lat.weights`` applied to the term arrays, each placed at
+    its leading slot, in one matrix product over all rows.  Returns (K, n, W),
+    (K, n, n, W) and (K, W) arrays."""
+    g = np.zeros((len(lat.place), len(terms), max(lat.starts + lat.place) + width), complex)
+    for row, t, p in zip(g, terms.transpose(1, 0, 2), lat.place):
+        row[:, p : p + width] = t[:, :width]
+    sums = (lat.weights @ g.reshape(len(g), -1)).reshape(len(lat.weights), *g.shape[1:])
+    eqs = sums[1:].reshape(len(lat.starts), -1, *g.shape[1:])
+    blocks = np.array([eqs[i, ..., o : o + width] for i, o in enumerate(lat.starts)])
+    blocks = blocks.transpose(2, 0, 1, 3)
+    return blocks[:, :, 0], blocks[:, :, 1:], sums[0, :, :width]
 
 
 def _scalar(arr: np.ndarray, den: int, shift: int = 0) -> NovikovScalar:
@@ -469,74 +486,102 @@ class LatticeSystem:
         return _scalar(self.value, self.den, self.low)
 
 
+Lift = tuple[tuple[NovikovScalar, ...], Fraction | float, LatticeSystem]
+
+
 def newton_lift(
     potential: Potential,
     u,
-    y0: tuple[complex, ...],
+    roots,
     order: Fraction | None = None,
-) -> tuple[tuple[NovikovScalar, ...], Fraction | float, LatticeSystem]:
-    """Lift an initial torus root at candidate u to a series solution of the
-    critical system modulo T^order, in the frame centered at u, with the
-    final residual valuation (a certificate that it reaches the order) and
-    the final system (``LatticeSystem``), which carries the point's residue
-    data.  The order is capped where the potential's coefficients stop being
-    known (``_Lattice``).
+) -> list[Lift | SingularInitialJacobian | NoConvergence]:
+    """Lift the initial torus roots at candidate u to series solutions of
+    the critical system modulo T^order, in the frame centered at u: one
+    entry per root, in order.  A lifted root gives its series, the final
+    residual valuation (a certificate that it reaches the order) and the
+    final system (``LatticeSystem``), which carries the point's residue
+    data; a root that does not lift gives the SingularInitialJacobian or
+    NoConvergence that says why.  The order is capped where the potential's
+    coefficients stop being known (``_Lattice``).
 
-    The whole lift runs on one exponent lattice (``_Lattice``), built from
-    the potential and u directly, and carries y_i = y0_i (1 + x_i).  The
-    seed's system gives the leading Jacobian J_0, the one degeneracy test
-    (SingularInitialJacobian), and the seed's residual valuation v
-    (NoConvergence when v <= 0: not a root).  A seed with v >= order is
-    returned as it is.  Otherwise each Newton step at least doubles v
-    (Hensel), so the steps solve on the windows 2v, 4v, ... up to the order
-    with ``lambda_solve`` from one inverse of J_0, each evaluating the terms
-    once, to the next window only.  NoConvergence is raised when the final
-    residual has content below the order, or when a step overflows.
+    All roots run on one exponent lattice (``_Lattice``), built once from
+    the potential and u, one row per root, and each carries
+    y_i = y0_i (1 + x_i).  The seeds' system gives each root's leading
+    Jacobian J_0, its degeneracy test (SingularInitialJacobian), and its
+    seed residual valuation v (NoConvergence when v <= 0: not a root).  A
+    seed with v >= order is returned as it is.  Otherwise each Newton step
+    at least doubles v (Hensel), so the roots of one v step together on the
+    windows 2v, 4v, ... up to the order, with ``lambda_solve`` from each
+    row's inverse of J_0, evaluating the terms once per step, to the next
+    window only.  A row whose step leaves inf or NaN in x, its residual or
+    its Jacobian stops there (NoConvergence: the Newton steps overflow), and
+    so does one whose final residual has content below the order; the other
+    rows go on unchanged.
     """
     e_order = Fraction(order) if order is not None else get_config().truncation_order
     if e_order is None or e_order <= 0:
         raise ValueError("newton_lift needs a positive finite order")
-    lat = _Lattice(potential, u, y0, e_order)
-    e_order = lat.order
+    if not len(roots):
+        return []
+    lat = _Lattice(potential, u, roots, e_order)
+    e_order, den = lat.order, lat.den
+    seed = np.array(roots, complex)
     res, jac, value = _system(lat, lat.base, lat.size)
-    if _is_degenerate(jac[:, :, 0]):
-        raise SingularInitialJacobian("leading Jacobian is singular; cannot lift")
+    out: list = [None] * len(seed)
+    groups: dict[Fraction, list[int]] = {}
+    for r, degenerate in enumerate(_is_degenerate(jac[..., 0])):
+        if degenerate:
+            out[r] = SingularInitialJacobian("leading Jacobian is singular; cannot lift")
+            continue
+        w = _residual_valuation(den, seed[r, :, None] * np.eye(1, lat.size), res[r])
+        if w <= 0:
+            out[r] = NoConvergence(f"initial root has residual of valuation {w}; not a root")
+        elif w >= e_order:
+            ys = tuple(NovikovScalar.monomial(0, c, trunc=e_order) for c in roots[r])
+            out[r] = ys, w, LatticeSystem(den, lat.shifts, lat.low, jac[r], value[r])
+        else:
+            groups.setdefault(w, []).append(r)
 
-    seed = np.array(y0, complex)[:, None]
-    w = _residual_valuation(lat.den, seed * np.eye(1, lat.size), res)
-    if w <= 0:
-        raise NoConvergence(
-            f"initial root has residual of valuation {w}; not a root"
-        )
-    if w >= e_order:
-        ys = tuple(NovikovScalar.monomial(0, c, trunc=e_order) for c in y0)
-        return ys, w, LatticeSystem(lat.den, lat.shifts, lat.low, jac, value)
-    w, width = int(w * lat.den), min(int(2 * w * lat.den), lat.size)
-    inv0 = np.linalg.inv(jac[:, :, 0])
-    res, jac = res[:, :width], jac[:, :, :width]
-    x = np.zeros((len(y0), lat.size), complex)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            while w < lat.size:
+    for v, group in groups.items():
+        rows = np.array(group)
+        w, width = int(v * den), min(int(2 * v * den), lat.size)
+        inv0 = np.linalg.inv(jac[rows, :, :, 0])
+        res_g, jac_g = res[rows, :, :width], jac[rows, :, :, :width]
+        x = np.zeros((len(rows), seed.shape[1], lat.size), complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while w < lat.size and len(rows):
                 # the residual is O(T^w), so this step is exact modulo T^(2w) (Hensel)
                 w = width
-                delta = lambda_solve(jac, -res, inv0)
-                conv = [np.convolve(a[:w], b)[:w] for a, b in zip(x, delta)]
-                x[:, :w] += delta + conv
+                delta = lambda_solve(jac_g, -res_g, inv0)
+                conv = [
+                    [np.convolve(a[:w], b)[:w] for a, b in zip(xr, dr)]
+                    for xr, dr in zip(x, delta)
+                ]
+                x[:, :, :w] += delta + conv
                 width = min(2 * w, lat.size)
-                res, jac, value = _system(lat, _term_arrays(lat, x, width), width)
-    except FloatingPointError as exc:
-        raise NoConvergence(f"the Newton steps overflow ({exc})") from None
-    x[:, 0] += 1
-    x *= seed
-    final = _residual_valuation(lat.den, x, res)
-    if final < e_order:
-        raise NoConvergence(
-            f"residual valuation {final} is below the order {e_order} "
-            f"after the Newton steps"
-        )
-    ys = tuple(_scalar(y, lat.den) for y in x)
-    return ys, final, LatticeSystem(lat.den, lat.shifts, lat.low, jac, value)
+                res_g, jac_g, value_g = _system(lat, _term_arrays(lat, rows, x, width), width)
+                ok = (
+                    np.isfinite(x).all(axis=(1, 2))
+                    & np.isfinite(res_g).all(axis=(1, 2))
+                    & np.isfinite(jac_g).all(axis=(1, 2, 3))
+                )
+                for r in rows[~ok]:
+                    out[r] = NoConvergence("the Newton steps overflow")
+                rows, x, inv0 = rows[ok], x[ok], inv0[ok]
+                res_g, jac_g, value_g = res_g[ok], jac_g[ok], value_g[ok]
+        x[:, :, 0] += 1
+        x *= seed[rows, :, None]
+        for r, xr, rr, jr, vr in zip(rows, x, res_g, jac_g, value_g):
+            final = _residual_valuation(den, xr, rr)
+            if final < e_order:
+                out[r] = NoConvergence(
+                    f"residual valuation {final} is below the order {e_order} "
+                    f"after the Newton steps"
+                )
+            else:
+                ys = tuple(_scalar(y, den) for y in xr)
+                out[r] = ys, final, LatticeSystem(den, lat.shifts, lat.low, jr, vr)
+    return out
 
 
 # -- assembled search ---------------------------------------------------------
@@ -642,10 +687,9 @@ def find_critical_points(
             continue
         if sol.eliminant is not None and len(sol.eliminant) > 1:
             eliminants.append(EliminantRecord(u, sol.eliminant))
-        for root, mult in zip(sol.roots, sol.multiplicities):
-            try:
-                ys, resval, system = newton_lift(potential, u, root, e_order)
-            except SingularInitialJacobian:
+        lifts = newton_lift(potential, u, sol.roots, e_order)
+        for root, mult, lift in zip(sol.roots, sol.multiplicities, lifts):
+            if isinstance(lift, SingularInitialJacobian):
                 # a degenerate root takes its multiplicity from the eliminant
                 points.append(
                     CriticalPoint(
@@ -657,8 +701,10 @@ def find_critical_points(
                     )
                 )
                 continue
-            except NoConvergence:  # still a simple root; only its series is missing
+            if isinstance(lift, NoConvergence):  # still a simple root; only its series is missing
                 ys = resval = system = None
+            else:
+                ys, resval, system = lift
             points.append(
                 CriticalPoint(
                     u=u,

@@ -1,9 +1,10 @@
 """Shared test utilities: random polytopes, the exhaustive polytope
 combinatorics that the vertex walk is checked against, series
-comparisons, the closed-form residue pairing of projective space, the
-Fraction derivation of initial systems, a point-by-point reference for
-the balanced-position scan and a ``Fraction`` row reduction that the
-library's integer elimination is checked against."""
+comparisons (among them a batched Newton lift against single ones), the
+closed-form residue pairing of projective space, the Fraction derivation
+of initial systems, a point-by-point reference for the balanced-position
+scan and a ``Fraction`` row reduction that the library's integer
+elimination is checked against."""
 
 import cmath
 import itertools
@@ -353,6 +354,31 @@ def assert_scalar_close(x: NovikovScalar, y: NovikovScalar, tol: float = 1e-9):
     d = x - y
     bad = [(e, c) for e, c in d.terms if abs(c) > tol]
     assert not bad, f"series differ by {bad}"
+
+
+def assert_same_lift(got, alone, tol: float = 1e-9):
+    """An entry of a batched ``newton_lift`` against the lift of its root
+    alone: the same outcome, with the same message when the root did not
+    lift; otherwise the same residual valuation and series exponents, and
+    coefficients of the series and of the final system within tol of their
+    largest one."""
+    assert type(got) is type(alone)
+    if isinstance(alone, Exception):
+        assert str(got) == str(alone)
+        return
+    (ys, resval, system), (ref_ys, ref_resval, ref_system) = got, alone
+    assert resval == ref_resval
+    for y, ref in zip(ys, ref_ys, strict=True):
+        assert y.trunc == ref.trunc
+        assert [e for e, _ in y.terms] == [e for e, _ in ref.terms]
+        scale = max(abs(c) for _, c in ref.terms)
+        assert all(abs(a - b) <= tol * scale for (_, a), (_, b) in zip(y.terms, ref.terms))
+    assert (system.den, system.shifts, system.low) == (
+        ref_system.den, ref_system.shifts, ref_system.low
+    )
+    for a, b in ((system.jac, ref_system.jac), (system.value, ref_system.value)):
+        assert a.shape == b.shape
+        assert np.all(abs(a - b) <= tol * abs(b).max())
 
 
 def novikov_det(m: list[list[NovikovScalar]]) -> NovikovScalar:

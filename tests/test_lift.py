@@ -18,17 +18,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_delzant_polytope, random_delzant_threefold, scalars_close
+from helpers import (
+    assert_same_lift,
+    random_delzant_polytope,
+    random_delzant_threefold,
+    scalars_close,
+)
 from toriclg import (
     Correction,
     NovikovScalar,
+    PositiveDimensionalInitialLocus,
     build_potential,
     catalog,
     find_critical_points,
     get_config,
+    initial_system,
     residue_report,
     tropical,
+    tropical_candidates,
 )
+from toriclg.polysolve import solve_torus_system
 
 F = Fraction
 
@@ -48,30 +57,35 @@ def _series_product(jac: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.
 
 @settings(max_examples=60, deadline=None)
 @given(
+    k=st.sampled_from([1, 3]),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 4),
     width=st.integers(1, 300),
     decay=st.floats(0.05, 1.0),
 )
-def test_lambda_solve_solves_modulo_the_window(seed, n, width, decay):
+def test_lambda_solve_solves_modulo_the_window(k, seed, n, width, decay):
+    # k independent systems solved in one batch, each row checked alone
     rng = np.random.default_rng(seed)
 
     def cplx(*shape):
         return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
 
+    def unitary():
+        return np.linalg.qr(cplx(n, n))[0]
+
     # J_0 with condition number at most 10: a unitary factor times singular
     # values in [1, 10]
-    q, _ = np.linalg.qr(cplx(n, n))
-    j0 = q @ np.diag(rng.uniform(1, 10, n)) @ np.linalg.qr(cplx(n, n))[0]
+    j0 = np.array([unitary() @ np.diag(rng.uniform(1, 10, n)) @ unitary() for _ in range(k)])
     # higher terms J_k of size decay^k keep delta's coefficients finite
-    jac = cplx(n, n, width) * decay ** np.arange(width)
-    jac[:, :, 0] = j0
-    rhs = cplx(n, width)
+    jac = cplx(k, n, n, width) * decay ** np.arange(width)
+    jac[..., 0] = j0
+    rhs = cplx(k, n, width)
     delta = tropical.lambda_solve(jac, rhs, np.linalg.inv(j0))
-    assert delta.shape == (n, width)
+    assert delta.shape == (k, n, width)
     assert np.all(np.isfinite(delta))
-    prod, scale = _series_product(jac, delta)
-    assert np.all(abs(prod - rhs) <= 1e-10 * (scale + abs(rhs)))
+    for j, d, r in zip(jac, delta, rhs):
+        prod, scale = _series_product(j, d)
+        assert np.all(abs(prod - r) <= 1e-10 * (scale + abs(r)))
 
 
 # every catalog family; all of their coefficients are exact
@@ -122,6 +136,30 @@ LIFTED = [
     )
     for s in (3, 45, 7)
 ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda n=n, p=p: _catalog(n, *p), id=f"{n}:{p}") for n, p in CATALOG_ENTRIES]
+    + [p for p in LIFTED if p.id.startswith(("polygon", "threefold"))],
+)
+def test_a_batch_lifts_each_root_as_it_lifts_alone(make):
+    # every candidate with two roots or more: each entry of the batch
+    # against the lift of its root alone
+    pot = make()
+    batches = 0
+    for u in tropical_candidates(pot)[0]:
+        polys, _ = initial_system(pot, u)
+        try:
+            roots = solve_torus_system(polys, pot.polytope.dim).roots
+        except PositiveDimensionalInitialLocus:
+            continue
+        if len(roots) >= 2:
+            batches += 1
+            lifts = tropical.newton_lift(pot, u, roots)
+            for root, got in zip(roots, lifts, strict=True):
+                assert_same_lift(got, tropical.newton_lift(pot, u, [root])[0])
+    assert batches
 
 
 def _graded_scale(values, weight):

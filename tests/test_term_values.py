@@ -144,7 +144,7 @@ def compare_with_derivative_evaluation(pot):
         # the lift's lattice, read from the potential and u; the terms at
         # y = y0 (1 + x) on it, and the residuals and log-Jacobian summed
         # from them, modulo T^w
-        lat = tropical._Lattice(pot, pt.u, pt.y_initial, order)
+        lat = tropical._Lattice(pot, pt.u, [pt.y_initial], order)
         assert lat.size == order * lat.den
         assert [F(s, lat.den) for s in lat.shifts] == shifts
         x = np.array([on_lattice(y, lat.den, lat.size) / c for y, c in zip(ys, pt.y_initial)])
@@ -154,7 +154,8 @@ def compare_with_derivative_evaluation(pot):
         for w in (order / 4, order / 2, order):
             yw = tuple(y.truncate(w) for y in ys)
             width = math.ceil(w * lat.den)
-            res, jac, _ = tropical._system(lat, tropical._term_arrays(lat, x, width), width)
+            terms = tropical._term_arrays(lat, [0], x[None], width)
+            (res,), (jac,), _ = tropical._system(lat, terms, width)
             assert res.shape == (n, width)
             for i in range(n):
                 ref = reference_evaluate(thetas[i], yw).shift(-shifts[i])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_same_lift,
     assert_scalar_close,
     on_lattice,
     random_delzant_polytope,
@@ -44,14 +45,14 @@ def potential_of(name, *params):
     return build_potential(entry.polytope, corrections=entry.corrections)
 
 
-def degenerate_bulk_potential():
+def degenerate_bulk_potential(corrections=()):
     """blowup1:1/3 with bulk coefficients that merge two critical points
     into one degenerate double point."""
     entry = catalog("blowup1", F(1, 3))
     bulk = BulkCoefficients(
         tuple(NovikovScalar.from_number(c) for c in (1, 1, -0.25, 0.75))
     )
-    return build_potential(entry.polytope, bulk=bulk)
+    return build_potential(entry.polytope, bulk=bulk, corrections=corrections)
 
 
 def close(a: complex, b: complex, tol=1e-9) -> bool:
@@ -212,7 +213,7 @@ class TestFrameOracle:
         p = entry.polytope
         pot = build_potential(p, corrections=[Correction(F(1, 7), (1, 1, 1))])
         assert pot.poly.terms[(0, 0)].valuation() == sum(f.constant for f in p.facets) + F(1, 7)
-        lat = tropical._Lattice(pot, (F(1, 3), F(1, 3)), (1, 1), F(2))
+        lat = tropical._Lattice(pot, (F(1, 3), F(1, 3)), [(1, 1)], F(2))
         assert lat.den % 7 == 0
 
 
@@ -243,6 +244,16 @@ def record_lattices(monkeypatch) -> list:
     return built
 
 
+def doubling_windows(v, order) -> list:
+    """The windows 2v, 4v, ... of the Newton steps from a residual of
+    valuation v, the last one capped at the order."""
+    windows, w = [], v
+    while w < order:
+        w = min(2 * w, order)
+        windows.append(w)
+    return windows
+
+
 def blowup_root_series(n: int) -> list[Fraction]:
     """Coefficients of s^0..s^(n-1) of the root a = -1 - s + ... of
     a^3 (a + 1) = s, exactly: x = a + 1 solves x = -s (1 - x)^-3."""
@@ -264,7 +275,7 @@ def blowup_root_series(n: int) -> list[Fraction]:
 class TestNewtonLift:
     def test_cp1_is_exact_at_first_shot(self):
         pot = potential_of("simplex", 1)
-        ys, resval, _ = newton_lift(pot, (F(1, 2),), (1.0,))
+        ((ys, resval, _),) = newton_lift(pot, (F(1, 2),), [(1.0,)])
         assert resval == math.inf
         ((e, c),) = ys[0].terms
         assert e == 0 and c == 1
@@ -273,7 +284,7 @@ class TestNewtonLift:
 
     def test_lift_reaches_requested_order(self):
         pot = potential_of("blowup1", F(2, 5))
-        ys, resval, _ = newton_lift(pot, (F(7, 20), F(3, 10)), (1.0, 1.0), order=F(3))
+        ((ys, resval, _),) = newton_lift(pot, (F(7, 20), F(3, 10)), [(1.0, 1.0)], order=F(3))
         assert resval >= F(3)
         system = pot.change_frame((F(7, 20), F(3, 10)))
         # residual of the lifted series against the frame equations; below
@@ -292,8 +303,8 @@ class TestNewtonLift:
 
     def test_bad_seed_raises(self):
         pot = potential_of("simplex", 2)
-        with pytest.raises(NoConvergence):
-            newton_lift(pot, (F(1, 3), F(1, 3)), (0.5, 0.7))
+        (out,) = newton_lift(pot, (F(1, 3), F(1, 3)), [(0.5, 0.7)])
+        assert isinstance(out, NoConvergence) and "not a root" in str(out)
 
     def test_geometric_series_is_lifted_exactly(self):
         # coefficients grow about 8.7 times per step of T^(1/4); a noise
@@ -328,7 +339,7 @@ class TestNewtonLift:
         pot = potential_of(name, *params)
         order = F(5)
         lattices = record_lattices(monkeypatch)
-        ys, resval, _ = newton_lift(pot, u, y0, order)
+        ((ys, resval, _),) = newton_lift(pot, u, [y0], order)
         assert resval == math.inf
         (lat,) = lattices
         assert certificate(pot, u, ys, lat) == math.inf
@@ -345,22 +356,17 @@ class TestNewtonLift:
         solve = tropical.lambda_solve
 
         def counted(jac, rhs, *args):
-            assert jac.shape[2] == rhs.shape[1]
-            calls.append(rhs.shape[1])
+            assert jac.shape[3] == rhs.shape[2]
+            calls.append(rhs.shape[2])
             return solve(jac, rhs, *args)
 
         monkeypatch.setattr(tropical, "lambda_solve", counted)
-        newton_lift(pot, u, y0, order)
+        newton_lift(pot, u, [y0], order)
         (lat,) = lattices
         ys0 = tuple(NovikovScalar.monomial(0, c, trunc=order) for c in y0)
         v = certificate(pot, u, ys0, lat)
         assert 0 < v < order
-        windows = []
-        w = v
-        while w < order:
-            w = min(2 * w, order)
-            windows.append(w)
-        assert [F(c, lat.den) for c in calls] == windows
+        assert [F(c, lat.den) for c in calls] == doubling_windows(v, order)
 
     def test_one_term_evaluation_per_step(self, monkeypatch):
         # an operation count, not a timing: the lift evaluates the terms of
@@ -377,12 +383,12 @@ class TestNewtonLift:
         solve = tropical.lambda_solve
         term_arrays = tropical._term_arrays
 
-        def recorded(lat, x, width):
+        def recorded(lat, rows, x, width):
             widths.append(width)
             evaluations.append(0)
             inside.append(True)
             try:
-                return term_arrays(lat, x, width)
+                return term_arrays(lat, rows, x, width)
             finally:
                 inside.pop()
 
@@ -394,14 +400,14 @@ class TestNewtonLift:
             return unit_inverse(p)
 
         def counted_solve(jac, rhs, *args):
-            steps.append(rhs.shape[1])
+            steps.append(rhs.shape[2])
             return solve(jac, rhs, *args)
 
         lattices = record_lattices(monkeypatch)
         monkeypatch.setattr(tropical, "_term_arrays", recorded)
         monkeypatch.setattr(tropical, "_unit_inverse", inverse)
         monkeypatch.setattr(tropical, "lambda_solve", counted_solve)
-        ys, _, _ = newton_lift(pot, pt.u, pt.y_initial)
+        ((ys, _, _),) = newton_lift(pot, pt.u, [pt.y_initial])
         assert ys == pt.y_local
         assert len(lattices) == 1
         assert len(steps) >= 3
@@ -420,12 +426,12 @@ class TestNewtonLift:
 
         def cut(jac, rhs, *args):
             delta = solve(jac, rhs, *args)
-            delta[:, lattices[-1].den :] = 0  # slot den holds T^1
+            delta[..., lattices[-1].den :] = 0  # slot den holds T^1
             return delta
 
         monkeypatch.setattr(tropical, "lambda_solve", cut)
-        with pytest.raises(NoConvergence, match="below the order"):
-            newton_lift(pot, u, (1.0, 1.0), order=order)
+        (out,) = newton_lift(pot, u, [(1.0, 1.0)], order=order)
+        assert isinstance(out, NoConvergence) and "below the order" in str(out)
 
     @pytest.mark.parametrize(
         "name, params, u, y0",
@@ -440,7 +446,7 @@ class TestNewtonLift:
         # the lift reads the potential and u directly onto its lattice: no
         # frame change, no term values, no sums or products of scalars
         pot = potential_of(name, *params)
-        expected = newton_lift(pot, u, y0)[:2]
+        expected = newton_lift(pot, u, [y0])[0][:2]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("series arithmetic inside the lift")
@@ -449,13 +455,133 @@ class TestNewtonLift:
             monkeypatch.setattr(LaurentPoly, attr, forbidden)
         for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__pow__", "invert"):
             monkeypatch.setattr(NovikovScalar, attr, forbidden)
-        assert newton_lift(pot, u, y0)[:2] == expected
+        assert newton_lift(pot, u, [y0])[0][:2] == expected
+
+    def test_each_seed_valuation_group_doubles_on_its_own(self, monkeypatch):
+        # CP^2 with corrections -2 T^(1/2) z1 + T^(1/6) z1^2, which cancel in
+        # the first equation at the root y = (1, 1) only, and T z2: the roots
+        # (w, w) and (w^2, w^2) (w^3 = 1) have seed residual valuation 1/2,
+        # the root (1, 1) has 1
+        pot = build_potential(
+            catalog("simplex", 2).polytope,
+            corrections=[
+                Correction(F(1, 2), (1, 0, 0), NovikovScalar.from_number(-2)),
+                Correction(F(1, 6), (2, 0, 0), NovikovScalar.from_number(1)),
+                Correction(F(1), (0, 1, 0)),
+            ],
+        )
+        u, order = (F(1, 3), F(1, 3)), F(5)
+        roots = [p.y_initial for p in find_critical_points(pot).points]
+        singles = [newton_lift(pot, u, [r])[0] for r in roots]
+        lattices = record_lattices(monkeypatch)
+        calls = []
+        solve = tropical.lambda_solve
+
+        def counted(jac, rhs, *args):
+            calls.append((len(rhs), rhs.shape[2]))
+            return solve(jac, rhs, *args)
+
+        monkeypatch.setattr(tropical, "lambda_solve", counted)
+        lifts = newton_lift(pot, u, roots, order)
+        for got, alone in zip(lifts, singles, strict=True):
+            assert_same_lift(got, alone)
+        (lat,) = lattices
+        seeds = [tuple(NovikovScalar.monomial(0, c, trunc=order) for c in r) for r in roots]
+        vals = [certificate(pot, u, ys0, lat) for ys0 in seeds]
+        assert sorted(vals) == [F(1, 2), F(1, 2), F(1)]
+        expected = [
+            (vals.count(v), w * lat.den)
+            for v in dict.fromkeys(vals)  # groups in the order of their first root
+            for w in doubling_windows(v, order)
+        ]
+        assert calls == expected
+
+    @pytest.mark.parametrize("fault", [None, "overflow", "below the order"])
+    def test_a_failing_row_leaves_its_siblings_alone(self, monkeypatch, fault):
+        # the degenerate root and the two simple roots in one batch; a
+        # correction above the leading order keeps the initial roots and makes
+        # the simple ones take Newton steps together, as rows 0 and 1
+        pot = degenerate_bulk_potential([Correction(F(1, 2), (1, 0, 0, 0))])
+        points = find_critical_points(pot).points
+        assert len({p.u for p in points}) == 1
+        u, roots = points[0].u, [p.y_initial for p in points]
+        singles = [newton_lift(pot, u, [r])[0] for r in roots]
+        assert [type(s).__name__ for s in singles].count("SingularInitialJacobian") == 1
+        simple = [k for k, s in enumerate(singles) if isinstance(s, tuple)]
+        assert len(simple) == 2
+        lattices = record_lattices(monkeypatch)
+        solve = tropical.lambda_solve
+        rows = []
+
+        def faulty(jac, rhs, *args):
+            rows.append(len(rhs))
+            delta = solve(jac, rhs, *args)
+            if fault == "overflow" and len(rows) == 1:
+                delta[0, :, -1] = np.inf
+            elif fault == "below the order":
+                delta[0, :, lattices[-1].den :] = 0  # slot den holds T^1
+            return delta
+
+        monkeypatch.setattr(tropical, "lambda_solve", faulty)
+        lifts = newton_lift(pot, u, roots)
+        assert rows[0] == 2 and len(rows) >= 3
+        for k, (got, alone) in enumerate(zip(lifts, singles, strict=True)):
+            if fault and k == simple[0]:
+                assert isinstance(got, NoConvergence) and fault in str(got)
+            else:
+                assert_same_lift(got, alone)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: potential_of("blowup2", F(1, 2), F(1, 5)),
+            lambda: build_potential(
+                random_delzant_threefold(random.Random(3), max_chops=3), assume_fano=True
+            ),
+        ],
+        ids=["blowup2:1/2,1/5", "threefold-3"],
+    )
+    def test_one_lattice_per_candidate_and_one_solve_per_group_step(self, monkeypatch, make):
+        # an operation count: the search lifts the roots of each candidate in
+        # one call on one lattice, and solves once per Newton step of each
+        # group of roots with one seed residual valuation, not once per root
+        pot = make()
+        order = F(5)
+        points = find_critical_points(pot).points
+        lattices = record_lattices(monkeypatch)
+        calls = []
+        solve = tropical.lambda_solve
+
+        def counted(jac, rhs, *args):
+            calls.append((len(lattices), len(rhs), rhs.shape[2]))
+            return solve(jac, rhs, *args)
+
+        monkeypatch.setattr(tropical, "lambda_solve", counted)
+        assert find_critical_points(pot).points == points
+        by_u: dict = {}
+        for p in points:
+            by_u.setdefault(p.u, []).append(p)
+        assert [len(lat.base) for lat in lattices] == [len(ps) for ps in by_u.values()]
+        expected = []
+        for k, (lat, (u, ps)) in enumerate(zip(lattices, by_u.items()), 1):
+            seeds = [
+                tuple(NovikovScalar.monomial(0, c, trunc=order) for c in p.y_initial)
+                for p in ps
+            ]
+            vals = [certificate(pot, u, ys0, lat) for ys0, p in zip(seeds, ps) if p.nondegenerate]
+            expected += [
+                (k, vals.count(v), w * lat.den)
+                for v in dict.fromkeys(vals)
+                for w in doubling_windows(v, order)
+            ]
+        assert sorted(calls) == sorted(expected)
+        assert max(rows for _, rows, _ in calls) > 1
 
     def test_degenerate_root_raises_singular_initial_jacobian(self):
         pot = degenerate_bulk_potential()
         (degen,) = [p for p in find_critical_points(pot).points if not p.nondegenerate]
-        with pytest.raises(SingularInitialJacobian):
-            newton_lift(pot, degen.u, degen.y_initial)
+        (out,) = newton_lift(pot, degen.u, [degen.y_initial])
+        assert isinstance(out, SingularInitialJacobian)
 
 
 class TestCriticalPoints:
@@ -568,11 +694,12 @@ class TestCriticalPoints:
         real_lift = tropical.newton_lift
         failing = []
 
-        def flaky_lift(potential, u, root, order=None):
+        def flaky_lift(potential, u, roots, order=None):
+            lifts = real_lift(potential, u, roots, order)
             if not failing:
-                failing.append(root)
-                raise NoConvergence("residual valuation below the order")
-            return real_lift(potential, u, root, order)
+                failing.append(roots[0])
+                lifts[0] = NoConvergence("residual valuation below the order")
+            return lifts
 
         monkeypatch.setattr(tropical, "newton_lift", flaky_lift)
         rep = find_critical_points(pot)
@@ -614,8 +741,8 @@ class TestCriticalPoints:
             assert p.nondegenerate and p.multiplicity == 1
             if p.u in diverging:
                 assert p.y_local is None and p.residual_valuation is None
-                with pytest.raises(NoConvergence):
-                    newton_lift(pot, p.u, p.y_initial)
+                (out,) = newton_lift(pot, p.u, [p.y_initial])
+                assert isinstance(out, NoConvergence) and "overflow" in str(out)
             else:
                 assert p.y_local is not None and p.residual_valuation == INF
 
