@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Callable
 
-from .config import get_config, update_config
+from .config import update_config
 from .errors import InvalidPolytope, ToricLGError, UnknownName
 from .jacres import residue_report
 from .laurent import Potential, build_potential, render_poly
@@ -311,7 +311,7 @@ def _critical_text(report) -> str:
 
 def cmd_critical_points(args) -> int:
     pot = _build_potential(args)
-    report = find_critical_points(pot, order=get_config().truncation_order)
+    report = find_critical_points(pot)
     return _emit(args, report.to_json_dict(), lambda: _critical_text(report))
 
 
@@ -359,7 +359,7 @@ def _count_verdict(res) -> str:
 
 def cmd_residue_check(args) -> int:
     pot = _build_potential(args)
-    report = find_critical_points(pot, order=get_config().truncation_order)
+    report = find_critical_points(pot)
     res = residue_report(pot, report)
     doc = {
         "critical": report.to_json_dict(),
@@ -397,7 +397,7 @@ def cmd_analyze(args) -> int:
     p = pot.polytope
     validation = p.validate()
     fano_type = p.fano_type()
-    report = find_critical_points(pot, order=get_config().truncation_order)
+    report = find_critical_points(pot)
     res = residue_report(pot, report)
     doc = {
         "validation": {

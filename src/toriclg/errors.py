@@ -52,8 +52,8 @@ class SingularInitialJacobian(ToricLGError):
 
 
 class NoConvergence(ToricLGError):
-    """Iteration budget exhausted before the residual reached the target
-    order."""
+    """A simple root that does not lift: the seed is not a root, the Newton
+    steps overflow, or the final residual has content below the order."""
 
 
 class NotInterior(ToricLGError, ValueError):
@@ -62,13 +62,13 @@ class NotInterior(ToricLGError, ValueError):
 
 
 class IntegralityFailure(ToricLGError):
-    """Change-of-basis data that must be integral came out fractional; the
-    adapted basis construction is broken for this input."""
+    """The facet normals do not span the lattice, so no adapted basis
+    exists."""
 
 
 class LevelUnderdetermined(ToricLGError):
-    """A level subsystem is neither square nor vacuous after removing
-    monomial units; the cascade cannot continue."""
+    """The cascade could not decide: a level's system has a positive-dimensional
+    solution set, or a branch with free variables pinned to 1 found no root."""
 
 
 class SingularHessian(ToricLGError):

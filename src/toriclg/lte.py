@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 # frac_solve is not called here; bench/tracer.py binds it in this module
@@ -82,16 +82,10 @@ class AdaptedFrame:
 
     def w_to_y(self, w: tuple[complex, ...]) -> tuple[complex, ...]:
         """Map adapted torus coordinates back to the standard frame."""
-        n = len(self.basis)
-        out = []
-        for k in range(n):
-            val = 1 + 0j
-            for i in range(n):
-                e = self.inverse[k][i]
-                if e:
-                    val *= w[i] ** e
-            out.append(val)
-        return tuple(out)
+        return tuple(
+            math.prod((w[i] ** e for i, e in enumerate(row) if e), start=1 + 0j)
+            for row in self.inverse
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,18 +163,16 @@ def leading_term_system(
 class LTEResult:
     frame: AdaptedFrame
     level_polys: list[CPoly]
-    witnesses_w: list[tuple] = field(default_factory=list)
-    free_masks: list[tuple[bool, ...]] = field(default_factory=list)
-    status: str = "unsolvable"  # solvable | unsolvable | underdetermined
+    witnesses_w: list[tuple]  # None marks a coordinate that stayed free
+    status: str  # solvable | unsolvable | underdetermined
 
     def witnesses_y(self) -> list[tuple[complex, ...]]:
         """Witness points in the standard torus coordinates, free
-        variables pinned to 1."""
-        out = []
-        for w in self.witnesses_w:
-            filled = tuple(1 + 0j if x is None else x for x in w)
-            out.append(self.frame.w_to_y(filled))
-        return out
+        variables set to 1."""
+        return [
+            self.frame.w_to_y(tuple(1 + 0j if x is None else x for x in w))
+            for w in self.witnesses_w
+        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,7 +199,10 @@ def _theta(poly: CPoly, r: int, stop: int) -> CPoly:
 
 
 def solve_lte(potential: Potential, u) -> LTEResult:
-    """Run the level cascade and collect torus witnesses."""
+    """Run the level cascade and collect torus witnesses.  A variable left
+    free by a vacuous level is pinned to 1 where a later level involves it;
+    a pinned branch that finds no root makes the cascade underdetermined,
+    since another value might have solved it."""
     frame, polys = leading_term_system(potential, u)
     n = potential.polytope.dim
     # one list of values per branch of the cascade, None marking a variable
@@ -216,12 +211,14 @@ def solve_lte(potential: Potential, u) -> LTEResult:
     underdetermined = False
     for poly, block in zip(polys, frame.blocks()):
         eqs = [_theta(poly, r, block.stop) for r in block]
+        if any(len(q) == 1 for q in eqs):
+            branches = []  # a monomial has no torus zero, whatever the values
+            break
+        involved = {i for q in eqs for a in q for i in range(block.start) if a[i]}
         next_branches: list[list] = []
         for br in branches:
-            free = [i for i in range(block.start) if br[i] is None]
-            if any(a[i] for q in eqs for a in q for i in free):
-                underdetermined = True
-                continue
+            pinned = [i for i in involved if br[i] is None]
+            br = [1 + 0j if i in pinned else x for i, x in enumerate(br)]
             # earlier levels' roots are numeric: what cancels to roundoff is zero
             reduced = [
                 rq for q in eqs if (rq := substitute(q, br[: block.start], EVAL_REL))
@@ -238,21 +235,13 @@ def solve_lte(potential: Potential, u) -> LTEResult:
                 except PositiveDimensionalInitialLocus:
                     underdetermined = True
                     continue
+            underdetermined |= bool(pinned) and not solved
             next_branches += [
                 [*br[: block.start], *root, *br[block.stop :]] for root in solved
             ]
         branches = next_branches
-    result = LTEResult(frame=frame, level_polys=polys)
-    for br in branches:
-        result.witnesses_w.append(tuple(br))
-        result.free_masks.append(tuple(v is None for v in br))
-    if result.witnesses_w:
-        result.status = "solvable"
-    elif underdetermined:
-        result.status = "underdetermined"
-    else:
-        result.status = "unsolvable"
-    return result
+    status = "solvable" if branches else "underdetermined" if underdetermined else "unsolvable"
+    return LTEResult(frame, polys, [tuple(b) for b in branches], status)
 
 
 def is_strongly_balanced(potential: Potential, u) -> bool:

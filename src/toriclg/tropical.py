@@ -664,9 +664,8 @@ class CriticalReport:
 def find_critical_points(
     potential: Potential, order: Fraction | None = None
 ) -> CriticalReport:
-    """Full search: tropical candidates, initial roots, Newton lifts."""
-    cfg = get_config()
-    e_order = Fraction(order) if order is not None else cfg.truncation_order
+    """Full search: tropical candidates, initial roots, Newton lifts.  Candidates
+    and each one's roots come sorted, so the report is built in its order."""
     candidates, cells = tropical_candidates(potential)
     points: list[CriticalPoint] = []
     eliminants: list[EliminantRecord] = []
@@ -677,51 +676,27 @@ def find_critical_points(
         try:
             sol = solve_torus_system(polys, n)
         except PositiveDimensionalInitialLocus as exc:
-            extra_cells.append(
-                TropicalCell(
-                    dimension=0,
-                    sample_u=u,
-                    note=f"positive-dimensional initial locus: {exc}",
-                )
-            )
+            note = f"positive-dimensional initial locus: {exc}"
+            extra_cells.append(TropicalCell(dimension=0, sample_u=u, note=note))
             continue
         if sol.eliminant is not None and len(sol.eliminant) > 1:
             eliminants.append(EliminantRecord(u, sol.eliminant))
-        lifts = newton_lift(potential, u, sol.roots, e_order)
+        lifts = newton_lift(potential, u, sol.roots, order)
         for root, mult, lift in zip(sol.roots, sol.multiplicities, lifts):
-            if isinstance(lift, SingularInitialJacobian):
-                # a degenerate root takes its multiplicity from the eliminant
-                points.append(
-                    CriticalPoint(
-                        u=u,
-                        y_initial=root,
-                        y_local=None,
-                        multiplicity=mult,
-                        nondegenerate=False,
-                    )
-                )
-                continue
-            if isinstance(lift, NoConvergence):  # still a simple root; only its series is missing
-                ys = resval = system = None
-            else:
-                ys, resval, system = lift
+            # a degenerate root takes its multiplicity from the eliminant; a
+            # simple root whose lift fails only misses its series
+            degenerate = isinstance(lift, SingularInitialJacobian)
+            ys, resval, system = (None, None, None) if isinstance(lift, Exception) else lift
             points.append(
                 CriticalPoint(
                     u=u,
                     y_initial=root,
                     y_local=ys,
-                    multiplicity=1,
-                    nondegenerate=True,
+                    multiplicity=mult if degenerate else 1,
+                    nondegenerate=not degenerate,
                     residual_valuation=resval,
                     system=system,
                 )
             )
-    points.sort(
-        key=lambda p: (
-            p.u,
-            tuple((round(z.real, 9), round(z.imag, 9)) for z in p.y_initial),
-        )
-    )
     extra_cells.sort(key=lambda c: (c.dimension, c.sample_u))
-    eliminants.sort(key=lambda e: e.u)
     return CriticalReport(points=points, cells=extra_cells, eliminants=eliminants)

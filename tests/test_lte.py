@@ -32,6 +32,7 @@ from toriclg import (
     leading_term_system,
     solve_lte,
 )
+from toriclg.tropical import balanced_at
 
 F = Fraction
 
@@ -39,6 +40,17 @@ F = Fraction
 def potential_of(name, *params):
     entry = catalog(name, *params)
     return build_potential(entry.polytope, corrections=entry.corrections)
+
+
+# the box [0,1/2] x [0,2] x [0,23/10]
+BOX_ROWS = [
+    ((1, 0, 0), F(0)),
+    ((-1, 0, 0), F(1, 2)),
+    ((0, 1, 0), F(0)),
+    ((0, -1, 0), F(2)),
+    ((0, 0, 1), F(0)),
+    ((0, 0, -1), F(23, 10)),
+]
 
 
 def norm_pairs(ws, tol=1e-9):
@@ -142,7 +154,7 @@ class TestCascade:
             ((-1.0, 0.0), (1.0, 0.0)),
             ((-1.0, 0.0), (-1.0, 0.0)),
         }
-        assert all(mask == (False, False) for mask in res.free_masks)
+        assert all(len(w) == 2 and None not in w for w in res.witnesses_w)
 
     def test_hirzebruch_off_point(self):
         pot = potential_of("hirzebruch", 2, F(1, 2))
@@ -157,7 +169,7 @@ class TestCascade:
         ((w1, w2),) = res.witnesses_w
         assert w2 is None
         assert abs(w1 - (-1)) < 1e-9
-        assert res.free_masks == [(False, True)]
+        assert [tuple(x is None for x in w) for w in res.witnesses_w] == [(False, True)]
         ((y1, y2),) = res.witnesses_y()
         assert abs(y1 - 1) < 1e-9 and abs(y2 - (-1)) < 1e-9
 
@@ -169,23 +181,49 @@ class TestCascade:
         assert not is_strongly_balanced(pot, (F(5, 16), F(3, 10)))
         assert not is_strongly_balanced(pot, (F(3, 8), F(3, 16)))
 
-    def test_free_variable_in_a_later_level_is_underdetermined(self):
+    def test_free_variable_in_a_later_level_is_pinned(self):
         """A box cut along two edges by x + y >= 1/4 and y + z <= 5/2.  At
         (1/4, 1/2, 1) the levels are {x, 1/2 - x}, {y, x + y - 1/4} and
         {z, 5/2 - y - z}.  The root w1 = -1 of the first level cancels the
-        second, so w2 stays free, and the third level involves w2; the
-        root w1 = 1 leaves the monomial 2 w2, which has no torus zero."""
-        rows = [
-            ((1, 0, 0), F(0)),
-            ((-1, 0, 0), F(1, 2)),
-            ((0, 1, 0), F(0)),
-            ((0, -1, 0), F(2)),
-            ((0, 0, 1), F(0)),
-            ((0, 0, -1), F(23, 10)),
-            ((1, 1, 0), F(-1, 4)),
-            ((0, -1, -1), F(5, 2)),
-        ]
-        pot = build_potential(MomentPolytope.from_inequalities(rows), assume_fano=True)
+        second, so w2 stays free, and the third level involves w2: pinned
+        to 1, it gives w3 = +-1 (the branch solves for every w2, with
+        w3 = +-w2^(-1/2)).  The root w1 = 1 leaves the monomial 2 w2, which
+        has no torus zero."""
+        pot = build_potential(
+            MomentPolytope.from_inequalities(
+                [*BOX_ROWS, ((1, 1, 0), F(-1, 4)), ((0, -1, -1), F(5, 2))]
+            ),
+            assume_fano=True,
+        )
+        u = (F(1, 4), F(1, 2), F(1))
+        res = solve_lte(pot, u)
+        assert [lv.facet_indices for lv in res.frame.levels[:3]] == [(0, 1), (2, 6), (4, 7)]
+        assert res.status == "solvable"
+        assert norm_pairs(res.witnesses_w) == {
+            ((-1.0, 0.0), (1.0, 0.0), (1.0, 0.0)),
+            ((-1.0, 0.0), (1.0, 0.0), (-1.0, 0.0)),
+        }
+        assert is_strongly_balanced(pot, u) and balanced_at(pot, u)
+        # past z = 23/20 the third level is the facet-7 monomial alone
+        for z in (F(23, 20), F(23, 16)):
+            assert solve_lte(pot, (F(1, 4), F(1, 2), z)).status == "unsolvable"
+        for grid in (4, 8, 16):
+            rows = balanced_positions(pot, grid, extra=[u])
+            assert "unknown" not in dict(rows).values()
+            assert [v for v, s in rows if s == "balanced"] == [u]
+
+    def test_a_pin_that_finds_no_root_is_underdetermined(self):
+        """The same box cut by x + y >= 1/4 and y + z >= 1/2.  At
+        (1/4, 1/2, 1) the third level is {z, y + z - 1/2}, whose theta
+        equation w3 (1 + w2) has two terms: pinned to w2 = 1 it has no torus
+        zero, while w2 = -1 makes the level vacuous.  A failed pin proves
+        nothing, so the point stays unknown."""
+        pot = build_potential(
+            MomentPolytope.from_inequalities(
+                [*BOX_ROWS, ((1, 1, 0), F(-1, 4)), ((0, 1, 1), F(-1, 2))]
+            ),
+            assume_fano=True,
+        )
         u = (F(1, 4), F(1, 2), F(1))
         res = solve_lte(pot, u)
         assert [lv.facet_indices for lv in res.frame.levels[:3]] == [(0, 1), (2, 6), (4, 7)]

@@ -757,6 +757,51 @@ class TestCriticalPoints:
                 assert_scalar_close(a, b.truncate(F(3)), tol=1e-9)
 
 
+# the catalog entries the tests build, the degenerate bulk double point,
+# and the polygon and threefold seeds of the residue oracle, with polygon 6,
+# whose cells include one of dimension 0
+REPORT_ORDER_CASES = [
+    pytest.param(lambda s=s: potential_of(*s), id=":".join(map(str, s)))
+    for s in [
+        ("simplex", 1), ("simplex", 2), ("simplex", 3), ("simplex", 4), ("simplex", 5),
+        ("blowup1", F(1, 3)), ("blowup1", F(1, 4)), ("blowup1", F(1, 5)),
+        ("blowup1", F(2, 5)), ("blowup2", F(1, 3), F(1, 3)),
+        ("blowup2", F(1, 2), F(1, 5)), ("blowup2", F(1, 2), F(1, 4)),
+        ("hirzebruch", 1, F(1, 3)), ("hirzebruch", 1, F(1, 2)),
+        ("hirzebruch", 1, F(2, 5)), ("hirzebruch", 2, F(1, 2)),
+        ("hirzebruch", 2, F(2, 5)),
+    ]
+] + [pytest.param(degenerate_bulk_potential, id="degenerate-bulk")] + [
+    pytest.param(
+        lambda s=s: build_potential(random_delzant_polytope(random.Random(s)), assume_fano=True),
+        id=f"polygon-{s}",
+    )
+    for s in (1, 6, 8, 16, 18, 20)
+] + [
+    pytest.param(
+        lambda s=s: build_potential(random_delzant_threefold(random.Random(s)), assume_fano=True),
+        id=f"threefold-{s}",
+    )
+    for s in (0, 1, 6, 7, 13)
+]
+
+
+@pytest.mark.parametrize("make", REPORT_ORDER_CASES)
+def test_the_report_comes_in_search_order(make):
+    # points by (u, rounded initial root), eliminants by u, cells by
+    # (dimension, sample point); the search builds them in this order
+    rep = find_critical_points(make())
+    keys = [
+        (p.u, tuple((round(z.real, 9), round(z.imag, 9)) for z in p.y_initial))
+        for p in rep.points
+    ]
+    assert keys == sorted(keys)
+    us = [e.u for e in rep.eliminants]
+    assert us == sorted(us) and len(set(us)) == len(us)
+    cells = [(c.dimension, c.sample_u) for c in rep.cells]
+    assert cells == sorted(cells)
+
+
 class TestAbsoluteCoordinates:
     def test_y_absolute_shifts_by_u(self):
         rep = find_critical_points(potential_of("simplex", 2))
