@@ -33,9 +33,9 @@ class LaurentPoly:
     def __init__(self, nvars: int, terms: Iterable[tuple[ExpVec, NovikovScalar]] = ()):
         acc: dict[ExpVec, NovikovScalar] = {}
         for a, c in terms:
-            a = tuple(int(x) for x in a)
-            if len(a) != nvars:
-                raise ValueError(f"exponent {a} has wrong arity")
+            if len(a) != nvars or any(isinstance(x, bool) or int(x) != x for x in a):
+                raise ValueError(f"exponent {tuple(a)} is not {nvars} integers")
+            a = tuple(map(int, a))
             acc[a] = acc[a] + c if a in acc else c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(
@@ -182,18 +182,17 @@ class Potential:
     def poly(self) -> LaurentPoly:
         """The potential expanded as a single Laurent polynomial in y."""
         p = self.polytope
-        total = LaurentPoly.zero(p.dim)
-        for j in range(p.nfacets):
-            total = total + z_monomial(p, j) * self.bulk.values[j]
+        terms = [
+            (f.normal, NovikovScalar.monomial(f.constant) * b)
+            for f, b in zip(p.facets, self.bulk.values)
+        ]
         for corr in self.corrections:
             # prod_j z_j^{k_j} = T^{sum k_j lambda_j} y^{sum k_j v_j}
             ks = list(zip(corr.z_exponents, p.facets))
             a = tuple(sum(k * f.normal[i] for k, f in ks) for i in range(p.dim))
             lam = corr.extra_t + sum(k * f.constant for k, f in ks)
-            total = total + LaurentPoly.monomial(
-                p.dim, a, corr.coeff * NovikovScalar.monomial(lam)
-            )
-        return total
+            terms.append((a, corr.coeff * NovikovScalar.monomial(lam)))
+        return LaurentPoly(p.dim, terms)
 
     def change_frame(self, u: Sequence) -> LaurentPoly:
         if not self.polytope.interior_contains(u):

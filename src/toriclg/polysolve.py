@@ -22,16 +22,19 @@ gcds run only where a gcd modulo a prime is not constant.  The equations
 of every level are reduced modulo each factor, after splitting the factor
 by gcds, so that a term vanishing on the fibre over the first coordinate
 is dropped by an exact test; past it the fibre equations are evaluated at
-numeric partial roots, and a coefficient that cancels to EVAL_REL of its
-terms is dropped.  Only roots are numeric: those of the square-free
+numeric partial roots.  Only roots are numeric: those of the square-free
 factors and of the reduced fibre equations, found from companion matrices
-and polished by Newton's method on the original system.  A vanishing
-resultant, or a fibre on which every equation of a level vanishes, signals
-a positive-dimensional solution set and aborts the search.
+and polished by Newton's method on the original system.  Every numeric
+point goes through one evaluation of the terms c x^a and one cut, a sum
+that cancels to EVAL_REL of its term magnitudes is zero: it serves
+substitution, fibre roots and polished roots.  A vanishing resultant, or a
+fibre on which every equation of a level vanishes, signals a
+positive-dimensional solution set and aborts the search.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -49,10 +52,10 @@ ZPoly = dict[tuple[int, ...], Gauss]
 
 _ZERO: Gauss = (0, 0)
 
-# relative residual under which a numeric root counts as a root of a fibre
-# equation (back substitution) and of the original system (after polishing),
-# and a coefficient that cancels after numeric partial roots are substituted
-# (fibre equations past the first level here, LTE levels in ``lte``) is zero
+# the one cancellation cut of ``substitute``: a coefficient that cancels to
+# this share of its term magnitudes at numeric values is zero.  It serves the
+# fibre equations past the first level and the LTE levels in ``lte``, and as
+# ``_is_root`` it accepts fibre roots (back substitution) and polished roots
 EVAL_REL = 1e-6
 
 
@@ -60,37 +63,15 @@ def degree_in(p, i: int) -> int:
     return max((a[i] for a in p), default=0)
 
 
-def eval_cpoly(p: CPoly, point: tuple[complex, ...]) -> complex:
-    total = 0j
+def _term_values(p: CPoly, values) -> list[tuple[tuple[int, ...], complex]]:
+    """Each term c x^a of p, keyed by its exponent vector a, with the first
+    len(values) variables fixed at values."""
+    out = []
     for a, c in p.items():
-        term = c
-        for x, e in zip(point, a):
+        for x, e in zip(values, a):
             if e:
-                term *= x ** e
-        total += term
-    return total
-
-
-def eval_magnitude(p: CPoly, point: tuple[complex, ...]) -> float:
-    """Sum of term magnitudes: the natural scale for residual tests."""
-    total = 0.0
-    for a, c in p.items():
-        term = abs(c)
-        for x, e in zip(point, a):
-            if e:
-                term *= abs(x) ** e
-        total += term
-    return total
-
-
-def partial(p: CPoly, i: int) -> CPoly:
-    out: CPoly = {}
-    for a, c in p.items():
-        if a[i] == 0:
-            continue
-        b = list(a)
-        b[i] -= 1
-        out[tuple(b)] = out.get(tuple(b), 0j) + c * a[i]
+                c *= x ** e
+        out.append((a, c))
     return out
 
 
@@ -101,13 +82,9 @@ def substitute(p: CPoly, values, rel: float = 0.0) -> CPoly:
     k = len(values)
     out: CPoly = {}
     mag: dict[tuple[int, ...], float] = {}
-    for a, c in p.items():
-        term = c
-        for x, e in zip(values, a):
-            if e:
-                term *= x ** e
-        out[a[k:]] = out.get(a[k:], 0j) + term
-        mag[a[k:]] = mag.get(a[k:], 0.0) + abs(term)
+    for a, t in _term_values(p, values):
+        out[a[k:]] = out.get(a[k:], 0j) + t
+        mag[a[k:]] = mag.get(a[k:], 0.0) + abs(t)
     return {a: c for a, c in out.items() if abs(c) > rel * mag[a]}
 
 
@@ -405,7 +382,7 @@ def _eliminate(
 
 
 def _is_root(p: CPoly, point: tuple[complex, ...]) -> bool:
-    return abs(eval_cpoly(p, point)) <= EVAL_REL * max(eval_magnitude(p, point), 1e-30)
+    return not substitute(p, point, EVAL_REL)
 
 
 def _fibre_roots(unis: list[CPoly]) -> list[complex]:
@@ -416,35 +393,38 @@ def _fibre_roots(unis: list[CPoly]) -> list[complex]:
         raise PositiveDimensionalInitialLocus(
             "all equations vanish identically on this fibre"
         )
-    return [
-        r
-        for r in univariate_roots({a[0]: c for a, c in unis[0].items()})
-        if all(_is_root(u, (r,)) for u in unis[1:])
-    ]
+    roots = univariate_roots({a[0]: c for a, c in unis[0].items()})
+    return [r for r in roots if all(_is_root(u, (r,)) for u in unis[1:])]
 
 
 def _newton_polish(
     polys: list[CPoly], point: tuple[complex, ...], iterations: int = 25
 ) -> tuple[complex, ...]:
-    n = len(point)
-    jac = [[partial(p, j) for j in range(n)] for p in polys]
-    x = np.array(point, dtype=complex)
+    """Newton's method on the terms T_a of each equation: f_i = sum T_a, its
+    scale sum |T_a| and d f_i / d x_j = sum a_j T_a / x_j.  It stops at
+    1e-15 of the scale, where doubles stop improving.  A point with a zero
+    coordinate or with terms past the finite range returns the seed."""
+    x = list(point)
     for _ in range(iterations):
-        f = np.array([eval_cpoly(p, tuple(x)) for p in polys])
-        scale = max(eval_magnitude(p, tuple(x)) for p in polys)
-        if np.abs(f).max() < 1e-15 * max(scale, 1e-30):
-            break
-        j = np.array(
-            [[eval_cpoly(jac[r][c], tuple(x)) for c in range(n)] for r in range(len(polys))]
-        )
         try:
-            step = np.linalg.solve(j, f)
+            terms = [_term_values(p, x) for p in polys]
+            jac = [[sum(a[j] * t for a, t in ts) / v for j, v in enumerate(x)] for ts in terms]
+            f = [sum(t for _, t in ts) for ts in terms]
+            scale = max(sum(abs(t) for _, t in ts) for ts in terms)
+        except (OverflowError, ZeroDivisionError):
+            return point
+        if not math.isfinite(scale):
+            return point
+        if max(map(abs, f)) < 1e-15 * max(scale, 1e-30):
+            break
+        try:
+            step = np.linalg.solve(np.array(jac), np.array(f))
         except np.linalg.LinAlgError:
             break
-        x = x - step
-        if not np.all(np.isfinite(x)):
+        x = (np.array(x) - step).tolist()
+        if not all(v and cmath.isfinite(v) for v in x):
             return point
-    return tuple(complex(v) for v in x)
+    return tuple(x)
 
 
 def solve_torus_system(polys: list[CPoly], nvars: int) -> SystemSolution:

@@ -41,9 +41,11 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def _json_int(x, what: str) -> int:
-    """An integer field read from JSON: booleans and fractional numbers are
-    refused, anything else as ``int`` reads it."""
-    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+    """An integer field: booleans and numbers that ``int`` would change
+    (1.5, Fraction(3, 2), inf) are refused, integer strings are read."""
+    if isinstance(x, bool) or not isinstance(x, str) and (
+        not x.is_integer() if isinstance(x, float) else int(x) != x
+    ):
         raise InvalidPolytope(f"{what} must be an integer, got {x!r}")
     return int(x)
 
@@ -115,12 +117,13 @@ class MomentPolytope:
                           names: Sequence[str] | None = None) -> "MomentPolytope":
         if not rows:
             raise InvalidPolytope("no inequalities: the dimension is unknown")
-        dim = len(rows[0][0])
+        if names is not None and len(names) != len(rows):
+            raise InvalidPolytope(f"{len(names)} names for {len(rows)} inequalities")
         facets = []
         for j, (normal, const) in enumerate(rows):
-            name = names[j] if names else f"ell{j}"
-            facets.append(Facet(tuple(int(x) for x in normal), Fraction(const), name))
-        return cls(dim, facets)
+            normal = tuple(_json_int(x, "normal entry") for x in normal)
+            facets.append(Facet(normal, Fraction(const), names[j] if names else f"ell{j}"))
+        return cls(len(rows[0][0]), facets)
 
     # -- linear data -----------------------------------------------------------
 
@@ -567,8 +570,7 @@ def catalog(name: str, *params) -> CatalogEntry:
             ([1 if i == j else 0 for i in range(n)], Fraction(0))
             for j in range(n)
         ]
-        names = ["ell0"] + [f"ell{j + 1}" for j in range(n)]
-        return CatalogEntry(MomentPolytope.from_inequalities(rows, names))
+        return CatalogEntry(MomentPolytope.from_inequalities(rows))
     if name == "blowup1":
         if len(params) != 1:
             raise ParamOutOfRange("blowup1(a) needs one parameter")
@@ -580,9 +582,7 @@ def catalog(name: str, *params) -> CatalogEntry:
             ([0, 1], Fraction(0)),
             ([0, -1], 1 - alpha),
         ]
-        return CatalogEntry(
-            MomentPolytope.from_inequalities(rows, ["ell0", "ell1", "ell2", "ell3"])
-        )
+        return CatalogEntry(MomentPolytope.from_inequalities(rows))
     if name == "blowup2":
         if len(params) != 2:
             raise ParamOutOfRange("blowup2(a, a2) needs two parameters")
@@ -597,11 +597,7 @@ def catalog(name: str, *params) -> CatalogEntry:
             ([0, -1], 1 - alpha),
             ([1, 1], -alpha2),
         ]
-        return CatalogEntry(
-            MomentPolytope.from_inequalities(
-                rows, ["ell0", "ell1", "ell2", "ell3", "ell4"]
-            )
-        )
+        return CatalogEntry(MomentPolytope.from_inequalities(rows))
     if name == "hirzebruch":
         if len(params) != 2 or params[0].denominator != 1 or params[0] < 1:
             raise ParamOutOfRange("hirzebruch(k, a) needs integer k >= 1")

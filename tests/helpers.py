@@ -3,8 +3,10 @@ combinatorics that the vertex walk is checked against, series
 comparisons (among them a batched Newton lift against single ones), the
 closed-form residue pairing of projective space, the Fraction derivation
 of initial systems, a point-by-point reference for the balanced-position
-scan and a ``Fraction`` row reduction that the library's integer
-elimination is checked against."""
+scan, a ``Fraction`` row reduction that the library's integer
+elimination is checked against, and a term-by-term evaluation of complex
+Laurent polynomials that polysolve's one term evaluation is checked
+against."""
 
 import cmath
 import itertools
@@ -521,4 +523,43 @@ def reference_balanced_positions(potential, grid: int, extra=None):
             out.append((u, "balanced" if ok else "unbalanced"))
         except LevelUnderdetermined:
             out.append((u, "unknown"))
+    return out
+
+
+# -- complex Laurent polynomials, term by term ---------------------------------
+# The reference for polysolve's term values: the value, the sum of term
+# magnitudes, and the partial derivative as a polynomial of its own.
+
+
+def eval_cpoly(p, point) -> complex:
+    total = 0j
+    for a, c in p.items():
+        term = c
+        for x, e in zip(point, a):
+            if e:
+                term *= x**e
+        total += term
+    return total
+
+
+def eval_magnitude(p, point) -> float:
+    """Sum of term magnitudes: the natural scale for residual tests."""
+    total = 0.0
+    for a, c in p.items():
+        term = abs(c)
+        for x, e in zip(point, a):
+            if e:
+                term *= abs(x) ** e
+        total += term
+    return total
+
+
+def partial(p, i: int):
+    out = {}
+    for a, c in p.items():
+        if a[i] == 0:
+            continue
+        b = list(a)
+        b[i] -= 1
+        out[tuple(b)] = out.get(tuple(b), 0j) + c * a[i]
     return out

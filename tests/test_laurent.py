@@ -34,6 +34,16 @@ class TestRingOps:
         assert terms[(1, 0)] == S(0, 2.0)
         assert terms[(0, -1)] == S(0, 1.0)
 
+    @pytest.mark.parametrize("entry", [1.5, F(1, 2), True], ids=["float", "fraction", "bool"])
+    def test_exponent_entries_must_be_integers(self, entry):
+        with pytest.raises(ValueError):
+            LaurentPoly(2, [((entry, 0), S(0, 1.0))])
+
+    def test_integral_exponent_entries_read_as_integers(self):
+        f = LaurentPoly(2, [((1.0, F(-2, 1)), S(0, 1.0))])
+        ((a, _),) = f.sorted_terms()
+        assert a == (1, -2) and all(type(x) is int for x in a)
+
     def test_zero_coefficients_vanish(self):
         f = mono((2, 1)) - mono((2, 1))
         assert f.is_zero()

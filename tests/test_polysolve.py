@@ -1,13 +1,18 @@
 """Exact elimination and numeric roots for Laurent polynomial systems on the
 torus."""
 
+import cmath
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import eval_cpoly, eval_magnitude, partial
 from toriclg import build_potential, catalog, initial_system, tropical_candidates
 from toriclg.errors import EliminationFailed, PositiveDimensionalInitialLocus
 from toriclg.polysolve import (
@@ -15,10 +20,10 @@ from toriclg.polysolve import (
     _P,
     _coprime,
     _gcd,
-    eval_cpoly,
-    eval_magnitude,
+    _is_root,
+    _newton_polish,
+    _term_values,
     exact_poly,
-    partial,
     resultant_last,
     solve_torus_system,
     squarefree_decomposition,
@@ -127,10 +132,24 @@ class TestModularCertificate:
 
 class TestCPolyBasics:
     def test_eval_and_partial(self):
-        p = {(2, 1): 1 + 0j, (0, 0): -4 + 0j}
-        assert eval_cpoly(p, (2.0, 1.0)) == pytest.approx(0.0)
-        dp = partial(p, 0)
-        assert dp == {(1, 1): 2 + 0j}
+        # x^2 y - 4 + 3 x^-1 y^2: the term values at a point sum to the value
+        # and the scale, and sum a_j T_a / x_j is the partial derivative
+        p = {(2, 1): 1 + 0j, (0, 0): -4 + 0j, (-1, 2): 3 + 0j}
+        point = (2.0 + 0j, 1 + 1j)
+        terms = _term_values(p, point)
+        assert [a for a, _ in terms] == list(p)
+        assert sum(t for _, t in terms) == pytest.approx(eval_cpoly(p, point))
+        assert sum(abs(t) for _, t in terms) == pytest.approx(eval_magnitude(p, point))
+        for j, x in enumerate(point):
+            d = sum(a[j] * t for a, t in terms) / x
+            assert d == pytest.approx(eval_cpoly(partial(p, j), point))
+        # x alone fixed: each term keeps its exponent, its value is c x^a0
+        assert _term_values(p, (2.0,)) == [((2, 1), 4 + 0j), ((0, 0), -4 + 0j), ((-1, 2), 1.5 + 0j)]
+        # every variable fixed: substitute leaves the value under the key ()
+        # and drops it where it cancels, at the root (2, 1) of x^2 y - 4
+        out = substitute(p, point)
+        assert out.keys() == {()} and out[()] == pytest.approx(eval_cpoly(p, point))
+        assert substitute({(2, 1): 1 + 0j, (0, 0): -4 + 0j}, (2.0, 1.0)) == {}
 
     def test_substitute_fixes_the_leading_variables(self):
         # x y^2 z - x^3 + y z^-1 at x = 2: 2 y^2 z + y z^-1 - 8 in (y, z)
@@ -606,3 +625,113 @@ def test_resultants_match_sympy_on_random_systems(seed):
             continue
         _check_pair(exact[0], exact[1], nvars)
         checked += 1
+
+
+# -- the one cancellation cut and Newton's method on term values ----------------
+
+
+def _torus_point(rng, nvars):
+    return tuple(
+        cmath.rect(rng.uniform(0.3, 3.0), rng.uniform(-math.pi, math.pi)) for _ in range(nvars)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), share=st.floats(-12.0, 0.0))
+def test_is_root_is_the_cancellation_cut(seed, share):
+    """On sparse Laurent systems at torus points, _is_root accepts exactly
+    the equations whose value is at most EVAL_REL of their term magnitudes.
+    The constant term is chosen so that the value lands near 10^share of
+    the other terms' magnitudes, on either side of the cut; a point within
+    1e-12 of the cut is not compared."""
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 3)
+    point = _torus_point(rng, nvars)
+    for _ in range(nvars):
+        p = {}
+        for _ in range(rng.randint(1, 5)):
+            a = tuple(rng.randint(-3, 3) for _ in range(nvars))
+            p[a] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        p.pop((0,) * nvars, None)
+        value, mag = eval_cpoly(p, point), eval_magnitude(p, point)
+        p[(0,) * nvars] = -value + 10.0**share * mag * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        value, cut = abs(eval_cpoly(p, point)), EVAL_REL * eval_magnitude(p, point)
+        if abs(value - cut) > 1e-12 * cut:
+            assert _is_root(p, point) == (value <= cut), (p, point)
+
+
+def _close(got, want, tol=1e-12):
+    return all(abs(a - b) <= tol * max(1.0, abs(b)) for a, b in zip(got, want))
+
+
+def _polish_from_perturbed_roots(rng, polys, n) -> int:
+    """Polish each well-conditioned root from a relative 1e-6 away; the
+    number of roots checked."""
+    checked = 0
+    for r in solve_torus_system(polys, n).roots:
+        if np.linalg.cond(log_jacobian(polys, r)) > 1e3:
+            continue
+        seed = tuple(x * (1 + 1e-6 * cmath.exp(1j * rng.uniform(0, 2 * math.pi))) for x in r)
+        got = _newton_polish(polys, seed)
+        assert _close(got, r), (polys, r, got)
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS, ids=lambda s: ":".join(map(str, s)))
+def test_newton_polish_returns_to_perturbed_catalog_roots(spec):
+    entry = catalog(*spec)
+    pot = build_potential(entry.polytope, corrections=entry.corrections)
+    n = pot.polytope.dim
+    rng = random.Random(str(spec))
+    checked = 0
+    for u in tropical_candidates(pot)[0]:
+        polys, _ = initial_system(pot, u)
+        try:
+            checked += _polish_from_perturbed_roots(rng, polys, n)
+        except PositiveDimensionalInitialLocus:
+            continue
+    assert checked
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_newton_polish_returns_to_perturbed_random_roots(seed):
+    rng = random.Random(seed)
+    nvars = 2 if seed < 4 else 3
+    checked = attempts = 0
+    while checked < 3 and attempts < 20:
+        attempts += 1
+        polys = [_random_poly(rng, nvars, gaussian=seed % 2 == 1) for _ in range(nvars)]
+        try:
+            checked += _polish_from_perturbed_roots(rng, polys, nvars)
+        except PositiveDimensionalInitialLocus:
+            continue
+    assert checked >= 3
+
+
+@pytest.mark.parametrize(
+    "polys, seed, iterations",
+    [
+        # x^2 - 1e300 from 1e-150: the first step, 1e300 / 2e-150, overflows
+        ([{(2,): 1 + 0j, (0,): -1e300 + 0j}], (1e-150 + 0j,), 1),
+        # x^2 + 1 and y - 1/x from (1, 1): the first step reaches x = 0
+        ([{(2, 0): 1 + 0j, (0, 0): 1 + 0j}, {(0, 1): 1 + 0j, (-1, 0): -1 + 0j}], (1 + 0j, 1 + 0j), 1),
+        # x - 1 from 0: the seed is off the torus
+        ([{(1,): 1 + 0j, (0,): -1 + 0j}], (0j,), 25),
+        # x^3 - 1 from 1e120: the terms overflow at the seed itself
+        ([{(3,): 1 + 0j, (0,): -1 + 0j}], (1e120 + 0j,), 25),
+        # y - 2 and -1e300 (x^-1 y^-1 + x) + i x from (1e8, 1 + i): the step
+        # reaches x = 5e-9 i, where the first term overflows and the Jacobian
+        # is not a number
+        (
+            [{(0, 1): 1 + 0j, (0, 0): -2 + 0j}, {(-1, -1): -1e300 + 0j, (1, 0): -1e300 + 1j}],
+            (1e8 + 0j, 1 + 1j),
+            25,
+        ),
+    ],
+    ids=["step-overflows", "zero-coordinate", "zero-seed", "seed-terms-overflow", "terms-overflow"],
+)
+def test_newton_polish_off_the_finite_torus_returns_the_seed(polys, seed, iterations):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _newton_polish(polys, seed, iterations) == seed

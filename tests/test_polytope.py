@@ -148,6 +148,24 @@ class TestValidation:
         with pytest.raises(InvalidPolytope):
             MomentPolytope.from_inequalities([])
 
+    @pytest.mark.parametrize(
+        "entry, names",
+        [(1.5, None), (F(3, 2), None), (True, None), (float("inf"), None), (1, ["a", "b"])],
+        ids=["float", "fraction", "bool", "infinite", "short-names"],
+    )
+    def test_truncated_normals_and_wrong_names_are_refused(self, entry, names):
+        rows = [([entry, 0], 0), ([0, 1], 0), ([-1, -1], 1)]
+        with pytest.raises(InvalidPolytope):
+            MomentPolytope.from_inequalities(rows, names)
+
+    def test_integral_normal_entries_read_as_integers(self):
+        p = MomentPolytope.from_inequalities(
+            [([1.0, 0], 0), ([0, F(2, 2)], 0), (["-1", -1], 1)], ["a", "b", "c"]
+        )
+        assert [f.normal for f in p.facets] == [(1, 0), (0, 1), (-1, -1)]
+        assert all(type(x) is int for f in p.facets for x in f.normal)
+        assert [f.name for f in p.facets] == ["a", "b", "c"] and p.validate().ok
+
     def test_random_chops_stay_valid(self):
         rng = random.Random(21)
         for _ in range(25):
