@@ -12,6 +12,7 @@ over an interior point u; it only shifts coefficient exponents and is exact.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,7 +210,8 @@ def build_potential(
     """Assemble the potential of a polytope.
 
     Correction terms must have the form T^rho * coeff * prod z_j^{k_j} with
-    rho > 0, every k_j >= 0 and coeff of valuation >= 0.  When the
+    rho > 0, every k_j >= 0 and coeff of valuation >= 0.  A bulk value or
+    correction coefficient with a NaN or infinite term is refused.  When the
     polytope is not detectably fano and no corrections are supplied, the
     leading part may differ from the true potential by unknown higher-order
     terms; a warning records that the fano assumption is in force.
@@ -219,6 +221,11 @@ def build_potential(
         bulk = BulkCoefficients.ones(p.nfacets)
     if len(bulk.values) != p.nfacets:
         raise ValueError("bulk coefficient count does not match facets")
+    named = [(f"bulk coefficient {j}", c) for j, c in enumerate(bulk.values)]
+    named += [(f"correction {k} coefficient", c.coeff) for k, c in enumerate(corrections)]
+    for name, c in named:
+        if not all(map(cmath.isfinite, c.lattice()[2])):
+            raise ValueError(f"{name} has a NaN or infinite term")
     for corr in corrections:
         if corr.extra_t <= 0:
             raise CorrectionNotPositive(

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .laurent import Potential
 from .novikov import format_fraction
-from .polysolve import EVAL_REL, CPoly, solve_torus_system, substitute, univariate_roots
+from .polysolve import EVAL_REL, CPoly, _term_values, solve_torus_system, substitute, univariate_roots
 
 FracVec = tuple[Fraction, ...]
 
@@ -81,11 +81,9 @@ class AdaptedFrame:
         )
 
     def w_to_y(self, w: tuple[complex, ...]) -> tuple[complex, ...]:
-        """Map adapted torus coordinates back to the standard frame."""
-        return tuple(
-            math.prod((w[i] ** e for i, e in enumerate(row) if e), start=1 + 0j)
-            for row in self.inverse
-        )
+        """Map adapted torus coordinates back to the standard frame: y_k is
+        the monomial in w whose exponents are row k of the inverse."""
+        return tuple(t for _, t in _term_values(dict.fromkeys(self.inverse, 1 + 0j), w))
 
     def to_json_dict(self) -> dict:
         return {

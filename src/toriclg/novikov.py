@@ -62,13 +62,14 @@ def json_fraction(x, what: str) -> Fraction:
 def _fill(s: "NovikovScalar", den: int, es, cs, t: int | None) -> "NovikovScalar":
     """Store sorted distinct exponent numerators ``es`` over ``den`` with
     their coefficients: drops exponents at or above ``t`` and coefficients
-    within ``eps_coeff`` of zero, clears negative zeros and reduces ``den``."""
+    within ``eps_coeff`` of zero (a NaN is not), clears negative zeros and
+    reduces ``den``."""
     if t is not None and es and es[-1] >= t:
         k = bisect_left(es, t)
         es, cs = es[:k], cs[:k]
     eps = get_config().eps_coeff
-    es = [e for e, c in zip(es, cs) if abs(c) > eps]
-    cs = [0j + c for c in cs if abs(c) > eps]
+    es = [e for e, c in zip(es, cs) if not abs(c) <= eps]
+    cs = [0j + c for c in cs if not abs(c) <= eps]
     if den != 1:
         g = math.gcd(den, *es) if t is None else math.gcd(den, t, *es)
         if g != 1:

@@ -44,7 +44,7 @@ from operator import add
 import numpy as np
 
 from .config import get_config
-from .errors import EliminationFailed, PositiveDimensionalInitialLocus
+from .errors import EliminationFailed, PositiveDimensionalInitialLocus, ToricLGError
 
 CPoly = dict[tuple[int, ...], complex]
 Gauss = tuple[int, int]  # a + b i
@@ -78,19 +78,28 @@ def _term_values(p: CPoly, values) -> list[tuple[tuple[int, ...], complex]]:
 def substitute(p: CPoly, values, rel: float = 0.0) -> CPoly:
     """Fix the first len(values) variables; the others keep their exponents
     as keys.  A coefficient that cancels to rel of the summed magnitude of
-    its terms is dropped (rel = 0 drops exact zeros only)."""
+    its terms is dropped (rel = 0 drops exact zeros only); one whose terms
+    are not all finite never is."""
     k = len(values)
     out: CPoly = {}
     mag: dict[tuple[int, ...], float] = {}
     for a, t in _term_values(p, values):
         out[a[k:]] = out.get(a[k:], 0j) + t
         mag[a[k:]] = mag.get(a[k:], 0.0) + abs(t)
-    return {a: c for a, c in out.items() if abs(c) > rel * mag[a]}
+    return {a: c for a, c in out.items() if abs(c) > rel * mag[a] or not math.isfinite(mag[a])}
+
+
+def _require_finite(coeffs) -> None:
+    """Refuse a NaN or infinite coefficient: it has no roots to find."""
+    if not all(map(cmath.isfinite, coeffs)):
+        raise ToricLGError("a polynomial to solve has a NaN or infinite coefficient")
 
 
 def univariate_roots(p: dict[int, complex]) -> list[complex]:
     """Torus roots via the companion matrix.  Exact zero coefficients are
-    dropped and the monomial content removed; no other cut is made."""
+    dropped and the monomial content removed; no other cut is made.  A NaN
+    or infinite coefficient raises ToricLGError."""
+    _require_finite(p.values())
     p = {e: c for e, c in p.items() if c != 0}
     if not p:
         raise PositiveDimensionalInitialLocus("zero univariate polynomial")
@@ -432,8 +441,10 @@ def solve_torus_system(polys: list[CPoly], nvars: int) -> SystemSolution:
     with the multiplicities the exact eliminant assigns them.
 
     Raises PositiveDimensionalInitialLocus when a positive-dimensional
-    component is detected.
+    component is detected, and ToricLGError on a NaN or infinite
+    coefficient.
     """
+    _require_finite(c for p in polys for c in p.values())
     # exact reading keeps the nonzero coefficients: test their count first
     nonzero = [sum(map(bool, p.values())) for p in polys]
     if 0 in nonzero:

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .laurent import Potential
 from .novikov import INF, NovikovScalar, format_fraction
-from .polysolve import CPoly, solve_torus_system
+from .polysolve import CPoly, _term_values, solve_torus_system
 
 ExpVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -58,19 +58,19 @@ FracVec = tuple[Fraction, ...]
 
 
 class _Frame:
-    """The terms of the potential in the frame centered at u, on integers.
+    """The critical equations' terms in the frame centered at u, on integers.
 
-    Each term c_a y^a of ``potential.poly``, the constant one included,
-    keeps its exponent vector a, the numerators over ``den`` of the
-    exponents of c_a T^<a, u> (increasing) and its coefficients; den is the
-    least common denominator of u and the coefficients' exponents.  ``s[i]``
-    is the least leading numerator over the terms with a_i != 0: the
-    valuation of y_i dPO/dy_i at u, times den (None when no term has
-    a_i != 0)."""
+    Each term c_a y^a of ``potential.poly`` with a != 0 (the constant term
+    enters only the critical value, in ``jacres``) keeps its exponent vector
+    a, the numerators over ``den`` of the exponents of c_a T^<a, u>
+    (increasing) and its coefficients; den is the least common denominator
+    of u and their exponents.  ``s[i]`` is the least leading numerator over
+    the terms with a_i != 0: the valuation of y_i dPO/dy_i at u, times den
+    (None when no term has a_i != 0)."""
 
     def __init__(self, potential: Potential, u):
         uf = [Fraction(x) for x in u]
-        terms = potential.poly.terms
+        terms = {a: c for a, c in potential.poly.terms.items() if any(a)}
         self.den = den = math.lcm(
             *(x.denominator for x in uf), *(c.lattice()[0] for c in terms.values())
         )
@@ -276,13 +276,14 @@ def _residual_valuation(den: int, ys: np.ndarray, res: np.ndarray) -> Fraction |
     cancelled there, so its noise level is a small multiple of eps_coeff
     times the largest b(k1)*b(k2) with k1 + k2 = k, where b is the running
     max of |coefficient| over the solution arrays ``ys`` (as wide as
-    ``res``), floored at 1.
+    ``res``), floored at 1.  A slot holding NaN or infinity is content.
     """
     rel = max(10 * get_config().eps_coeff, 1e-11)
     b = np.maximum.accumulate(np.maximum(np.abs(ys).max(axis=0), 1.0))
     size = np.abs(res).max(axis=0)
-    for k in np.flatnonzero(size > rel):  # the floor is at least rel
-        if size[k] > rel * (b[: k + 1] * b[k::-1]).max():
+    for k in np.flatnonzero(~(size <= rel)):  # the floor is at least rel
+        noise = rel * (b[: k + 1] * b[k::-1]).max()
+        if not (np.isfinite(size[k]) and size[k] <= noise):
             return Fraction(int(k), den)
     return INF
 
@@ -330,14 +331,14 @@ class _Lattice:
     truncation (truncation order minus valuation) of a coefficient of a term
     with a != 0: past it the input does not determine the equations.  den is
     the least common denominator of the order and the frame's exponents
-    (the constant term's included) below each term's leading power plus the
-    order; size = order*den.  Each term c_a y^a with a != 0 keeps its
-    exponent vector and the slot ``place`` of its leading T-power counted
-    from the least one, ``low``; ``base[r, t]`` holds the value c_a y0^a of
-    term t at seed r of ``roots`` over that power (size slots).  The shift
-    s_i (``shifts[i]``) is the frame's s_i on this lattice, and equation i
-    starts at ``starts[i]`` = s_i - low.  ``weights`` has a row of ones,
-    then the rows a_i and a_i a_j (j = 1..n) of each i in turn."""
+    below each term's leading power plus the order; size = order*den.  Each
+    term c_a y^a keeps its exponent vector and the slot ``place`` of its
+    leading T-power counted from the least one, ``low``; ``base[r, t]``
+    holds the value c_a y0^a of term t at seed r of ``roots`` over that
+    power (size slots).  The shift s_i (``shifts[i]``) is the frame's s_i on
+    this lattice, and equation i starts at ``starts[i]`` = s_i - low.
+    ``weights`` has a row of ones, then the rows a_i and a_i a_j
+    (j = 1..n) of each i in turn."""
 
     def __init__(self, potential: Potential, u, roots, order: Fraction):
         terms = potential.poly.terms
@@ -355,23 +356,15 @@ class _Lattice:
         self.order, self.den, self.size = order, big // g, size // g
         self.shifts = tuple(s * (big // fr.den) // g for s in fr.s)
         self.low = min(self.shifts)
-        seeds = [[complex(y) for y in root] for root in roots]
-        self.exps, self.place, base = [], [], []
-        for a, ks, cs in frame:
-            if any(a):
-                vals = []
-                for ys in seeds:
-                    v = cs
-                    for y, e in zip(ys, a):
-                        if e:
-                            p = y**e if e > 0 else (1 / y) ** -e
-                            v = [c * p for c in v]
-                    vals.append(v)
-                base.append(np.zeros((len(seeds), self.size), complex))
-                base[-1][:, (ks - ks[0]) // g] = vals
-                self.exps.append(a)
-                self.place.append(int(ks[0]) // g - self.low)
-        self.base = np.stack(base, axis=1)
+        self.exps = [a for a, _, _ in frame]
+        self.place = [int(ks[0]) // g - self.low for _, ks, _ in frame]
+        # the frame as one polynomial in y and the slot variable: c T^k y^a
+        # keyed (a, k), k counted from its term's leading slot
+        poly = {(*a, int(k - ks[0]) // g): c for a, ks, cs in frame for k, c in zip(ks, cs)}
+        at = [t for t, (_, ks, _) in enumerate(frame) for _ in ks], [key[-1] for key in poly]
+        self.base = np.zeros((len(roots), len(frame), self.size), complex)
+        for row, root in zip(self.base, roots):
+            row[at] = [v for _, v in _term_values(poly, [complex(y) for y in root])]
         am = np.array(self.exps, dtype=float)
         rows = np.einsum("ai,aj->ija", am, np.hstack([np.ones((len(am), 1)), am]))
         self.weights = np.vstack([np.ones(len(am)), rows.reshape(-1, len(am))])
@@ -664,12 +657,12 @@ class CriticalReport:
 def find_critical_points(
     potential: Potential, order: Fraction | None = None
 ) -> CriticalReport:
-    """Full search: tropical candidates, initial roots, Newton lifts.  Candidates
-    and each one's roots come sorted, so the report is built in its order."""
+    """Full search: tropical candidates, initial roots, Newton lifts.  Candidates,
+    their roots and the tropical cells come sorted: the report is built in order."""
     candidates, cells = tropical_candidates(potential)
     points: list[CriticalPoint] = []
     eliminants: list[EliminantRecord] = []
-    extra_cells = list(cells)
+    zero_cells: list[TropicalCell] = []
     n = potential.polytope.dim
     for u in candidates:
         polys, _ = initial_system(potential, u)
@@ -677,7 +670,7 @@ def find_critical_points(
             sol = solve_torus_system(polys, n)
         except PositiveDimensionalInitialLocus as exc:
             note = f"positive-dimensional initial locus: {exc}"
-            extra_cells.append(TropicalCell(dimension=0, sample_u=u, note=note))
+            zero_cells.append(TropicalCell(dimension=0, sample_u=u, note=note))
             continue
         if sol.eliminant is not None and len(sol.eliminant) > 1:
             eliminants.append(EliminantRecord(u, sol.eliminant))
@@ -698,5 +691,4 @@ def find_critical_points(
                     system=system,
                 )
             )
-    extra_cells.sort(key=lambda c: (c.dimension, c.sample_u))
-    return CriticalReport(points=points, cells=extra_cells, eliminants=eliminants)
+    return CriticalReport(points=points, cells=zero_cells + cells, eliminants=eliminants)

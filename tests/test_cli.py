@@ -510,6 +510,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("invalid input: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("where", ["re", "im", "series"])
+    def test_non_finite_coefficient_exits_2(self, capsys, tmp_path, value, where):
+        if where == "series":
+            coeff = {"terms": [{"exp": "0", "re": 1.0, "im": 0.0}, {"exp": "1/2", "re": value, "im": 0.0}]}
+        else:
+            coeff = {"re": 0.5, "im": 0.0, where: value}
+        corr = tmp_path / "c.json"
+        corr.write_text(json.dumps([{"monomial_z": [1, 0, 0], "extra_T": "1/10", "coeff": coeff}]))
+        for fmt in ("json", "text"):
+            argv = ["analyze", "--catalog", "simplex:2", "--corrections", str(corr), "--format", fmt]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "invalid input: correction 0 coefficient has a NaN or infinite term\n"
+
     def test_json_integers_read_without_loss_still_work(self, capsys, tmp_path):
         exact = {**HIRZ, "corrections": HIRZ_CORR}
         written = {

@@ -1,5 +1,6 @@
 """Laurent polynomials over Novikov scalars and potential assembly."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -153,6 +154,16 @@ class TestBuildPotential:
             terms[(0, -1)],
             NovikovScalar([(F(1, 2), 1.0), (F(3, 2), 1.0)]),
         )
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf), complex(1, math.nan)])
+    def test_non_finite_coefficients_are_refused(self, bad):
+        p = catalog("simplex", 2).polytope
+        one = NovikovScalar.one()
+        for scalar in (NovikovScalar.from_number(bad), NovikovScalar([(0, 1.0), (F(1, 2), bad)])):
+            with pytest.raises(ValueError, match="bulk coefficient 1 has a NaN or infinite term"):
+                build_potential(p, bulk=BulkCoefficients((one, scalar, one)))
+            with pytest.raises(ValueError, match="correction 0 coefficient has a NaN or infinite term"):
+                build_potential(p, corrections=[Correction(F(1, 2), (1, 0, 0), scalar)])
 
     def test_correction_must_increase_order(self):
         p = catalog("simplex", 2).polytope

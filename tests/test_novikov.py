@@ -42,6 +42,11 @@ class TestConstruction:
         s = NovikovScalar([(0, 1.0), (1, 1e-15)])
         assert s.terms == ((Fraction(0), 1 + 0j),)
 
+    def test_a_nan_coefficient_is_not_read_as_zero(self):
+        s = NovikovScalar([(0, 1.0), (1, complex(0, math.nan))])
+        assert len(s.terms) == 2 and cmath.isnan(s.terms[1][1])
+        assert len(NovikovScalar.from_number(math.nan).terms) == 1
+
     def test_terms_at_or_past_truncation_are_dropped(self):
         s = NovikovScalar([(0, 1.0), (2, 5.0), (3, 7.0)], trunc=Fraction(2))
         assert s.terms == ((Fraction(0), 1 + 0j),)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import eval_cpoly, eval_magnitude, partial
 from toriclg import build_potential, catalog, initial_system, tropical_candidates
-from toriclg.errors import EliminationFailed, PositiveDimensionalInitialLocus
+from toriclg.errors import EliminationFailed, PositiveDimensionalInitialLocus, ToricLGError
 from toriclg.polysolve import (
     EVAL_REL,
     _P,
@@ -91,6 +91,15 @@ class TestUnivariate:
         # z^{-1} - z  has torus roots +-1
         roots = univariate_roots({-1: 1.0, 1: -1.0})
         assert close_sets(roots, [1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(0, math.inf), math.nan])
+    def test_non_finite_coefficient_is_refused(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToricLGError, match="NaN or infinite"):
+                univariate_roots({1: bad, 0: -1})
+            with pytest.raises(ToricLGError, match="NaN or infinite"):
+                solve_torus_system([{(1, 0): bad, (0, 0): -1}, {(0, 1): 1, (1, 0): 2}], 2)
 
     def test_zero_polynomial_raises(self):
         with pytest.raises(PositiveDimensionalInitialLocus):
@@ -176,6 +185,17 @@ class TestCPolyBasics:
         p = {(1, 0): 1 + 0j, (0, 0): -1 + 0j, (0, 1): 1 + 0j}
         assert substitute(p, (1.0,)) == {(1,): 1 + 0j}
         assert substitute(p, (1.0 + 2.0**-52,)) == {(0,): 2.0**-52 + 0j, (1,): 1 + 0j}
+
+    @pytest.mark.parametrize("rel", [0.0, EVAL_REL])
+    def test_substitute_never_drops_a_non_finite_coefficient(self, rel):
+        # 1e300 x at x = 1e10 overflows: inf is not zero, whatever the cut
+        out = substitute({(1, 0): 1e300, (0, 1): 1}, (1e10,), rel)
+        assert out.keys() == {(0,), (1,)}
+        assert out[(0,)] == math.inf and out[(1,)] == 1
+        nan = substitute({(1, 0): 1e300, (2, 0): -1e290, (0, 1): 1}, (1e10,), rel)
+        assert nan[(0,)] != nan[(0,)] and nan[(1,)] == 1  # inf - inf is not zero
+        assert not _is_root({(1,): 1e300, (0,): -1}, (1e10,))
+        assert not _is_root({(1,): float("nan"), (0,): -1}, (1.0,))
 
 
 class TestExactInput:

@@ -36,6 +36,7 @@ from toriclg import (
     residue_report,
     tropical_candidates,
 )
+from toriclg.polysolve import solve_torus_system
 
 F = Fraction
 
@@ -82,6 +83,22 @@ class TestCandidates:
         assert cell.t_range == (F(1, 4), F(3, 8))
         assert cell.sample_u == (F(5, 16), F(1, 4))
         assert cell.directions == ((F(1), F(0)),)
+
+    def test_two_dimensional_cell_of_a_threefold(self):
+        # the cell branch of dimension >= 2, sampled on a coarse grid
+        p = random_delzant_threefold(random.Random(4), max_chops=3)
+        pot = build_potential(p, assume_fano=True)
+        rep = find_critical_points(pot)
+        planes = [c for c in rep.cells if c.dimension >= 2]
+        assert [(c.dimension, c.sample_u, c.note) for c in planes] == [
+            (2, (F(1), F(1, 2), F(5, 4)), "validated on a coarse sample only")
+        ]
+        assert planes[0].directions == ((F(1), F(0), F(0)), (F(0), F(1), F(1)))
+        assert tropical.balanced_at(pot, planes[0].sample_u)
+        res = residue_report(pot, rep)
+        assert (res.morse_mode, res.morse_total, res.betti, res.morse_ok) == ("lower-bound", 14, 14, True)
+        assert res.trace_ok is None and res.trace_residual is None and res.trace_sum is None
+        assert "positive-dimensional candidate cells: trace check skipped" in res.notes
 
     def test_candidates_are_interior(self):
         for name, params in [
@@ -206,15 +223,28 @@ class TestFrameOracle:
             found += len(cands)
         assert found > 0
 
-    def test_constant_term_stays_on_the_lift_lattice(self):
-        # the constant term's T-power (denominator 7) is not an exponent of
-        # any equation, yet it fixes the lattice width and the rounding
-        entry = catalog("simplex", 2)
-        p = entry.polytope
+    def test_constant_term_stays_off_the_lift_lattice(self):
+        # the constant term's T-power (denominator 7) is an exponent of no
+        # critical equation: the lattice and the lift are those without it
+        p = catalog("simplex", 2).polytope
+        plain = build_potential(p)
         pot = build_potential(p, corrections=[Correction(F(1, 7), (1, 1, 1))])
         assert pot.poly.terms[(0, 0)].valuation() == sum(f.constant for f in p.facets) + F(1, 7)
-        lat = tropical._Lattice(pot, (F(1, 3), F(1, 3)), [(1, 1)], F(2))
-        assert lat.den % 7 == 0
+        u = (F(1, 3), F(1, 3))
+        roots = solve_torus_system(initial_system(plain, u)[0], 2).roots
+        assert len(roots) == 3
+        lats = [tropical._Lattice(q, u, roots, F(2)) for q in (plain, pot)]
+        assert lats[1].den == lats[0].den == 3
+        for name in ("order", "size", "shifts", "low", "exps", "place", "starts"):
+            assert getattr(lats[1], name) == getattr(lats[0], name), name
+        for name in ("base", "weights"):
+            assert np.array_equal(getattr(lats[1], name), getattr(lats[0], name)), name
+        lifts = [newton_lift(q, u, roots, F(2)) for q in (plain, pot)]
+        for got, ref in zip(*lifts, strict=True):
+            assert got[0] == ref[0] and got[1] == ref[1] == INF
+            assert (got[2].den, got[2].shifts, got[2].low) == (ref[2].den, ref[2].shifts, ref[2].low)
+            assert np.array_equal(got[2].jac, ref[2].jac)
+            assert np.array_equal(got[2].value, ref[2].value)
 
 
 def certificate(pot, u, ys, lat) -> Fraction | float:
@@ -415,6 +445,13 @@ class TestNewtonLift:
         assert all(0 < k <= n for k in evaluations)
         # after a step on window W the terms are needed to min(2W, N) only
         assert widths == [min(2 * w, steps[-1]) for w in steps]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, math.nan)])
+    def test_a_non_finite_residual_slot_is_content(self, bad):
+        res = np.zeros((2, 4), complex)
+        res[1, 2] = bad
+        for ys in (np.ones((2, 4), complex), np.full((2, 4), math.inf, complex)):
+            assert tropical._residual_valuation(4, ys, res) == F(1, 2)
 
     def test_final_residual_below_order_raises(self, monkeypatch):
         # a solve that never corrects past T^1 leaves residual content below
