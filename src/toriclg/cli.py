@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Callable
 
-from .config import update_config
+from .config import configured
 from .errors import InvalidPolytope, ToricLGError, UnknownName
 from .jacres import residue_report
 from .laurent import Potential, build_potential, render_poly
@@ -72,10 +72,11 @@ def _config_number(data: dict, key: str):
     return v
 
 
-def _load_env_config() -> None:
+def _load_env_config() -> dict:
+    """The configuration updates that the file named by TORICLG_CONFIG asks for."""
     path = os.environ.get(CONFIG_ENV)
     if not path:
-        return
+        return {}
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -104,8 +105,7 @@ def _load_env_config() -> None:
                     f" got {json.dumps(data[key])}"
                 )
             updates[key] = value
-    if updates:
-        update_config(**updates)
+    return updates
 
 
 def _resolve_polytope(args) -> tuple[MomentPolytope, tuple[Correction, ...]]:
@@ -502,12 +502,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _load_env_config()
+        updates = _load_env_config()
         if args.truncation is not None:
-            update_config(
-                truncation_order=_positive_truncation(args.truncation, "--truncation")
-            )
-        return args.fn(args)
+            updates["truncation_order"] = _positive_truncation(args.truncation, "--truncation")
+        with configured(**updates):
+            return args.fn(args)
     except (ValueError, UnknownName, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -455,6 +455,8 @@ def format_fraction(e: Fraction) -> str:
 
 def _format_coeff(c: complex) -> str:
     # display rounding only; the stored coefficients stay untouched
+    if not cmath.isfinite(c):  # as Python prints it: no part is hidden
+        return repr(c.real) if c.imag == 0 else repr(c)
     scale = max(abs(c.real), abs(c.imag), 1.0)
     if abs(c.imag) <= 1e-12 * scale:
         r = c.real

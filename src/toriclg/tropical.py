@@ -48,7 +48,8 @@ from .errors import (
 )
 from .laurent import Potential
 from .novikov import INF, NovikovScalar, format_fraction
-from .polysolve import CPoly, _term_values, solve_torus_system
+from .polysolve import EVAL_REL, CPoly, _term_values, solve_torus_system
+from .polytope import _dot
 
 ExpVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -139,31 +140,28 @@ class TropicalCell:
         return d
 
 
-def _line_interval(
-    potential: Potential, p: FracVec, d: FracVec
-) -> tuple[Fraction, Fraction] | None:
-    """Open parameter interval where p + t d stays interior."""
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for f in potential.polytope.facets:
-        slope = sum(Fraction(n) * x for n, x in zip(f.normal, d))
-        base = f.ell(p)
-        if slope == 0:
-            if base <= 0:
-                return None
-            continue
-        bound = -base / slope
-        if slope > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    if lo is None or hi is None or lo >= hi:
+def _line_scan(walls, ties, p: FracVec, d: FracVec) -> list[Fraction] | None:
+    """The ends lo < hi of the open interval of t where the line p + t d is
+    interior, with the ties' crossings between them, in increasing order;
+    None when the line misses the interior.  A row (w, r) meets the line at
+    t = (r - <w, p>)/<w, d>: a facet wall (v_j, -lambda_j) bounds t from
+    below where it rises along d and from above where it falls, and drops
+    the line where it is parallel with <w, p> <= r."""
+
+    def crossings(rows):
+        return [(_dot(w, d), r - _dot(w, p)) for *w, r in rows]
+
+    lo, hi = [], []
+    for slope, gap in crossings(walls):
+        if slope:
+            (lo if slope > 0 else hi).append(gap / slope)
+        elif gap >= 0:
+            return None
+    if not lo or not hi or max(lo) >= min(hi):
         return None  # unbounded lines cannot occur inside a compact polytope
-    return lo, hi
-
-
-def _point_on(p: FracVec, d: FracVec, t: Fraction) -> FracVec:
-    return tuple(a + t * b for a, b in zip(p, d))
+    a, b = max(lo), min(hi)
+    breaks = {gap / slope for slope, gap in crossings(ties) if slope}
+    return [a, *sorted(t for t in breaks if a < t < b), b]
 
 
 def tropical_candidates(
@@ -192,7 +190,7 @@ def tropical_candidates(
         pair_eqs.append(list(seen))
 
     points: dict[FracVec, None] = {}
-    subspaces: dict[tuple, tuple[FracVec, list[FracVec]]] = {}
+    subspaces: dict[tuple, None] = {}
     for combo in itertools.product(*pair_eqs):
         sol = frac_solve([tie[:-1] for tie in combo], [tie[-1] for tie in combo])
         if sol is None:
@@ -201,36 +199,27 @@ def tropical_candidates(
         if not nullspace:
             points[tuple(particular)] = None
         else:
-            key = canonical_affine(particular, nullspace)
-            subspaces.setdefault(key, (key[1], [tuple(v) for v in key[0]]))
+            subspaces[canonical_affine(particular, nullspace)] = None
 
     candidates = {u: None for u in points if balanced_at(potential, u)}
     cells: list[TropicalCell] = []
+    if any(len(basis) == 1 for basis, _ in subspaces):  # the line scan's rows
+        walls = [(*f.normal, -f.constant) for f in potential.polytope.facets]
+        ties = dict.fromkeys(itertools.chain(*pair_eqs))  # each distinct tie once
 
-    for particular, basis in subspaces.values():
+    for basis, particular in subspaces:
         if len(basis) == 1:
             d = basis[0]
-            interval = _line_interval(potential, particular, d)
-            if interval is None:
+            edges = _line_scan(walls, ties, particular, d)
+            if edges is None:
                 continue
-            lo, hi = interval
-            # where the line crosses the tie of a pair of terms
-            breaks: set[Fraction] = set()
-            for *row, rhs in itertools.chain(*pair_eqs):
-                slope = sum(x * z for x, z in zip(row, d))
-                if slope != 0:
-                    t = (rhs - sum(x * y for x, y in zip(row, particular))) / slope
-                    if lo < t < hi:
-                        breaks.add(t)
-            ts = sorted(breaks)
-            for t in ts:
-                u = _point_on(particular, d, t)
+            for t in edges[1:-1]:
+                u = tuple(p + t * x for p, x in zip(particular, d))
                 if balanced_at(potential, u):
                     candidates.setdefault(u, None)
-            edges = [lo] + ts + [hi]
             for a_t, b_t in zip(edges, edges[1:]):
                 mid = (a_t + b_t) / 2
-                u = _point_on(particular, d, mid)
+                u = tuple(p + mid * x for p, x in zip(particular, d))
                 if balanced_at(potential, u):
                     cells.append(
                         TropicalCell(
@@ -335,8 +324,9 @@ class _Lattice:
     term c_a y^a keeps its exponent vector and the slot ``place`` of its
     leading T-power counted from the least one, ``low``; ``base[r, t]``
     holds the value c_a y0^a of term t at seed r of ``roots`` over that
-    power (size slots).  The shift s_i (``shifts[i]``) is the frame's s_i on
-    this lattice, and equation i starts at ``starts[i]`` = s_i - low.
+    power (size slots), NaN when a power of the seed leaves the float
+    range.  The shift s_i (``shifts[i]``) is the frame's s_i on this
+    lattice, and equation i starts at ``starts[i]`` = s_i - low.
     ``weights`` has a row of ones, then the rows a_i and a_i a_j
     (j = 1..n) of each i in turn."""
 
@@ -364,7 +354,10 @@ class _Lattice:
         at = [t for t, (_, ks, _) in enumerate(frame) for _ in ks], [key[-1] for key in poly]
         self.base = np.zeros((len(roots), len(frame), self.size), complex)
         for row, root in zip(self.base, roots):
-            row[at] = [v for _, v in _term_values(poly, [complex(y) for y in root])]
+            try:
+                row[at] = [v for _, v in _term_values(poly, [complex(y) for y in root])]
+            except (OverflowError, ZeroDivisionError):  # a power past the float range
+                row[:] = np.nan
         am = np.array(self.exps, dtype=float)
         rows = np.einsum("ai,aj->ija", am, np.hstack([np.ones((len(am), 1)), am]))
         self.weights = np.vstack([np.ones(len(am)), rows.reshape(-1, len(am))])
@@ -499,9 +492,13 @@ def newton_lift(
 
     All roots run on one exponent lattice (``_Lattice``), built once from
     the potential and u, one row per root, and each carries
-    y_i = y0_i (1 + x_i).  The seeds' system gives each root's leading
-    Jacobian J_0, its degeneracy test (SingularInitialJacobian), and its
-    seed residual valuation v (NoConvergence when v <= 0: not a root).  A
+    y_i = y0_i (1 + x_i).  A seed is not a root (NoConvergence) when a
+    coordinate is zero or not finite, which is refused before anything is
+    evaluated, or when its initial equations fail the solver's cut
+    |sum a_i T_a| <= EVAL_REL sum |a_i T_a| (``polysolve._is_root``).  The
+    seeds' system gives each other root's leading Jacobian J_0, its
+    degeneracy test (SingularInitialJacobian), and its seed residual
+    valuation v (NoConvergence when v <= 0: not a root).  A
     seed with v >= order is returned as it is.  Otherwise each Newton step
     at least doubles v (Hensel), so the roots of one v step together on the
     windows 2v, 4v, ... up to the order, with ``lambda_solve`` from each
@@ -516,13 +513,26 @@ def newton_lift(
         raise ValueError("newton_lift needs a positive finite order")
     if not len(roots):
         return []
-    lat = _Lattice(potential, u, roots, e_order)
-    e_order, den = lat.order, lat.den
     seed = np.array(roots, complex)
-    res, jac, value = _system(lat, lat.base, lat.size)
+    # a seed off the torus is refused unevaluated: its row holds y = 1
+    torus = np.isfinite(seed).all(axis=1) & (seed != 0).all(axis=1)
+    lat = _Lattice(potential, u, np.where(torus[:, None], seed, 1), e_order)
+    e_order, den = lat.order, lat.den
+    # the solver's cut on each seed's initial equations: |sum a_i T_a| <=
+    # EVAL_REL sum |a_i T_a| over the terms at the equation's leading power;
+    # a seed whose terms leave the float range fails it
+    initial = np.equal.outer(lat.starts, lat.place) * np.abs(np.array(lat.exps)).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        res, jac, value = _system(lat, lat.base, lat.size)
+        mag = np.abs(lat.base[:, :, 0]) @ initial.T
+    cut = torus & (np.isfinite(mag) & (np.abs(res[..., 0]) <= EVAL_REL * mag)).all(axis=1)
     out: list = [None] * len(seed)
+    for r in np.flatnonzero(~cut):
+        why = "fails the initial equations" if torus[r] else "is off the torus"
+        out[r] = NoConvergence(f"the seed {why}; not a root")
     groups: dict[Fraction, list[int]] = {}
-    for r, degenerate in enumerate(_is_degenerate(jac[..., 0])):
+    kept = np.flatnonzero(cut)
+    for r, degenerate in zip(kept, _is_degenerate(jac[kept, :, :, 0])):
         if degenerate:
             out[r] = SingularInitialJacobian("leading Jacobian is singular; cannot lift")
             continue

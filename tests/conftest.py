@@ -5,8 +5,9 @@ from toriclg import RunConfig, set_config
 
 @pytest.fixture(autouse=True)
 def _fresh_config():
-    # several code paths (the CLI in particular) mutate the process-wide
-    # configuration; keep tests independent of each other
+    # the CLI runs each command inside ``configured`` and leaves the
+    # process-wide configuration as it found it; the reset keeps a test
+    # that sets the configuration itself from leaking into the next
     set_config(RunConfig())
     yield
     set_config(RunConfig())

@@ -3,10 +3,10 @@ combinatorics that the vertex walk is checked against, series
 comparisons (among them a batched Newton lift against single ones), the
 closed-form residue pairing of projective space, the Fraction derivation
 of initial systems, a point-by-point reference for the balanced-position
-scan, a ``Fraction`` row reduction that the library's integer
-elimination is checked against, and a term-by-term evaluation of complex
-Laurent polynomials that polysolve's one term evaluation is checked
-against."""
+scan, the candidate search's earlier line cutting, a ``Fraction`` row
+reduction that the library's integer elimination is checked against,
+and a term-by-term evaluation of complex Laurent polynomials that
+polysolve's one term evaluation is checked against."""
 
 import cmath
 import itertools
@@ -25,6 +25,7 @@ from toriclg import (
     is_strongly_balanced,
 )
 from toriclg.polytope import ValidationReport, Vertex
+from toriclg.tropical import balanced_at
 
 _SIDES = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]
 _CUTS = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
@@ -524,6 +525,86 @@ def reference_balanced_positions(potential, grid: int, extra=None):
         except LevelUnderdetermined:
             out.append((u, "unknown"))
     return out
+
+
+# -- tropical line reference ------------------------------------------------------
+# The candidate search before one crossing rule cut its lines: the pair ties
+# as Fraction rows, their choices solved by the Fraction reduction above, each
+# line cut to the interior by its own loop over Facet.ell and subdivided at
+# every tie of every equation, repeats included.  The balancing test is the
+# library's balanced_at, which TestFrameOracle checks on its own.  Tests
+# compare tropical_candidates with it on polygons, whose candidates are
+# points and lines only.
+
+
+def reference_line_interval(potential, p, d):
+    """Open parameter interval where p + t d stays interior."""
+    lo = hi = None
+    for f in potential.polytope.facets:
+        slope = sum(Fraction(n) * x for n, x in zip(f.normal, d))
+        base = f.ell(p)
+        if slope == 0:
+            if base <= 0:
+                return None
+            continue
+        bound = -base / slope
+        if slope > 0:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    if lo is None or hi is None or lo >= hi:
+        return None
+    return lo, hi
+
+
+def reference_tropical_candidates(potential):
+    """Sorted candidate points, and the line cells as sorted tuples
+    (sample_u, direction, t_range), of a polygon's potential."""
+    pair_eqs = []
+    for i in range(potential.polytope.dim):
+        terms = [(a, c.valuation()) for a, c in potential.poly.terms.items() if a[i]]
+        ties = set()
+        for (a, va), (b, vb) in itertools.combinations(terms, 2):
+            row = [Fraction(x - y) for x, y in zip(a, b)] + [vb - va]
+            lead = next(x for x in row if x)
+            ties.add(tuple(x / lead for x in row))
+        pair_eqs.append(sorted(ties))
+    points, lines = set(), set()
+    for combo in itertools.product(*pair_eqs):
+        sol = reference_solve([t[:-1] for t in combo], [t[-1] for t in combo])
+        if sol is not None:
+            particular, nullspace = sol
+            assert len(nullspace) <= 1, "polygons have no candidate planes"
+            if nullspace:
+                lines.add(reference_canonical_affine(particular, nullspace))
+            else:
+                points.add(tuple(particular))
+    candidates = {u for u in points if balanced_at(potential, u)}
+    cells = []
+    for (d,), particular in lines:
+        interval = reference_line_interval(potential, particular, d)
+        if interval is None:
+            continue
+        lo, hi = interval
+        breaks = set()
+        for *row, rhs in itertools.chain(*pair_eqs):
+            slope = sum(x * z for x, z in zip(row, d))
+            if slope != 0:
+                t = (rhs - sum(x * y for x, y in zip(row, particular))) / slope
+                if lo < t < hi:
+                    breaks.add(t)
+        ts = sorted(breaks)
+        for t in ts:
+            u = tuple(a + t * b for a, b in zip(particular, d))
+            if balanced_at(potential, u):
+                candidates.add(u)
+        edges = [lo] + ts + [hi]
+        for a_t, b_t in zip(edges, edges[1:]):
+            mid = (a_t + b_t) / 2
+            u = tuple(a + mid * b for a, b in zip(particular, d))
+            if balanced_at(potential, u):
+                cells.append((u, d, (a_t, b_t)))
+    return sorted(candidates), sorted(cells)
 
 
 # -- complex Laurent polynomials, term by term ---------------------------------

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import random_delzant_polytope
-from toriclg import NoConvergence, ToricLGError
+from toriclg import NoConvergence, RunConfig, ToricLGError, get_config
 from toriclg.cli import main
 
 HIRZ = {
@@ -314,6 +314,20 @@ class TestConfiguration:
         )
         doc = json.loads(out)
         assert doc["points"][0]["y_local"][0]["trunc"] == "4"
+
+    def test_a_run_leaves_the_configuration_as_it_found_it(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        code, _, _ = run(capsys, "betti", "--catalog", "simplex:2", "--truncation", "3")
+        assert code == 0 and get_config() == RunConfig()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"truncation": 2, "eps_sol": 1e-6}))
+        monkeypatch.setenv("TORICLG_CONFIG", str(cfg))
+        code, _, _ = run(capsys, "betti", "--catalog", "simplex:2")
+        assert code == 0 and get_config() == RunConfig()
+        # a command that fails inside the run restores it too
+        code, _, _ = run(capsys, "betti", "--catalog", "nosuch:2", "--truncation", "3")
+        assert code == 2 and get_config() == RunConfig()
 
 
 class TestExitCodes:

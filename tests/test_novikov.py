@@ -395,6 +395,35 @@ class TestRendering:
     def test_pure_imaginary_coefficient(self):
         assert render_scalar(T(0, -1j)) == "-1j"
 
+    @pytest.mark.parametrize(
+        "coeff, text",
+        [
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+            (complex(1, math.inf), "(1+infj)"),
+            (complex(0, -math.inf), "-infj"),
+            (complex(math.inf, 1e-20), "(inf+1e-20j)"),
+            (complex(2.5, math.nan), "(2.5+nanj)"),
+        ],
+    )
+    def test_non_finite_coefficients_print_as_python_prints_them(self, coeff, text):
+        # no part is hidden: an infinite part does not make the other one
+        # read as zero, and a real infinity prints without raising
+        assert repr(NovikovScalar.from_number(coeff)) == text
+        s = NovikovScalar([(0, 1.0), (Fraction(1, 2), coeff)], trunc=Fraction(1))
+        assert render_scalar(s) == (
+            f"1 - {text[1:]} T^0.5 + O(T^1)" if text.startswith("-")
+            else f"1 + {text} T^0.5 + O(T^1)"
+        )
+
+    def test_finite_coefficients_print_as_before(self):
+        cases = [(2.0, "2"), (-0.5, "-0.5"), (1 / 3, "0.3333333333"), (2.5e-7, "2.5e-07"),
+                 (complex(1, 1e-13), "1"), (complex(1e-13, 2), "2j"),
+                 (complex(1, -2), "(1-2j)"), (complex(0.1, 1e-11), "(0.1+1e-11j)")]
+        for coeff, text in cases:
+            assert repr(NovikovScalar.from_number(coeff)) == text
+
     def test_format_fraction(self):
         assert format_fraction(Fraction(1, 2)) == "0.5"
         assert format_fraction(Fraction(1, 3)) == "1/3"

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from helpers import (
     random_delzant_threefold,
     reference_balanced_at,
     reference_initial_system,
+    reference_tropical_candidates,
 )
 from toriclg import tropical
 from toriclg import (
@@ -99,6 +101,21 @@ class TestCandidates:
         assert (res.morse_mode, res.morse_total, res.betti, res.morse_ok) == ("lower-bound", 14, 14, True)
         assert res.trace_ok is None and res.trace_residual is None and res.trace_sum is None
         assert "positive-dimensional candidate cells: trace check skipped" in res.notes
+
+    def test_line_scan_matches_the_reference(self):
+        # one crossing rule cuts each line: the facet walls give its interior
+        # interval and each distinct tie its breakpoints; the reference cuts
+        # it with Facet.ell and every tie of every equation
+        line_cells = 0
+        for seed in range(16):
+            p = random_delzant_polytope(random.Random(seed), max_chops=8)
+            pot = build_potential(p, assume_fano=True)
+            cands, cells = tropical_candidates(pot)
+            assert {(c.dimension, len(c.directions), c.note) for c in cells} <= {(1, 1, "")}
+            got = sorted((c.sample_u, c.directions[0], c.t_range) for c in cells)
+            assert (cands, got) == reference_tropical_candidates(pot), seed
+            line_cells += len(cells)
+        assert line_cells >= 80
 
     def test_candidates_are_interior(self):
         for name, params in [
@@ -335,6 +352,33 @@ class TestNewtonLift:
         pot = potential_of("simplex", 2)
         (out,) = newton_lift(pot, (F(1, 3), F(1, 3)), [(0.5, 0.7)])
         assert isinstance(out, NoConvergence) and "not a root" in str(out)
+
+    @pytest.mark.parametrize(
+        "name, params, y",
+        [
+            # a zero or non-finite coordinate is refused before it is evaluated
+            ("simplex", (2,), (math.nan, 1)),
+            ("simplex", (2,), (0.0, 1)),
+            ("simplex", (2,), (math.inf, 1)),
+            # at |y1| >= 1e11 every slot-0 residual is below the noise floor
+            # of the residual valuation, so only the solver's cut refuses it
+            ("simplex", (2,), (1e12, 1)),
+            ("simplex", (2,), (1e155, 1)),
+            # powers of the seed that overflow or underflow to zero
+            ("hirzebruch", (2, F(1, 2)), (1, 1e-200)),
+            ("hirzebruch", (2, F(1, 2)), (1e200, 1e200)),
+            ("blowup1", (F(2, 5),), (1e200, 1e200)),
+            ("blowup2", (F(1, 2), F(1, 5)), (1e-200, 1e-200)),
+        ],
+    )
+    def test_a_seed_that_is_not_a_torus_root_is_refused(self, name, params, y):
+        pot = potential_of(name, *params)
+        point = find_critical_points(pot).points[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bad, good = newton_lift(pot, point.u, [y, point.y_initial])
+        assert isinstance(bad, NoConvergence) and "not a root" in str(bad)
+        assert good[1] == point.residual_valuation
 
     def test_geometric_series_is_lifted_exactly(self):
         # coefficients grow about 8.7 times per step of T^(1/4); a noise
