@@ -23,6 +23,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import isfinite
@@ -499,13 +500,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_) -> None:
+    """A library warning as one line, without the source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         updates = _load_env_config()
         if args.truncation is not None:
             updates["truncation_order"] = _positive_truncation(args.truncation, "--truncation")
-        with configured(**updates):
+        with configured(**updates), warnings.catch_warnings():
+            warnings.showwarning = _print_warning
             return args.fn(args)
     except (ValueError, UnknownName, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 # frac_solve is not called here; bench/tracer.py binds it in this module
 from ._intlinalg import adapted_basis, frac_solve  # noqa: F401
 from .errors import (
@@ -274,8 +276,16 @@ def balanced_positions(
     and never the values or u, and the bulk coefficients enter only
     through their leading parts.  So the cascade runs once per pattern, on
     the first point in scan order that has it, and later points with that
-    pattern take its verdict.  Support values are computed once per point,
-    as integers over one common denominator.
+    pattern take its verdict.
+
+    The scan is array work on integer numerators over one common
+    denominator.  The grid and the extras form one (N, n) array, kept in
+    lexicographic order with each point once; the support values are one
+    matrix product and the interior test is their sign.  A point's
+    pattern is the stable argsort of its values together with the mask of
+    equal neighbours in sorted order.  The arrays hold int64 when a bound
+    on every support value fits below 2**63, and Python ints (dtype
+    object) otherwise, so the scan is exact for every input.
     """
     if grid < 1:
         raise ValueError(f"grid must be a positive integer, got {grid}")
@@ -293,26 +303,43 @@ def balanced_positions(
     def scaled(x: Fraction) -> int:
         return x.numerator * (den // x.denominator)
 
-    facets = [(f.normal, scaled(f.constant)) for f in p.facets]
     axes = [
         [scaled(lo) + k * scaled(step) for k in range(1, grid)]
         for (lo, _), step in zip(box, steps)
     ]
-    # numerators of the interior points -> their support values times den
-    support: dict[tuple[int, ...], list[int]] = {}
-    for num in itertools.chain(
-        itertools.product(*axes), (tuple(map(scaled, u)) for u in extras)
-    ):
-        if num not in support:
-            values = [sum(a * b for a, b in zip(v, num)) + c for v, c in facets]
-            if all(x > 0 for x in values):
-                support[num] = values
+    extra_nums = [list(map(scaled, u)) for u in extras]
+    normals = [f.normal for f in p.facets]
+    consts = [scaled(f.constant) for f in p.facets]
+    # every support value numerator, and every partial sum of one, is at most bound
+    top = max((abs(x) for xs in (*axes, *extra_nums) for x in xs), default=0)
+    bound = max(sum(map(abs, v)) * top + abs(c) for v, c in zip(normals, consts))
+    dtype = np.int64 if bound < 2**63 else object
 
-    known: dict[tuple[tuple[int, ...], ...], str] = {}
+    mesh = np.meshgrid(*(np.array(a, dtype=dtype) for a in axes), indexing="ij")
+    pts = np.concatenate(
+        [
+            np.stack(mesh, axis=-1).reshape(-1, p.dim),
+            np.array(extra_nums, dtype=dtype).reshape(-1, p.dim),
+        ]
+    )
+    # scan order: lexicographic, each point once (an extra may repeat or
+    # lie on the grid)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    fresh = np.ones(len(pts), dtype=bool)
+    fresh[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[fresh]
+    values = pts @ np.array(normals, dtype=dtype).T + np.array(consts, dtype=dtype)
+    inside = (values > 0).all(axis=1)
+    pts, values = pts[inside], values[inside]
+    rank = np.argsort(values, axis=1, kind="stable")
+    ranked = np.take_along_axis(values, rank, axis=1)
+    patterns = np.concatenate([rank, ranked[:, 1:] == ranked[:, :-1]], axis=1)
+
+    fracs = {x: Fraction(x, den) for x in set(pts.ravel().tolist())}
+    known: dict[tuple[int, ...], str] = {}
     out: list[tuple[FracVec, str]] = []
-    for num in sorted(support):
-        u = tuple(Fraction(x, den) for x in num)
-        pattern = tuple(tuple(idxs) for _, idxs in _group_levels(support[num]))
+    for num, pattern in zip(pts.tolist(), map(tuple, patterns.tolist())):
+        u = tuple(map(fracs.__getitem__, num))
         if pattern not in known:
             known[pattern] = _VERDICTS[solve_lte(potential, u).status]
         out.append((u, known[pattern]))

@@ -109,8 +109,14 @@ def univariate_roots(p: dict[int, complex]) -> list[complex]:
         return []
     coeffs = np.zeros(hi - lo + 1, dtype=complex)
     for e, c in p.items():
-        coeffs[hi - e] = c  # highest degree first for np.roots
-    return [complex(r) for r in np.roots(coeffs / np.abs(coeffs).max())]
+        coeffs[hi - e] = c  # highest degree first
+    coeffs /= np.abs(coeffs).max()
+    if hi - lo == 1:
+        return [complex(-coeffs[1] / coeffs[0])]
+    # the companion matrix that np.roots builds (no zero end coefficient to trim)
+    companion = np.diag(np.ones(hi - lo - 1, dtype=complex), -1)
+    companion[0] = -coeffs[1:] / coeffs[0]
+    return [complex(r) for r in np.linalg.eigvals(companion)]
 
 
 # -- exact polynomials over Z[i] -----------------------------------------------

@@ -243,9 +243,13 @@ class TestFileInputs:
     def test_nonfano_file_without_corrections_warns(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(HIRZ))
-        with pytest.warns(UserWarning, match="fano"):
-            code, out, _ = run(capsys, "potential", "--polytope", str(path))
+        code, out, err = run(capsys, "potential", "--polytope", str(path))
         assert code == 0
+        # one line, without the library's file path and source line
+        assert err == (
+            "warning: polytope is not detectably fano and no corrections "
+            "were given; using the leading-order potential only\n"
+        )
 
 
 class TestCountVerdict:

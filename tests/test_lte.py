@@ -16,6 +16,7 @@ from helpers import (
     random_delzant_threefold,
     reference_balanced_positions,
 )
+from toriclg import lte
 from toriclg import (
     BulkCoefficients,
     Correction,
@@ -389,6 +390,67 @@ def test_points_with_one_level_pattern_share_the_cascade(seed, grid):
         first, other = solve_lte(pot, us[0]), solve_lte(pot, rng.choice(us[1:]))
         assert first.level_polys == other.level_polys, pattern
         assert first.status == other.status, pattern
+
+
+def first_point_of_each_pattern(p, grid, extra):
+    """The interior grid and extra points in scan order, each level pattern
+    kept at its first point."""
+    points = set(interior_grid(p, grid))
+    points.update(u for u in (tuple(map(F, x)) for x in extra) if p.interior_contains(u))
+    firsts: dict = {}
+    for u in sorted(points):
+        firsts.setdefault(level_pattern(p, u), u)
+    return list(firsts.values())
+
+
+@pytest.mark.parametrize(
+    "make, seed, grid",
+    [*((random_delzant_polytope, seed, 8) for seed in range(6)), (random_delzant_threefold, 2, 5)],
+)
+def test_the_scan_runs_one_cascade_per_level_pattern(monkeypatch, make, seed, grid):
+    p = make(random.Random(seed))
+    pot = build_potential(p, assume_fano=True)
+    extra = probe_points(p, grid)
+    calls = []
+    real = lte.solve_lte
+
+    def counted(potential, u):
+        calls.append(u)
+        return real(potential, u)
+
+    monkeypatch.setattr(lte, "solve_lte", counted)
+    balanced_positions(pot, grid, extra)
+    firsts = first_point_of_each_pattern(p, grid, extra)
+    assert len(firsts) > 1
+    assert calls == firsts
+
+
+def test_wide_numerators_scan_exactly():
+    """Numerators past int64: on blowup1 at a = 1/q, q = 2**61 - 1, grid 6
+    and the off-grid extra (1/(3q), 1/3) share the denominator 6q."""
+    q = 2**61 - 1
+    pot = potential_of("blowup1", F(1, q))
+    extra = [(F(1, 3 * q), F(1, 3))]
+    rows = balanced_positions(pot, 6, extra)
+    assert rows == reference_balanced_positions(pot, 6, extra)
+    assert (extra[0], "unbalanced") in rows
+
+
+def test_support_values_past_int64_scan_exactly():
+    """Numerators within int64 whose support values are not: on the square
+    [-1, 1]^2 at grid 4 with the extra (1/q, 1/q), q = 2**62 - 1, the
+    common denominator is 2q, every numerator is at most q in size, and
+    1 - u1 at u1 = -1/2 has the numerator 3q > 2**63."""
+    q = 2**62 - 1
+    square = MomentPolytope.from_inequalities(
+        [((1, 0), F(1)), ((-1, 0), F(1)), ((0, 1), F(1)), ((0, -1), F(1))]
+    )
+    pot = build_potential(square, assume_fano=True)
+    extra = [(F(1, q), F(1, q))]
+    rows = balanced_positions(pot, 4, extra)
+    assert rows == reference_balanced_positions(pot, 4, extra)
+    assert [u for u, s in rows if s == "balanced"] == [(0, 0)]
+    assert len(rows) == 10
 
 
 def random_corrections(rng, p, count=3):

@@ -105,6 +105,19 @@ class TestUnivariate:
         with pytest.raises(PositiveDimensionalInitialLocus):
             univariate_roots({})
 
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_roots_equal_np_roots_bit_for_bit(self, degree):
+        # the companion matrix is built in place of np.roots: the same
+        # roots in the same order, on Laurent support with interior zeros
+        rng = np.random.default_rng(degree)
+        for _ in range(20):
+            coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+            coeffs[1:-1][rng.random(degree - 1) < 0.3] = 0
+            lo = int(rng.integers(-3, 3))
+            p = {lo + degree - k: complex(c) for k, c in enumerate(coeffs) if c != 0}
+            expected = np.roots(coeffs / np.abs(coeffs).max())
+            assert univariate_roots(p) == [complex(r) for r in expected]
+
     def test_squarefree_decomposition_counts_repeated_roots(self):
         # (z - 1)^2 (z + 2) = z^3 - 3z + 2
         parts = squarefree_decomposition(upoly(2, -3, 0, 1))
