@@ -33,7 +33,7 @@ from .config import configured
 from .errors import InvalidPolytope, ToricLGError, UnknownName
 from .jacres import residue_report
 from .laurent import Potential, build_potential, render_poly
-from .lte import balanced_positions, solve_lte
+from .lte import _scan_grid, solve_lte
 from .novikov import format_fraction, render_scalar
 from .polytope import (
     CATALOG_SIGNATURES,
@@ -335,21 +335,47 @@ def cmd_lte(args) -> int:
                 "  witness ybar=(" + ", ".join(_fmt_z(z) for z in w) + ")"
             )
         return _emit(args, res.to_json_dict(), lambda: "\n".join(lines))
-    rows = balanced_positions(pot, args.grid)
-    doc = {
-        "grid": args.grid,
-        "verdicts": [
-            {"u": [format_fraction(x) for x in u], "status": s} for u, s in rows
-        ],
-    }
-    balanced = [u for u, s in rows if s == "balanced"]
+    pts, den, verdicts = _scan_grid(pot, args.grid)
+    rows = pts.tolist()
+    # one string per distinct numerator, shared by every point that has it
+    shown = {x: format_fraction(Fraction(x, den)) for x in set(pts.ravel().tolist())}
+    if args.format == "json":
+        print(_grid_json(args.grid, rows, verdicts, shown))
+        return 0
     shape = "x".join([str(args.grid)] * pot.polytope.dim)
     lines = [f"grid {shape}: {len(rows)} interior points"]
-    lines += [f"  balanced at u={_fmt_u(u)}" for u in balanced]
-    unknown = sum(1 for _, s in rows if s == "unknown")
+    lines += [
+        "  balanced at u=(" + ", ".join(map(shown.__getitem__, num)) + ")"
+        for num, s in zip(rows, verdicts)
+        if s == "balanced"
+    ]
+    unknown = verdicts.count("unknown")
     if unknown:
         lines.append(f"  ({unknown} points undetermined)")
-    return _emit(args, doc, lambda: "\n".join(lines))
+    print("\n".join(lines))
+    return 0
+
+
+def _grid_json(grid: int, rows: list, verdicts: list[str], shown: dict) -> str:
+    """``json_text({"grid": grid, "verdicts": [{"status": s, "u": u}, ...]})``
+    for the grid report, with u spelled by ``shown`` from its numerators:
+    one quoted string per distinct numerator, one template per point and
+    one join for the list."""
+    if not rows:
+        return f'{{\n  "grid": {grid},\n  "verdicts": []\n}}'
+    quoted = {x: encode_basestring_ascii(text) for x, text in shown.items()}
+    heads = {
+        s: f'{{\n      "status": {encode_basestring_ascii(s)},\n      "u": [\n        '
+        for s in set(verdicts)
+    }
+    sep, tail = ",\n        ", "\n      ]\n    }"
+    body = ",\n    ".join(
+        [
+            heads[s] + sep.join([quoted[x] for x in num]) + tail
+            for num, s in zip(rows, verdicts)
+        ]
+    )
+    return f'{{\n  "grid": {grid},\n  "verdicts": [\n    {body}\n  ]\n}}'
 
 
 def _count_verdict(res) -> str:

@@ -274,9 +274,9 @@ def balanced_positions(
     grouped by support value, groups in increasing order of value.  The
     adapted frame, the level polynomials and the cascade read the groups
     and never the values or u, and the bulk coefficients enter only
-    through their leading parts.  So the cascade runs once per pattern, on
-    the first point in scan order that has it, and later points with that
-    pattern take its verdict.
+    through their leading parts.  So there is one cascade loop over
+    distinct patterns: each cascade runs on the first point in scan order
+    that has the pattern, and every point takes its pattern's verdict.
 
     The scan is array work on integer numerators over one common
     denominator.  The grid and the extras form one (N, n) array, kept in
@@ -285,8 +285,26 @@ def balanced_positions(
     pattern is the stable argsort of its values together with the mask of
     equal neighbours in sorted order.  The arrays hold int64 when a bound
     on every support value fits below 2**63, and Python ints (dtype
-    object) otherwise, so the scan is exact for every input.
+    object) otherwise, so the scan is exact for every input.  The rows
+    share one ``Fraction`` per distinct numerator, and ``lte --grid``
+    writes one string per distinct numerator.
     """
+    pts, den, verdicts = _scan_grid(potential, grid, extra)
+    fracs = {x: Fraction(x, den) for x in set(pts.ravel().tolist())}
+    return [
+        (tuple(map(fracs.__getitem__, num)), verdict)
+        for num, verdict in zip(pts.tolist(), verdicts)
+    ]
+
+
+def _scan_grid(
+    potential: Potential,
+    grid: int,
+    extra: list | None = None,
+) -> tuple[np.ndarray, int, list[str]]:
+    """The scan of ``balanced_positions`` before any point becomes a
+    ``Fraction``: the interior points as an (N, n) array of numerators in
+    scan order, their common denominator, and one verdict per point."""
     if grid < 1:
         raise ValueError(f"grid must be a positive integer, got {grid}")
     p = potential.polytope
@@ -331,16 +349,20 @@ def balanced_positions(
     values = pts @ np.array(normals, dtype=dtype).T + np.array(consts, dtype=dtype)
     inside = (values > 0).all(axis=1)
     pts, values = pts[inside], values[inside]
+    if not len(pts):
+        return pts, den, []
     rank = np.argsort(values, axis=1, kind="stable")
     ranked = np.take_along_axis(values, rank, axis=1)
+    # int64 on both paths (ranks beside a bool mask); np.unique on a view
+    # of each row as one opaque value is several times faster than
+    # np.unique(axis=0), which sorts one field per column
     patterns = np.concatenate([rank, ranked[:, 1:] == ranked[:, :-1]], axis=1)
-
-    fracs = {x: Fraction(x, den) for x in set(pts.ravel().tolist())}
-    known: dict[tuple[int, ...], str] = {}
-    out: list[tuple[FracVec, str]] = []
-    for num, pattern in zip(pts.tolist(), map(tuple, patterns.tolist())):
-        u = tuple(map(fracs.__getitem__, num))
-        if pattern not in known:
-            known[pattern] = _VERDICTS[solve_lte(potential, u).status]
-        out.append((u, known[pattern]))
-    return out
+    row = np.dtype((np.void, patterns.itemsize * patterns.shape[1]))
+    _, first, which = np.unique(
+        patterns.view(row).ravel(), return_index=True, return_inverse=True
+    )
+    verdict_of = [""] * len(first)
+    for k in np.argsort(first).tolist():  # the cascades in scan order
+        u = tuple(Fraction(x, den) for x in pts[first[k]].tolist())
+        verdict_of[k] = _VERDICTS[solve_lte(potential, u).status]
+    return pts, den, [verdict_of[k] for k in which.tolist()]

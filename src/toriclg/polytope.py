@@ -477,6 +477,7 @@ class BulkCoefficients:
     """Degree-2 bulk deformation data: one valuation-zero unit per facet."""
 
     values: tuple[NovikovScalar, ...]
+    _leading: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for j, c in enumerate(self.values):
@@ -484,13 +485,15 @@ class BulkCoefficients:
                 raise InvalidPolytope(
                     f"bulk coefficient {j} must have valuation 0"
                 )
+        # read by every cascade of a grid scan
+        object.__setattr__(self, "_leading", tuple(c.coeff_at(0) for c in self.values))
 
     @classmethod
     def ones(cls, m: int) -> "BulkCoefficients":
         return cls(tuple(NovikovScalar.one() for _ in range(m)))
 
     def leading(self) -> tuple[complex, ...]:
-        return tuple(c.coeff_at(0) for c in self.values)
+        return self._leading
 
 
 @dataclass(frozen=True)

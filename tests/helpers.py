@@ -3,10 +3,11 @@ combinatorics that the vertex walk is checked against, series
 comparisons (among them a batched Newton lift against single ones), the
 closed-form residue pairing of projective space, the Fraction derivation
 of initial systems, a point-by-point reference for the balanced-position
-scan, the candidate search's earlier line cutting, a ``Fraction`` row
-reduction that the library's integer elimination is checked against,
-and a term-by-term evaluation of complex Laurent polynomials that
-polysolve's one term evaluation is checked against."""
+scan and the document of its grid report, the candidate search's earlier
+line cutting, a ``Fraction`` row reduction that the library's integer
+elimination is checked against, and a term-by-term evaluation of complex
+Laurent polynomials that polysolve's one term evaluation is checked
+against."""
 
 import cmath
 import itertools
@@ -21,9 +22,13 @@ from toriclg import (
     LevelUnderdetermined,
     MomentPolytope,
     NovikovScalar,
+    balanced_positions,
+    build_potential,
+    catalog,
     get_config,
     is_strongly_balanced,
 )
+from toriclg.novikov import format_fraction
 from toriclg.polytope import ValidationReport, Vertex
 from toriclg.tropical import balanced_at
 
@@ -525,6 +530,26 @@ def reference_balanced_positions(potential, grid: int, extra=None):
         except LevelUnderdetermined:
             out.append((u, "unknown"))
     return out
+
+
+def catalog_potential(spec: str):
+    """The potential that ``--catalog name:p1,p2`` builds."""
+    name, _, rest = spec.partition(":")
+    entry = catalog(name, *(Fraction(x) for x in rest.split(",") if x))
+    return build_potential(entry.polytope, corrections=entry.corrections)
+
+
+def grid_document(potential, grid: int) -> dict:
+    """The document that ``lte --grid --format json`` writes, built with
+    one dict per row of ``balanced_positions``; the CLI writes it straight
+    from the scan's arrays."""
+    return {
+        "grid": grid,
+        "verdicts": [
+            {"u": [format_fraction(x) for x in u], "status": s}
+            for u, s in balanced_positions(potential, grid)
+        ],
+    }
 
 
 # -- tropical line reference ------------------------------------------------------

@@ -2,12 +2,21 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import random_delzant_polytope
-from toriclg import NoConvergence, RunConfig, ToricLGError, get_config
-from toriclg.cli import main
+from helpers import catalog_potential, grid_document, random_delzant_polytope
+from toriclg import (
+    MomentPolytope,
+    NoConvergence,
+    RunConfig,
+    ToricLGError,
+    build_potential,
+    get_config,
+    lte,
+)
+from toriclg.cli import json_text, main
 
 HIRZ = {
     "dim": 2,
@@ -29,6 +38,24 @@ TRIANGLE = {
 HIRZ_CORR = [
     {"monomial_z": [0, 0, 0, 1], "extra_T": "1", "coeff": {"re": 1.0, "im": 0.0}}
 ]
+
+
+# the box [0,1/2] x [0,2] x [0,23/10] cut by x + y >= 1/4 and y + z >= 1/2:
+# its grid-8 scan has 2 points whose cascade pins a free variable to its one
+# bad value, so they read "unknown"
+CUT_BOX = {
+    "dim": 3,
+    "facets": [
+        {"normal": [1, 0, 0], "constant": "0"},
+        {"normal": [-1, 0, 0], "constant": "1/2"},
+        {"normal": [0, 1, 0], "constant": "0"},
+        {"normal": [0, -1, 0], "constant": "2"},
+        {"normal": [0, 0, 1], "constant": "0"},
+        {"normal": [0, 0, -1], "constant": "23/10"},
+        {"normal": [1, 1, 0], "constant": "-1/4"},
+        {"normal": [0, 1, 1], "constant": "-1/2"},
+    ],
+}
 
 
 def run(capsys, *argv):
@@ -158,7 +185,6 @@ class TestJsonContract:
         assert res["trace_ok"] is True
 
     def test_series_fields_parse_back(self, capsys):
-        from fractions import Fraction
         from toriclg import NovikovScalar
 
         code, out, _ = run(
@@ -169,10 +195,79 @@ class TestJsonContract:
         assert y.trunc == Fraction(5)
 
 
+# the lte-scan benchmark's catalog entries
+LTE_SCAN_ENTRIES = (
+    "hirzebruch:2,1/2",
+    "blowup2:1/2,1/5",
+    "blowup2:1/2,1/4",
+    "blowup1:1/5",
+    "hirzebruch:1,2/5",
+    "simplex:3",
+)
+
+
+def grid_reports(pot, grid):
+    """The JSON and text reports of ``lte --grid``, built from one dict per
+    point and ``json_text``."""
+    doc = grid_document(pot, grid)
+    shape = "x".join([str(grid)] * pot.polytope.dim)
+    lines = [f"grid {shape}: {len(doc['verdicts'])} interior points"]
+    lines += [
+        "  balanced at u=(" + ", ".join(v["u"]) + ")"
+        for v in doc["verdicts"]
+        if v["status"] == "balanced"
+    ]
+    unknown = sum(v["status"] == "unknown" for v in doc["verdicts"])
+    if unknown:
+        lines.append(f"  ({unknown} points undetermined)")
+    return json_text(doc) + "\n", "\n".join(lines) + "\n"
+
+
+class TestGridReport:
+    """``lte --grid`` writes its report from the scan's arrays; it must
+    match the report built point by point through ``json_text``."""
+
+    @staticmethod
+    def check(capsys, argv, pot, grid):
+        want = grid_reports(pot, grid)
+        for fmt, expected in zip(("json", "text"), want):
+            code, out, _ = run(capsys, "lte", *argv, "--grid", str(grid), "--format", fmt)
+            assert code == 0
+            # the first differing line, not a diff of two long reports
+            got, ref = out.split("\n"), expected.split("\n")
+            bad = next((i for i, (a, b) in enumerate(zip(got, ref)) if a != b), None)
+            assert bad is None, (bad, got[bad], ref[bad])
+            assert len(got) == len(ref)
+        return want
+
+    @pytest.mark.parametrize("grid", [1, 2, 7])
+    @pytest.mark.parametrize("spec", LTE_SCAN_ENTRIES)
+    def test_catalog_scans(self, capsys, spec, grid):
+        doc, _ = self.check(capsys, ["--catalog", spec], catalog_potential(spec), grid)
+        if grid == 1:
+            assert '"verdicts": []' in doc
+
+    def test_numerators_past_int64(self, capsys):
+        q = 2**61 - 1
+        spec = f"blowup1:1/{q}"
+        pot = catalog_potential(spec)
+        # over the common denominator 6q the support values pass 2**63
+        assert lte._scan_grid(pot, 6)[0].dtype == object
+        self.check(capsys, ["--catalog", spec], pot, 6)
+
+    def test_unknown_points(self, capsys, tmp_path):
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(CUT_BOX))
+        p, _ = MomentPolytope.from_json_dict(CUT_BOX)
+        pot = build_potential(p, assume_fano=True)
+        doc, text = self.check(capsys, ["--polytope", str(path), "--assume-fano"], pot, 8)
+        assert text.startswith("grid 8x8x8: 343 interior points\n")
+        assert text.endswith("  (2 points undetermined)\n")
+        assert doc.count('"status": "unknown"') == 2
+
+
 class TestExactWorkRunsOnce:
     def test_analyze_validates_once(self, capsys, monkeypatch):
-        from toriclg.polytope import MomentPolytope
-
         calls = {"_walk": 0, "_validation_report": 0}
         for name in calls:
             body = getattr(MomentPolytope, name)

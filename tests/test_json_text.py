@@ -1,5 +1,5 @@
-"""The CLI's JSON writer gives the bytes of ``json.dumps(doc, indent=2,
-sort_keys=True)`` on random documents and on every document the CLI builds."""
+"""The CLI's JSON writers give the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` on random documents and on every report the CLI writes."""
 
 import json
 from fractions import Fraction
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import catalog_potential, grid_document
 from toriclg import catalog, cli
 from toriclg.cli import json_text, main
 
@@ -154,5 +155,10 @@ def test_cli_documents_match_stdlib(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_emit", keep)
     assert main([*argv, "--format", "json"]) == 0
     out = capsys.readouterr().out
+    if "--grid" in argv:
+        # the grid report is written from the scan's arrays without a
+        # document; its document is built one dict per point
+        pot = catalog_potential(argv[argv.index("--catalog") + 1])
+        docs.append(grid_document(pot, int(argv[argv.index("--grid") + 1])))
     assert len(docs) == 1
     assert out == stdlib_text(docs[0]) + "\n"
