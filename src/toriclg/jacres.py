@@ -9,12 +9,14 @@ log-Jacobian J by an expansion over minors, 1/Z by one unit inverse and the
 critical value from one more weight row, all on dense arrays, with the
 potential's constant term added at the end.  The residue report makes no
 term evaluation of its own, and checks that the traces of the idempotents,
-the 1/Z, sum to zero.  ``hessian_matrix`` gives the log-Hessian at any
-point by sparse evaluation of the second log-derivatives.
+the 1/Z, sum to zero, unless a 1/Z has a NaN or infinite coefficient.
+``hessian_matrix`` gives the log-Hessian at any point by sparse evaluation
+of the second log-derivatives.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass, field
 
@@ -135,17 +137,23 @@ def residue_report(
     trace_sum = None
     trace_ok: bool | None = None
     trace_residual: float | None = None
-    if all_lifted and not report.cells and inv:
-        s = sum(inv, NovikovScalar.zero())
+    # a NaN would make the largest coefficient depend on the order of terms
+    finite = all(cmath.isfinite(c) for z in inv for c in z.lattice()[2])
+    if all_lifted and not report.cells and inv and finite:
+        s = sum(inv[1:], inv[0])
         scale = max(t.max_abs_coeff() for t in inv)
         trace_residual = s.max_abs_coeff() / max(scale, 1e-30)
         trace_ok = s.is_zero() or trace_residual <= cfg.tol_zero
         cut = cfg.tol_zero * scale  # the written sum leaves out rounding residue
-        trace_sum = NovikovScalar(((e, c) for e, c in s.terms if abs(c) > cut), s.trunc)
+        den, es, cs, t = s.lattice()
+        kept = [(e, c) for e, c in zip(es, cs) if abs(c) > cut]
+        trace_sum = NovikovScalar.from_lattice(den, [e for e, _ in kept], [c for _, c in kept], t)
     elif report.cells:
         notes.append("positive-dimensional candidate cells: trace check skipped")
     elif report.points and not all_lifted:
         notes.append("degenerate or unlifted points present: trace check skipped")
+    elif not finite:
+        notes.append("a 1/Z has a NaN or infinite coefficient: trace check skipped")
     else:
         notes.append("no critical points found: trace check skipped")
     morse_ok, total, betti, mode = morse_count_check(potential, report)

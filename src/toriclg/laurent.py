@@ -183,16 +183,13 @@ class Potential:
     def poly(self) -> LaurentPoly:
         """The potential expanded as a single Laurent polynomial in y."""
         p = self.polytope
-        terms = [
-            (f.normal, NovikovScalar.monomial(f.constant) * b)
-            for f, b in zip(p.facets, self.bulk.values)
-        ]
+        terms = [(f.normal, b.shift(f.constant)) for f, b in zip(p.facets, self.bulk.values)]
         for corr in self.corrections:
             # prod_j z_j^{k_j} = T^{sum k_j lambda_j} y^{sum k_j v_j}
             ks = list(zip(corr.z_exponents, p.facets))
             a = tuple(sum(k * f.normal[i] for k, f in ks) for i in range(p.dim))
             lam = corr.extra_t + sum(k * f.constant for k, f in ks)
-            terms.append((a, corr.coeff * NovikovScalar.monomial(lam)))
+            terms.append((a, corr.coeff.shift(lam)))
         return LaurentPoly(p.dim, terms)
 
     def change_frame(self, u: Sequence) -> LaurentPoly:

@@ -13,6 +13,8 @@ truncation order integral), the sorted exponent numerators ``_e``, the
 coefficients ``_c`` and the truncation numerator ``_t``.  Operations rescale
 their operands to the lcm of the denominators, work on Python ints and
 reduce the result by one gcd, so equal scalars have equal fields.
+``lattice`` gives those four fields and ``from_lattice`` reads them back:
+the one integer form in which a series crosses to and from arrays.
 ``Fraction`` appears only at the boundary: the constructor and exponent
 arguments, ``terms``, ``valuation``, ``leading``, ``trunc`` and JSON.  Every
 result stores ``0j + c``, so no stored coefficient has a negative-zero part
@@ -177,10 +179,11 @@ class NovikovScalar:
         d = self._den
         return tuple((Fraction(e, d), c) for e, c in zip(self._e, self._c))
 
-    def lattice(self) -> tuple[int, tuple[int, ...], tuple[complex, ...]]:
-        """The terms without Fractions: (denominator, exponent numerators,
-        coefficients)."""
-        return self._den, self._e, self._c
+    def lattice(self) -> tuple[int, tuple[int, ...], tuple[complex, ...], int | None]:
+        """The scalar without Fractions, as ``from_lattice`` reads it back:
+        (denominator, exponent numerators, coefficients, truncation
+        numerator or None)."""
+        return self._den, self._e, self._c, self._t
 
     @property
     def trunc(self) -> Fraction | None:

@@ -67,7 +67,8 @@ class _Frame:
     (increasing) and its coefficients; den is the least common denominator
     of u and their exponents.  ``s[i]`` is the least leading numerator over
     the terms with a_i != 0: the valuation of y_i dPO/dy_i at u, times den
-    (None when no term has a_i != 0)."""
+    (None when no term has a_i != 0).  ``known`` holds, for each coefficient
+    with a truncation order, that order minus its valuation, times den."""
 
     def __init__(self, potential: Potential, u):
         uf = [Fraction(x) for x in u]
@@ -77,10 +78,13 @@ class _Frame:
         )
         un = [x.numerator * (den // x.denominator) for x in uf]
         self.terms: list[tuple[ExpVec, list[int], tuple[complex, ...]]] = []
+        self.known: list[int] = []
         for a, c in terms.items():
-            d, es, cs = c.lattice()
+            d, es, cs, t = c.lattice()
             shift = sum(x * e for x, e in zip(un, a))
             self.terms.append((a, [e * (den // d) + shift for e in es], cs))
+            if t is not None:
+                self.known.append((t - es[0]) * (den // d))
         self.s = [
             min((ks[0] for a, ks, _ in self.terms if a[i]), default=None)
             for i in range(potential.polytope.dim)
@@ -265,7 +269,9 @@ def _residual_valuation(den: int, ys: np.ndarray, res: np.ndarray) -> Fraction |
     cancelled there, so its noise level is a small multiple of eps_coeff
     times the largest b(k1)*b(k2) with k1 + k2 = k, where b is the running
     max of |coefficient| over the solution arrays ``ys`` (as wide as
-    ``res``), floored at 1.  A slot holding NaN or infinity is content.
+    ``res``), floored at 1.  The lift passes finite ``ys`` only: an infinite
+    coefficient would make every later noise level infinite.  A slot of
+    ``res`` holding NaN or infinity is content.
     """
     rel = max(10 * get_config().eps_coeff, 1e-11)
     b = np.maximum.accumulate(np.maximum(np.abs(ys).max(axis=0), 1.0))
@@ -317,8 +323,8 @@ class _Lattice:
     holding T^(k/den), for the Newton lift.
 
     ``order`` is the order asked for, capped at the least relative
-    truncation (truncation order minus valuation) of a coefficient of a term
-    with a != 0: past it the input does not determine the equations.  den is
+    truncation (the frame's ``known``) of a coefficient of a term with
+    a != 0: past it the input does not determine the equations.  den is
     the least common denominator of the order and the frame's exponents
     below each term's leading power plus the order; size = order*den.  Each
     term c_a y^a keeps its exponent vector and the slot ``place`` of its
@@ -331,10 +337,8 @@ class _Lattice:
     (j = 1..n) of each i in turn."""
 
     def __init__(self, potential: Potential, u, roots, order: Fraction):
-        terms = potential.poly.terms
-        known = [c.trunc - c.valuation() for a, c in terms.items() if any(a) and c.trunc is not None]
-        order = min([order, *known])
         fr = _Frame(potential, u)
+        order = min([order, *(Fraction(k, fr.den) for k in fr.known)])
         big = math.lcm(order.denominator, fr.den)
         size = order.numerator * (big // order.denominator)
         frame = []
@@ -413,8 +417,8 @@ def _system(lat: _Lattice, terms: np.ndarray, width: int):
 
 def _scalar(arr: np.ndarray, den: int, shift: int = 0) -> NovikovScalar:
     """sum_k arr[k] T^((k + shift)/den) modulo T^((len(arr) + shift)/den),
-    pruned at eps_coeff."""
-    keep = np.flatnonzero(np.abs(arr) > get_config().eps_coeff)
+    pruned by ``NovikovScalar``'s rule: a NaN or infinite slot is kept."""
+    keep = np.flatnonzero(~(np.abs(arr) <= get_config().eps_coeff))
     return NovikovScalar.from_lattice(
         den, (keep + shift).tolist(), arr[keep].tolist(), len(arr) + shift
     )
@@ -465,7 +469,9 @@ class LatticeSystem:
 
     def z_inverse(self) -> NovikovScalar:
         d = self.det
-        return _scalar(_unit_inverse(d / d[0]) / d[0], self.den, -sum(self.shifts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = _unit_inverse(d / d[0]) / d[0]
+        return _scalar(inv, self.den, -sum(self.shifts))
 
     def critical_value(self) -> NovikovScalar:
         """Without the potential's constant term, which the lattice leaves out."""
@@ -504,9 +510,10 @@ def newton_lift(
     windows 2v, 4v, ... up to the order, with ``lambda_solve`` from each
     row's inverse of J_0, evaluating the terms once per step, to the next
     window only.  A row whose step leaves inf or NaN in x, its residual or
-    its Jacobian stops there (NoConvergence: the Newton steps overflow), and
-    so does one whose final residual has content below the order; the other
-    rows go on unchanged.
+    its Jacobian, or whose final y = y0 (1 + x) leaves the float range,
+    stops there (NoConvergence: the Newton steps overflow), and so does one
+    whose final residual has content below the order; the other rows go on
+    unchanged.
     """
     e_order = Fraction(order) if order is not None else get_config().truncation_order
     if e_order is None or e_order <= 0:
@@ -536,11 +543,12 @@ def newton_lift(
         if degenerate:
             out[r] = SingularInitialJacobian("leading Jacobian is singular; cannot lift")
             continue
-        w = _residual_valuation(den, seed[r, :, None] * np.eye(1, lat.size), res[r])
+        y0 = seed[r, :, None] * np.eye(1, lat.size)
+        w = _residual_valuation(den, y0, res[r])
         if w <= 0:
             out[r] = NoConvergence(f"initial root has residual of valuation {w}; not a root")
         elif w >= e_order:
-            ys = tuple(NovikovScalar.monomial(0, c, trunc=e_order) for c in roots[r])
+            ys = tuple(_scalar(y, den) for y in y0)
             out[r] = ys, w, LatticeSystem(den, lat.shifts, lat.low, jac[r], value[r])
         else:
             groups.setdefault(w, []).append(r)
@@ -572,9 +580,12 @@ def newton_lift(
                     out[r] = NoConvergence("the Newton steps overflow")
                 rows, x, inv0 = rows[ok], x[ok], inv0[ok]
                 res_g, jac_g, value_g = res_g[ok], jac_g[ok], value_g[ok]
-        x[:, :, 0] += 1
-        x *= seed[rows, :, None]
+            x[:, :, 0] += 1
+            x *= seed[rows, :, None]
         for r, xr, rr, jr, vr in zip(rows, x, res_g, jac_g, value_g):
+            if not np.isfinite(xr).all():  # y = y0 (1 + x) left the float range
+                out[r] = NoConvergence("the Newton steps overflow")
+                continue
             final = _residual_valuation(den, xr, rr)
             if final < e_order:
                 out[r] = NoConvergence(

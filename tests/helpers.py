@@ -349,7 +349,7 @@ def scalars_close(x: NovikovScalar, y: NovikovScalar, tol: float = 1e-9) -> bool
 
 def on_lattice(s: NovikovScalar, den: int, width: int) -> np.ndarray:
     """Coefficients of s at T^(k/den), k < width; s must sit on (1/den)Z."""
-    d, es, cs = s.lattice()
+    d, es, cs, _ = s.lattice()
     assert den % d == 0, (den, d)
     out = np.zeros(width, complex)
     for e, c in zip(es, cs):

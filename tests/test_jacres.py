@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    catalog_potential,
     cpn_duality_errors,
     novikov_det,
     random_delzant_polytope,
@@ -29,6 +30,7 @@ from toriclg import (
     z_exactness,
     z_value,
 )
+from toriclg.tropical import LatticeSystem
 
 F = Fraction
 
@@ -303,6 +305,47 @@ class TestResidueReport:
         assert any("degenerate" in note for note in res.notes)
         assert res.morse_ok and res.morse_mode == "equality"
         assert len(res.z_values) == 2  # only the nondegenerate pair
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_pairing_skips_trace_with_note(self, monkeypatch, bad):
+        # a NaN would make the largest coefficient of the sum, and so the
+        # residual, depend on the order of its terms
+        pot = potential_of("simplex", 2)
+        rep = find_critical_points(pot)
+        z_inverse = LatticeSystem.z_inverse
+
+        def spoiled(system):
+            den, es, cs, t = z_inverse(system).lattice()
+            if system is rep.points[0].system:
+                cs = (bad, *cs[1:])
+            return NovikovScalar.from_lattice(den, es, cs, t)
+
+        monkeypatch.setattr(LatticeSystem, "z_inverse", spoiled)
+        res = residue_report(pot, rep)
+        assert len(res.pairing_diag) == 3
+        assert (res.trace_ok, res.trace_sum, res.trace_residual) == (None, None, None)
+        assert res.notes == ["a 1/Z has a NaN or infinite coefficient: trace check skipped"]
+
+    @pytest.mark.parametrize("spec", ["blowup1:1/5", "simplex:3", "hirzebruch:2,1/2"])
+    def test_no_series_products_in_the_search_or_the_residue_report(self, monkeypatch, spec):
+        # series cross to and from the arrays by lattice() and from_lattice()
+        # only: no scalar is parsed from Fractions, multiplied or inverted;
+        # __add__ serves the trace sum, the constant term and hirzebruch:2's
+        # merged term.  The potential is built first, its terms on first use
+        pot = catalog_potential(spec)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Novikov scalar arithmetic in the pipeline")
+
+        for attr in ("__init__", "monomial", "__mul__", "__rmul__", "__pow__", "invert"):
+            monkeypatch.setattr(NovikovScalar, attr, forbidden)
+        rep = find_critical_points(pot)
+        res = residue_report(pot, rep)
+        monkeypatch.undo()
+        ref_pot = catalog_potential(spec)
+        ref = find_critical_points(ref_pot)
+        assert rep.points and rep == ref
+        assert res == residue_report(ref_pot, ref)
 
     def test_cells_downgrade_morse_to_lower_bound(self):
         pot = potential_of("blowup2", F(1, 2), F(1, 4))

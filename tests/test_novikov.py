@@ -353,6 +353,20 @@ class TestExpLog:
             assert_scalar_close(lhs.truncate(3), rhs.truncate(3), tol=1e-10)
 
 
+class TestLattice:
+    """``lattice`` and ``from_lattice`` carry a scalar to and from integer
+    lists, each the inverse of the other."""
+
+    def test_from_lattice_reads_lattice_back(self):
+        rng = random.Random(2024)  # the scalars of the valuation axioms suite
+        for _ in range(200):
+            s = random_scalar(rng)
+            for x in (s, s.truncate(Fraction(rng.randint(0, 24), rng.randint(1, 6)))):
+                den, es, cs, t = x.lattice()
+                assert t is None if x.trunc is None else Fraction(t, den) == x.trunc
+                assert NovikovScalar.from_lattice(*x.lattice()) == x
+
+
 class TestSerialization:
     def test_json_roundtrip_exact(self):
         s = NovikovScalar([(Fraction(1, 3), 1 + 2j), (2, -0.5)])

@@ -417,7 +417,7 @@ class TestNewtonLift:
         assert resval == math.inf
         (lat,) = lattices
         assert certificate(pot, u, ys, lat) == math.inf
-        d, es, _ = ys[0].lattice()
+        d, es, _, _ = ys[0].lattice()
         e = F(es[k], d)
         bumped = (ys[0] + NovikovScalar.monomial(e, size, trunc=order), *ys[1:])
         assert certificate(pot, u, bumped, lat) == e
@@ -496,6 +496,14 @@ class TestNewtonLift:
         res[1, 2] = bad
         for ys in (np.ones((2, 4), complex), np.full((2, 4), math.inf, complex)):
             assert tropical._residual_valuation(4, ys, res) == F(1, 2)
+
+    def test_scalar_keeps_a_non_finite_slot_as_from_lattice_does(self):
+        arr = np.array([1.0, math.nan, 1e-20, math.inf, -2j])
+        got = tropical._scalar(arr, 3, 2).lattice()
+        want = NovikovScalar.from_lattice(3, [2, 3, 4, 5, 6], arr.tolist(), 7).lattice()
+        assert got[1] == want[1] == (2, 3, 5, 6)
+        assert (got[0], got[3]) == (want[0], want[3]) == (3, 7)
+        assert repr(got[2]) == repr(want[2])  # NaN == NaN is False
 
     def test_final_residual_below_order_raises(self, monkeypatch):
         # a solve that never corrects past T^1 leaves residual content below
@@ -826,6 +834,36 @@ class TestCriticalPoints:
                 assert isinstance(out, NoConvergence) and "overflow" in str(out)
             else:
                 assert p.y_local is not None and p.residual_valuation == INF
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bulk_values_far_apart_warn_nothing_and_certify_only_finite_series(self):
+        # facet j of polygon seed s carries the bulk value +-2^k, k in
+        # [-30, 30]: at seed 27 the three lifts at u = (2/3, 2/3) leave the
+        # float range only when y = y0 (1 + x) is formed, and at seeds 27
+        # and 31 a 1/Z does in its unit inverse
+        for s in range(64):
+            poly = random_delzant_polytope(random.Random(s))
+            rng = random.Random(1000 + s)
+            bulk = BulkCoefficients(tuple(
+                NovikovScalar.from_number(rng.choice((1, -1)) * 2.0 ** rng.randint(-30, 30))
+                for _ in poly.facets
+            ))
+            pot = build_potential(poly, bulk=bulk, assume_fano=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rep = find_critical_points(pot)
+                res = residue_report(pot, rep)
+            lifted = [p for p in rep.points if p.y_local is not None]
+            for p in lifted:
+                assert all(cmath.isfinite(c) for y in p.y_local for c in y.lattice()[2]), (s, p.u)
+            if s == 27:
+                diverging = [p for p in rep.points if p.u == (F(2, 3), F(2, 3))]
+                assert len(diverging) == 3
+                for p in diverging:
+                    assert p.nondegenerate and p.y_local is None and p.residual_valuation is None
+            if s in (27, 31):
+                assert not all(cmath.isfinite(c) for z in res.pairing_diag for c in z.lattice()[2])
+                assert res.trace_ok is None
 
     def test_truncation_stability(self):
         pot = potential_of("blowup1", F(2, 5))
